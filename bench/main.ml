@@ -341,8 +341,8 @@ let daemon_throughput () =
    Fig. 9's production shape: run the compiled pass over a Zipf workload
    and measure whole-pass firings/sec plus the top-10 firing share, then
    probe single-match throughput — the same definitions matched once by
-   the compiled tree and once by the per-rule scan — so the ledger can
-   gate the compiled/linear ratio. *)
+   the compiled tree and once by the per-rule scan — the same figures
+   `alive optimize --ledger` records and `perf diff` gates. *)
 
 let opt_leg () =
   let rules = Lazy.force valid_rules in
@@ -426,8 +426,7 @@ let parallel () =
   ignore (run 1);
   (* Under --json, collect per-phase histograms on the measured runs: both
      runs pay the same (tiny) timing overhead, so the speedup stays fair,
-     and the snapshot after the scaling run feeds BENCH_trace.json and the
-     performance ledger. *)
+     and the snapshot after the scaling run feeds BENCH_trace.json. *)
   if !json_enabled then Alive_trace.Metrics.set_phase_timing true;
   let r1 = run 1 in
   (* A/B leg: the same jobs=1 run with the verdict cache and incremental
@@ -448,12 +447,13 @@ let parallel () =
     end
     else r1
   in
-  Printf.printf "  %d tasks, %d queries, %d conflicts total\n"
-    (List.length r1.results) r1.total.queries r1.total.telemetry.conflicts;
-  Printf.printf "  --jobs 1:  wall %.2fs  (cache %d/%d hit/miss)\n" r1.wall
-    r1.total.telemetry.cache_hits r1.total.telemetry.cache_misses;
-  Printf.printf "  --jobs 1, cache+incremental off:  wall %.2fs  (%d conflicts)\n"
-    r_off.wall r_off.total.telemetry.conflicts;
+  let stats (r : Alive_engine.Engine.report) =
+    Format.asprintf "%a" Alive.Refine.pp_stats r.total
+  in
+  Printf.printf "  %d tasks\n" (List.length r1.results);
+  Printf.printf "  --jobs 1:  wall %.2fs  (%s)\n" r1.wall (stats r1);
+  Printf.printf "  --jobs 1, cache+incremental off:  wall %.2fs  (%s)\n"
+    r_off.wall (stats r_off);
   Printf.printf "  --jobs %d:  wall %.2fs  (%.2fx speedup)\n" n rn.wall
     (r1.wall /. Float.max 1e-9 rn.wall);
   if n = 1 then
@@ -481,11 +481,10 @@ let parallel () =
     Alive_engine.Engine.verify_corpus ~jobs:n tasks
   in
   let r16 = sweep 16 and r32 = sweep 32 in
-  Printf.printf
-    "  wide-width leg (uncapped entries): w=16 wall %.2fs (%d conflicts), \
-     w=32 wall %.2fs (%d conflicts)\n"
-    r16.wall r16.total.telemetry.conflicts r32.wall
-    r32.total.telemetry.conflicts;
+  Printf.printf "  wide-width leg (uncapped entries): w=16 wall %.2fs (%s)\n"
+    r16.wall (stats r16);
+  Printf.printf "  wide-width leg (uncapped entries): w=32 wall %.2fs (%s)\n"
+    r32.wall (stats r32);
   let daemon = daemon_throughput () in
   (match daemon with
   | Some (reqs, wall, rps) ->
@@ -504,9 +503,8 @@ let parallel () =
     opt#match_per_s opt#match_linear_per_s
     (opt#match_per_s /. Float.max 1e-9 opt#match_linear_per_s)
     opt#compiled_hits opt#linear_hits opt#sites;
-  (* BENCH_parallel.json keeps its original keys; the A/B leg, the cache
-     counters and the daemon leg are additions, so downstream consumers
-     don't break. *)
+  (* Each verification leg's stats are nested under its own key, with
+     every solver counter by report name. *)
   record_json "parallel"
     (Json.Obj
        ([
@@ -515,21 +513,13 @@ let parallel () =
           ("wall_1_s", Json.Float r1.wall);
           ("wall_n_s", Json.Float rn.wall);
           ("speedup", Json.Float (r1.wall /. Float.max 1e-9 rn.wall));
-          ("queries", Json.Int r1.total.queries);
-          ("conflicts", Json.Int r1.total.telemetry.conflicts);
+          ("stats_1", Alive_engine.Engine.stats_json r1.total);
           ("wall_1_nocache_s", Json.Float r_off.wall);
-          ("conflicts_nocache", Json.Int r_off.total.telemetry.conflicts);
-          ("cache_hits", Json.Int r1.total.telemetry.cache_hits);
-          ("cache_misses", Json.Int r1.total.telemetry.cache_misses);
-          ("peak_clauses", Json.Int r1.total.telemetry.peak_clauses);
-          ("peak_vars", Json.Int r1.total.telemetry.peak_vars);
+          ("stats_nocache", Alive_engine.Engine.stats_json r_off.total);
           ("wall_w16_s", Json.Float r16.wall);
-          ("conflicts_w16", Json.Int r16.total.telemetry.conflicts);
+          ("stats_w16", Alive_engine.Engine.stats_json r16.total);
           ("wall_w32_s", Json.Float r32.wall);
-          ("conflicts_w32", Json.Int r32.total.telemetry.conflicts);
-          ("cubes", Json.Int r1.total.telemetry.cubes_spawned);
-          ("aig_nodes_in", Json.Int r1.total.telemetry.aig_nodes_in);
-          ("aig_nodes_out", Json.Int r1.total.telemetry.aig_nodes_out);
+          ("stats_w32", Alive_engine.Engine.stats_json r32.total);
           ("opt_firings", Json.Int opt#firings);
           ("opt_firings_per_s", Json.Float opt#firings_per_s);
           ("opt_top10_share", Json.Float opt#top10_share);
@@ -553,41 +543,6 @@ let parallel () =
            ("wall_s", Json.Float rn.wall);
            ("metrics", Alive_trace.Metrics.to_json ());
          ]);
-    let verdicts = Hashtbl.create 8 in
-    List.iter
-      (fun r ->
-        let v = Alive_engine.Engine.verdict_name r in
-        Hashtbl.replace verdicts v
-          (1 + Option.value ~default:0 (Hashtbl.find_opt verdicts v)))
-      rn.results;
-    let verdicts =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) verdicts [])
-    in
-    let record =
-      Alive_trace.Ledger.make ~label:"bench.parallel" ~jobs:n
-        ~tasks:(List.length rn.results) ~wall_s:rn.wall
-        ~sat_s:rn.total.telemetry.sat_time ~queries:rn.total.queries
-        ~conflicts:rn.total.telemetry.conflicts
-        ~cegar_iterations:rn.total.telemetry.cegar_iterations
-        ~cache_hits:rn.total.telemetry.cache_hits
-        ~cache_misses:rn.total.telemetry.cache_misses
-        ~cache_evictions:rn.total.telemetry.cache_evictions
-        ~peak_clauses:rn.total.telemetry.peak_clauses
-        ~peak_vars:rn.total.telemetry.peak_vars
-        ~cubes:rn.total.telemetry.cubes_spawned
-        ~cubes_pruned:rn.total.telemetry.cubes_pruned
-        ~aig_nodes_in:rn.total.telemetry.aig_nodes_in
-        ~aig_nodes_out:rn.total.telemetry.aig_nodes_out
-        ~opt_firings:opt#firings ~opt_firings_per_s:opt#firings_per_s
-        ~opt_match_per_s:opt#match_per_s
-        ~opt_match_linear_per_s:opt#match_linear_per_s
-        ~opt_top10_share:opt#top10_share ~verdicts ()
-    in
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then begin
-      Alive_trace.Ledger.append ~path:"bench/ledger.jsonl" record;
-      Printf.printf "  [json] ledger record appended to bench/ledger.jsonl\n%!"
-    end;
     Alive_trace.Metrics.set_phase_timing false
   end
 

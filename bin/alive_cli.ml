@@ -578,6 +578,7 @@ let optimize_cmd =
        reduced to aggregates on a worker domain, so the full workload is
        never materialized at once. *)
     let batches = Workload.batches config ~batch_size in
+    let before = Alive_trace.Metrics.snapshot () in
     let t0 = Unix.gettimeofday () in
     let outcomes =
       Alive_engine.Engine.map ~jobs
@@ -750,11 +751,16 @@ let optimize_cmd =
       (fun path ->
         let record =
           Alive_trace.Ledger.make ~label:"optimize" ~jobs ~tasks:total
-            ~wall_s:wall ~sat_s:0.0 ~queries:0 ~conflicts:0
-            ~cegar_iterations:0 ~opt_firings:firings
-            ~opt_firings_per_s:firings_per_s ~opt_match_per_s:match_per_s
-            ~opt_match_linear_per_s:match_linear_per_s
-            ~opt_top10_share:top10_share ~verdicts:[] ()
+            ~wall_s:wall
+            ~extras:
+              [
+                ("opt_firings", float_of_int firings);
+                ("opt_firings_per_s", firings_per_s);
+                ("opt_match_per_s", match_per_s);
+                ("opt_match_linear_per_s", match_linear_per_s);
+                ("opt_top10_share", top10_share);
+              ]
+            before (Alive_trace.Metrics.snapshot ())
         in
         Alive_trace.Ledger.append ~path record;
         Printf.printf "ledger record appended to %s\n" path)
@@ -809,8 +815,9 @@ let optimize_cmd =
       & opt (some string) None
       & info [ "ledger" ] ~docv:"FILE"
           ~doc:
-            "Append a schema-8 performance-ledger record (firings/sec, \
-             matcher throughput, top-10 share) to $(docv).")
+            "Append a performance-ledger record to $(docv): the registry's \
+             change over the run plus the optimizer's firings, firings/sec, \
+             matcher throughput and top-10 share.")
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print firing counts afterwards.")
@@ -935,14 +942,6 @@ let perf_diff_cmd =
             Printf.eprintf "perf diff: %s\n" e;
             1
         | Ok base ->
-            (* Records from different schemas still share a field prefix
-               (schemas only append); the diff below restricts itself to
-               the fields both define, so warn and proceed rather than
-               refuse — a schema bump must not wedge CI until the baseline
-               is re-seeded. *)
-            (match Ledger.schema_mismatch ~baseline:base ~latest with
-            | Some msg -> Printf.eprintf "perf diff: warning: %s\n" msg
-            | None -> ());
             let d =
               Ledger.diff ~threshold_pct:threshold ~baseline:base ~latest ()
             in
@@ -970,16 +969,18 @@ let perf_diff_cmd =
       value & opt float 15.0
       & info [ "threshold" ] ~docv:"PCT"
           ~doc:
-            "Regression threshold: wall time or SAT conflicts growing more \
-             than $(docv) percent fails the diff (default 15).")
+            "Regression threshold: wall time or SAT conflicts growing, or \
+             optimizer matcher or firing throughput dropping, by more than \
+             $(docv) percent fails the diff (default 15).")
   in
   Cmd.v
     (Cmd.info "diff"
        ~doc:
          "Compare the newest ledger record against a baseline and flag \
-          regressions on the gating metrics (wall time, SAT conflicts). \
-          When the records carry different schema versions, only the field \
-          prefix both schemas define is diffed, with a warning on stderr."
+          regressions on the four gated figures (wall time and SAT \
+          conflicts must not grow; optimizer matcher and firing throughput \
+          must not drop). Every other counter either record carries is \
+          listed for information."
        ~exits:
          (Cmd.Exit.info 3
             ~doc:"a gating metric regressed past the threshold."

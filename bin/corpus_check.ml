@@ -199,19 +199,6 @@ let speclist =
    its own domain pool, through its own verdict store) and this side only
    marshals, classifies against the expected verdict, and counts. *)
 
-type via_totals = {
-  mutable vq : int;  (* queries *)
-  mutable vsat : float;
-  mutable vconf : int;
-  mutable vcegar : int;
-  mutable vch : int;  (* daemon-side in-memory cache hits *)
-  mutable vcm : int;
-  mutable vsh : int;  (* daemon-side store hits *)
-  mutable vsm : int;
-  mutable vst : int;  (* daemon-side statically proved queries *)
-  mutable verr : int;  (* transport/daemon errors *)
-}
-
 let run_via ~socket ~jobs ~mismatches ~undecided
     (entries : Alive_suite.Entry.t list) =
   let module Client = Alive_service.Client in
@@ -219,27 +206,8 @@ let run_via ~socket ~jobs ~mismatches ~undecided
   let n = Array.length arr in
   let results = Array.make n ("", "", 0.0) in
   let lock = Mutex.create () in
-  let tv =
-    {
-      vq = 0;
-      vsat = 0.0;
-      vconf = 0;
-      vcegar = 0;
-      vch = 0;
-      vcm = 0;
-      vsh = 0;
-      vsm = 0;
-      vst = 0;
-      verr = 0;
-    }
-  in
+  let errors = ref 0 in
   let next = Atomic.make 0 in
-  let num j k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-  in
-  let fnum j k =
-    Option.value ~default:0.0 (Option.bind (Json.member k j) Json.to_float)
-  in
   let is_unknown v =
     String.length v >= 7 && String.sub v 0 7 = "unknown"
   in
@@ -278,20 +246,6 @@ let run_via ~socket ~jobs ~mismatches ~undecided
                       (Option.bind (Json.member "verdict" j) Json.to_str))
                   items
               in
-              Mutex.lock lock;
-              List.iter
-                (fun j ->
-                  tv.vq <- tv.vq + num j "queries";
-                  tv.vch <- tv.vch + num j "cache_hits";
-                  tv.vcm <- tv.vcm + num j "cache_misses";
-                  tv.vsh <- tv.vsh + num j "store_hits";
-                  tv.vsm <- tv.vsm + num j "store_misses";
-                  tv.vst <- tv.vst + num j "static_proved";
-                  tv.vconf <- tv.vconf + num j "conflicts";
-                  tv.vcegar <- tv.vcegar + num j "cegar";
-                  tv.vsat <- tv.vsat +. fnum j "sat_s")
-                items;
-              Mutex.unlock lock;
               (* An entry's text can hold several transforms; a definite
                  failure outranks unknown outranks valid, as in the local
                  scan. *)
@@ -311,7 +265,7 @@ let run_via ~socket ~jobs ~mismatches ~undecided
         Mutex.lock lock;
         (if verdict = "error" || is_unknown verdict then begin
            incr undecided;
-           if verdict = "error" then tv.verr <- tv.verr + 1;
+           if verdict = "error" then incr errors;
            Printf.printf "%-55s %6.2fs %s\n%!" e.name elapsed
              (if verdict = "error" then "ERROR: " ^ detail
               else "UNKNOWN: " ^ verdict)
@@ -336,7 +290,40 @@ let run_via ~socket ~jobs ~mismatches ~undecided
   let jobs = max 1 (min jobs (max 1 n)) in
   let threads = Array.init jobs (fun _ -> Thread.create worker ()) in
   Array.iter Thread.join threads;
-  (Array.to_list results, Unix.gettimeofday () -. t0, tv)
+  (Array.to_list results, Unix.gettimeofday () -. t0, !errors)
+
+(* --- The run's registry change --- *)
+
+(* The daemon's registry, scraped over its socket; [None] when it cannot be
+   reached. *)
+let scrape socket =
+  let module Client = Alive_service.Client in
+  match Client.connect socket with
+  | Error _ -> None
+  | Ok c ->
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Result.to_option
+        (Result.map Alive_trace.Metrics.snapshot_of_json (Client.metrics c))
+
+let empty_snapshot = Alive_trace.Metrics.snapshot_of_json (Json.Obj [])
+
+(* The non-zero counters of a registry change, as [name=value] pairs. *)
+let render_counters counters =
+  List.filter_map
+    (fun (k, v) ->
+      if v = 0.0 then None
+      else if Float.is_integer v then Some (Printf.sprintf "%s=%.0f" k v)
+      else Some (Printf.sprintf "%s=%.3f" k v))
+    counters
+  |> String.concat " "
+
+let histogram names =
+  List.sort_uniq compare names
+  |> List.map (fun n -> (n, List.length (List.filter (String.equal n) names)))
+
+let append_ledger record =
+  Alive_trace.Ledger.append ~path:!ledger_path record;
+  Printf.printf "ledger record appended to %s\n" !ledger_path
 
 (* --infer-pre: run the Alive-Infer loop on every corpus entry that carries
    a hand-written precondition and compare the re-derived predicate against
@@ -397,6 +384,7 @@ let run_infer_pre (entries : Alive_suite.Entry.t list) =
           Printf.printf "%-55s %6.2fs %-12s %s\n%!" out.label out.elapsed
             (status_of r) detail
   in
+  let before = Alive_trace.Metrics.snapshot () in
   let t0 = Unix.gettimeofday () in
   let outcomes =
     Engine.map ~jobs ~on_outcome
@@ -509,32 +497,20 @@ let run_infer_pre (entries : Alive_suite.Entry.t list) =
     Printf.printf "metrics written to %s\n" !metrics_json
   end;
   if !ledger_path <> "" then begin
-    let verdicts =
-      List.sort_uniq compare statuses
-      |> List.map (fun s -> (s, count s))
-    in
     let label =
       if !category = "" then "corpus_check.infer"
       else "corpus_check.infer:" ^ !category
     in
-    let record =
-      Alive_trace.Ledger.make ~label ~jobs
-        ~tasks:(List.length outcomes)
-        ~budget_timeout_s:(if !timeout > 0.0 then !timeout else 10.0)
-        ~budget_conflicts:!conflicts ~wall_s:wall
-        ~sat_s:total.Alive.Refine.telemetry.sat_time ~infer_s
-        ~queries:total.Alive.Refine.queries
-        ~conflicts:total.Alive.Refine.telemetry.conflicts
-        ~cegar_iterations:total.Alive.Refine.telemetry.cegar_iterations
-        ~cache_hits:total.Alive.Refine.telemetry.cache_hits
-        ~cache_misses:total.Alive.Refine.telemetry.cache_misses
-        ~cache_evictions:total.Alive.Refine.telemetry.cache_evictions
-        ~peak_clauses:total.Alive.Refine.telemetry.peak_clauses
-        ~peak_vars:total.Alive.Refine.telemetry.peak_vars
-        ~static_proved:total.Alive.Refine.telemetry.static_proved ~verdicts ()
-    in
-    Alive_trace.Ledger.append ~path:!ledger_path record;
-    Printf.printf "ledger record appended to %s\n" !ledger_path
+    append_ledger
+      (Alive_trace.Ledger.make ~label ~jobs ~tasks:(List.length outcomes)
+         ~budget:
+           {
+             timeout_s = (if !timeout > 0.0 then !timeout else 10.0);
+             conflict_limit = !conflicts;
+           }
+         ~wall_s:wall ~extras:[ ("infer_s", infer_s) ]
+         ~verdicts:(histogram statuses) before
+         (Alive_trace.Metrics.snapshot ()))
   end;
   exit (if ok >= min !min_ok (List.length outcomes) then 0 else 1)
 
@@ -978,26 +954,28 @@ let () =
       Printf.sprintf " (since %s: %d skipped, %d re-verified)" !changed_since
         n_skipped (List.length entries)
   in
-  if !via <> "" then begin
-    let results, wall, tv =
-      run_via ~socket:!via ~jobs ~mismatches ~undecided entries
-    in
-    Printf.printf
-      "done: %d entries%s, %d mismatches, %d undecided; wall %.2fs with %d \
-       client job(s) via %s; %d queries, sat %.2fs, cache %d/%d store %d/%d \
-       hit/miss, %d static-proved\n"
-      (List.length results) since_label !mismatches !undecided wall jobs !via
-      tv.vq tv.vsat tv.vch tv.vcm tv.vsh tv.vsm tv.vst;
-    if !json_path <> "" then begin
-      let entry_json (name, verdict, elapsed) =
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("verdict", Json.String verdict);
-            ("elapsed_s", Json.Float elapsed);
-          ]
+  (* Summary lines and ledger records report the registry's change over
+     the run: this process's own registry, or the daemon's with --via. *)
+  let snapshot () =
+    if !via = "" then Some (Alive_trace.Metrics.snapshot ()) else scrape !via
+  in
+  let before = snapshot () in
+  (* Each path returns its verdicts, wall, jobs and how to write its
+     --json report given the run's counters. *)
+  let results, wall, jobs, report_json =
+    if !via <> "" then begin
+      let results, wall, errors =
+        run_via ~socket:!via ~jobs ~mismatches ~undecided entries
       in
-      let j =
+      let report_json counters =
+        let entry_json (name, verdict, elapsed) =
+          Json.Obj
+            [
+              ("name", Json.String name);
+              ("verdict", Json.String verdict);
+              ("elapsed_s", Json.Float elapsed);
+            ]
+        in
         Json.Obj
           [
             ("mode", Json.String "via");
@@ -1006,170 +984,60 @@ let () =
             ("entries", Json.List (List.map entry_json results));
             ("mismatches", Json.Int !mismatches);
             ("undecided", Json.Int !undecided);
+            ("errors", Json.Int errors);
             ("wall_s", Json.Float wall);
-            ("queries", Json.Int tv.vq);
-            ("sat_s", Json.Float tv.vsat);
-            ("cache_hits", Json.Int tv.vch);
-            ("cache_misses", Json.Int tv.vcm);
-            ("store_hits", Json.Int tv.vsh);
-            ("store_misses", Json.Int tv.vsm);
-            ("static_proved", Json.Int tv.vst);
-            ("errors", Json.Int tv.verr);
+            ( "counters",
+              Json.Obj
+                (List.map
+                   (fun (k, v) -> (k, Alive_trace.Ledger.number v))
+                   counters) );
           ]
       in
-      Json.to_file !json_path j;
-      Printf.printf "report written to %s\n" !json_path
-    end;
-    if !ledger_path <> "" then begin
-      let verdicts = Hashtbl.create 8 in
-      List.iter
-        (fun (_, v, _) ->
-          Hashtbl.replace verdicts v
-            (1 + Option.value ~default:0 (Hashtbl.find_opt verdicts v)))
-        results;
-      let verdicts =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) verdicts [])
-      in
-      let label =
-        if !category = "" then "corpus_check.via"
-        else "corpus_check.via:" ^ !category
-      in
-      (* Scrape the daemon's telemetry for the schema-6/7 fields:
-         structured log volume, slow-query count, per-op latency stats,
-         and the cube/AIG solver counters. Best effort — a daemon that
-         went away leaves them at their zero defaults rather than failing
-         the run. *)
-      let log_lines, slow_queries, ops, (cubes, cubes_pruned, aig_in, aig_out)
-          =
-        let zero = (0, 0, [], (0, 0, 0, 0)) in
-        let module Client = Alive_service.Client in
-        match Client.connect !via with
-        | Error _ -> zero
-        | Ok c ->
-            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-            (match Client.metrics c with
-            | Error _ -> zero
-            | Ok m ->
-                let counter k =
-                  Option.value ~default:0
-                    (Option.bind
-                       (Option.bind (Json.member "counters" m)
-                          (Json.member k))
-                       Json.to_int)
-                in
-                let ops =
-                  match Json.member "histograms" m with
-                  | Some (Json.Obj hs) ->
-                      let prefix = "service.request_s." in
-                      let plen = String.length prefix in
-                      List.filter_map
-                        (fun (name, h) ->
-                          if
-                            String.length name > plen
-                            && String.sub name 0 plen = prefix
-                          then
-                            let fld k =
-                              Option.value ~default:0.0
-                                (Option.bind (Json.member k h) Json.to_float)
-                            in
-                            Some
-                              {
-                                Alive_trace.Ledger.op =
-                                  String.sub name plen
-                                    (String.length name - plen);
-                                op_count = int_of_float (fld "count");
-                                op_total_s = fld "total_s";
-                                op_p99_s = fld "p99_s";
-                              }
-                          else None)
-                        hs
-                  | _ -> []
-                in
-                ( counter "log.lines",
-                  counter "service.slow_queries",
-                  ops,
-                  ( counter "solve.cubes_spawned",
-                    counter "solve.cubes_pruned",
-                    counter "solve.aig_nodes_in",
-                    counter "solve.aig_nodes_out" ) ))
-      in
-      let record =
-        Alive_trace.Ledger.make ~label ~jobs
-          ~tasks:(List.length results)
-          ~budget_timeout_s:!timeout ~budget_conflicts:!conflicts
-          ~wall_s:wall ~sat_s:tv.vsat ~queries:tv.vq ~conflicts:tv.vconf
-          ~cegar_iterations:tv.vcegar ~cache_hits:tv.vch ~cache_misses:tv.vcm
-          ~requests:(List.length results)
-          ~store_hits:tv.vsh ~store_misses:tv.vsm ~static_proved:tv.vst
-          ~log_lines ~slow_queries ~ops ~cubes ~cubes_pruned
-          ~aig_nodes_in:aig_in ~aig_nodes_out:aig_out ~verdicts ()
-      in
-      Alive_trace.Ledger.append ~path:!ledger_path record;
-      Printf.printf "ledger record appended to %s\n" !ledger_path
+      (results, wall, jobs, report_json)
     end
-  end
-  else begin
-    let report = Engine.verify_corpus ~jobs ?budget ~on_result tasks in
-    if !stats then Engine.print_table report
-    else
-      Printf.printf
-        "done: %d entries%s, %d mismatches, %d undecided; wall %.2fs with %d \
-         job(s), %d queries, sat %.2fs, %d conflicts, %d cegar iterations, \
-         store %d/%d hit/miss, %d static-proved\n"
-        (List.length report.results)
-        since_label !mismatches !undecided report.wall report.jobs
-        report.total.queries report.total.telemetry.sat_time
-        report.total.telemetry.conflicts
-        report.total.telemetry.cegar_iterations
-        report.total.telemetry.store_hits report.total.telemetry.store_misses
-        report.total.telemetry.static_proved;
-    if !json_path <> "" then begin
-      Json.to_file !json_path (Engine.report_json report);
-      Printf.printf "report written to %s\n" !json_path
-    end;
-    if !ledger_path <> "" then begin
-      (* One verdict histogram line per run; verdict names carry the unknown
-         reason ("unknown:timeout", ...), so regressions in decidability are
-         visible across runs too. *)
-      let verdicts = Hashtbl.create 8 in
-      List.iter
-        (fun r ->
-          let v = Engine.verdict_name r in
-          Hashtbl.replace verdicts v
-            (1 + Option.value ~default:0 (Hashtbl.find_opt verdicts v)))
-        report.results;
-      let verdicts =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) verdicts [])
+    else begin
+      let report = Engine.verify_corpus ~jobs ?budget ~on_result tasks in
+      if !stats then Engine.print_table report;
+      let results =
+        List.map
+          (fun (r : Engine.task_result) ->
+            (r.name, Engine.verdict_name r, r.elapsed))
+          report.results
       in
-      let label =
-        if !category = "" then "corpus_check" else "corpus_check:" ^ !category
-      in
-      let record =
-        Alive_trace.Ledger.make ~label ~jobs:report.jobs
-          ~tasks:(List.length report.results)
-          ~budget_timeout_s:!timeout ~budget_conflicts:!conflicts
-          ~wall_s:report.wall ~sat_s:report.total.telemetry.sat_time
-          ~queries:report.total.queries
-          ~conflicts:report.total.telemetry.conflicts
-          ~cegar_iterations:report.total.telemetry.cegar_iterations
-          ~cache_hits:report.total.telemetry.cache_hits
-          ~cache_misses:report.total.telemetry.cache_misses
-          ~cache_evictions:report.total.telemetry.cache_evictions
-          ~peak_clauses:report.total.telemetry.peak_clauses
-          ~peak_vars:report.total.telemetry.peak_vars
-          ~store_hits:report.total.telemetry.store_hits
-          ~store_misses:report.total.telemetry.store_misses
-          ~static_proved:report.total.telemetry.static_proved
-          ~cubes:report.total.telemetry.cubes_spawned
-          ~cubes_pruned:report.total.telemetry.cubes_pruned
-          ~aig_nodes_in:report.total.telemetry.aig_nodes_in
-          ~aig_nodes_out:report.total.telemetry.aig_nodes_out ~verdicts ()
-      in
-      Alive_trace.Ledger.append ~path:!ledger_path record;
-      Printf.printf "ledger record appended to %s\n" !ledger_path
+      (results, report.wall, report.jobs, fun _ -> Engine.report_json report)
     end
+  in
+  let before, after =
+    match (before, snapshot ()) with
+    | Some b, Some a -> (b, a)
+    | _ ->
+        Printf.eprintf "warning: could not read the daemon's metrics\n";
+        (empty_snapshot, empty_snapshot)
+  in
+  let counters = Alive_trace.Ledger.counters_since before after in
+  Printf.printf
+    "done: %d entries%s, %d mismatches, %d undecided; wall %.2fs with %d \
+     %s; %s\n"
+    (List.length results) since_label !mismatches !undecided wall jobs
+    (if !via = "" then "job(s)" else "client job(s) via " ^ !via)
+    (render_counters counters);
+  if !json_path <> "" then begin
+    Json.to_file !json_path (report_json counters);
+    Printf.printf "report written to %s\n" !json_path
+  end;
+  if !ledger_path <> "" then begin
+    (* Verdict names carry the unknown reason ("unknown:timeout", ...), so
+       regressions in decidability are visible across runs too. *)
+    let label =
+      (if !via = "" then "corpus_check" else "corpus_check.via")
+      ^ if !category = "" then "" else ":" ^ !category
+    in
+    append_ledger
+      (Alive_trace.Ledger.make ~label ~jobs ~tasks:(List.length results)
+         ~budget:{ timeout_s = !timeout; conflict_limit = !conflicts }
+         ~wall_s:wall
+         ~verdicts:(histogram (List.map (fun (_, v, _) -> v) results))
+         before after)
   end;
   if !trace_path <> "" then begin
     Alive_trace.Trace.write_chrome !trace_path;

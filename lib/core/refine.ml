@@ -96,19 +96,21 @@ let merge_stats a b =
 let pp_stats ppf s =
   Format.fprintf ppf
     "typings=%d queries=%d unknown=%d (timeout=%d conflicts=%d cegar=%d) \
-     typing=%.3fs vcgen=%.3fs sat=%.3fs conflicts=%d decisions=%d \
-     propagations=%d clauses=%d vars=%d peak_clauses=%d peak_vars=%d \
-     cegar=%d cache_hits=%d cache_misses=%d static_proved=%d cubes=%d \
-     cubes_pruned=%d aig_nodes_in=%d aig_nodes_out=%d"
+     typing=%.3fs vcgen=%.3fs"
     s.typings_done s.queries s.unknowns s.unknown_reasons.by_timeout
     s.unknown_reasons.by_conflicts s.unknown_reasons.by_cegar s.typing_s
-    s.vcgen_s s.telemetry.sat_time s.telemetry.conflicts s.telemetry.decisions
-    s.telemetry.propagations s.telemetry.clauses s.telemetry.vars
-    s.telemetry.peak_clauses s.telemetry.peak_vars
-    s.telemetry.cegar_iterations s.telemetry.cache_hits
-    s.telemetry.cache_misses s.telemetry.static_proved
-    s.telemetry.cubes_spawned s.telemetry.cubes_pruned
-    s.telemetry.aig_nodes_in s.telemetry.aig_nodes_out
+    s.vcgen_s;
+  List.iter
+    (fun (name, v) -> Format.fprintf ppf " %s=%a" name Solve.pp_value v)
+    (Solve.report s.telemetry)
+
+(* Registered at module load, like the solver counters, so it exports
+   from the first scrape. *)
+let queries_c = Alive_trace.Metrics.counter "refine.queries"
+
+let publish s =
+  Solve.publish s.telemetry;
+  Alive_trace.Metrics.add queries_c s.queries
 
 (* Instruction names to check: defined on both sides (the root always is,
    by the scoping rules). Checked in target order. *)
@@ -232,12 +234,10 @@ let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
              | r -> r
              | exception _ -> false)
         in
+        let tl = stats.telemetry in
         if static_proved then begin
           tier := "static";
-          let tl = stats.telemetry in
           tl.static_proved <- tl.static_proved + 1;
-          Alive_trace.Metrics.incr
-            (Alive_trace.Metrics.counter "refine.static_proved");
           (* Publish to the cache/store so replay paths (and other
              processes sharing the backing) see the same verdict with
              static provenance. *)
@@ -245,14 +245,13 @@ let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
             let keyed = Alive_smt.Vc_cache.canon ~exists formula in
             let cost =
               {
-                Alive_smt.Vc_cache.sat_s = 0.0;
+                Solve.sat_s = 0.0;
                 conflicts = 0;
                 cegar_iterations = 0;
                 static = true;
               }
             in
-            tl.cache_evictions <-
-              tl.cache_evictions + Alive_smt.Vc_cache.store ~cost keyed `Valid
+            Alive_smt.Vc_cache.store ~telemetry:tl ~cost keyed `Valid
           end;
           `Valid
         end
@@ -264,45 +263,26 @@ let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
            cached. *)
         else if not (Alive_smt.Vc_cache.enabled ()) then solve_uncached formula
         else begin
-          let tl = stats.telemetry in
           let keyed = Alive_smt.Vc_cache.canon ~exists formula in
-          match Alive_smt.Vc_cache.find keyed with
+          match Alive_smt.Vc_cache.find ~telemetry:tl keyed with
           | Some (r, Alive_smt.Vc_cache.Memory) ->
               tier := "cache";
-              tl.cache_hits <- tl.cache_hits + 1;
               (r :> [ `Valid | `Invalid of Alive_smt.Model.t
                     | `Unknown of Solve.reason ])
           | Some (r, Alive_smt.Vc_cache.Backing) ->
               tier := "store";
-              tl.store_hits <- tl.store_hits + 1;
               (r :> [ `Valid | `Invalid of Alive_smt.Model.t
                     | `Unknown of Solve.reason ])
           | None ->
-              tl.cache_misses <- tl.cache_misses + 1;
-              if Alive_smt.Vc_cache.backing_installed () then
-                tl.store_misses <- tl.store_misses + 1;
-              (* Snapshot the telemetry around the solve so the published
-                 verdict carries what *this query* cost, not the run. *)
-              let sat0 = tl.sat_time
-              and conf0 = tl.conflicts
-              and cegar0 = tl.cegar_iterations in
-              let r = solve_uncached formula in
-              let cost =
-                {
-                  Alive_smt.Vc_cache.sat_s = tl.sat_time -. sat0;
-                  conflicts = tl.conflicts - conf0;
-                  cegar_iterations = tl.cegar_iterations - cegar0;
-                  static = false;
-                }
+              (* The published verdict carries what *this query* cost, not
+                 the run. *)
+              let r, cost =
+                Solve.with_cost tl (fun () -> solve_uncached formula)
               in
-              let stored =
-                match r with
-                | `Valid -> Alive_smt.Vc_cache.store ~cost keyed `Valid
-                | `Invalid m ->
-                    Alive_smt.Vc_cache.store ~cost keyed (`Invalid m)
-                | `Unknown _ -> 0
-              in
-              tl.cache_evictions <- tl.cache_evictions + stored;
+              (match r with
+              | (`Valid | `Invalid _) as v ->
+                  Alive_smt.Vc_cache.store ~telemetry:tl ~cost keyed v
+              | `Unknown _ -> ());
               r
         end
       in
@@ -364,6 +344,7 @@ let run ?widths ?max_typings ?share_memory_reads ?precise_pre ?budget
   let typings = Typing.enumerate ?widths ?max_typings t in
   let typing_s = Alive_trace.Clock.now () -. typing_t0 in
   let finish verdict stats cex_vc =
+    publish stats;
     {
       verdict;
       stats =

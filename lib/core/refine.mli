@@ -68,7 +68,17 @@ type stats = {
 
 val empty_stats : unit -> stats
 val merge_stats : stats -> stats -> stats
+
 val pp_stats : Format.formatter -> stats -> unit
+(** [key=value] pairs: the check's own counts and times, then every solver
+    counter under its report name. *)
+
+val publish : stats -> unit
+(** Add a finished check to the metrics registry: its solver counters
+    ({!Alive_smt.Solve.publish}) and its query count, as
+    ["refine.queries"]. {!run} publishes its result itself; a caller that
+    assembles a check from {!check_typing}s publishes the merged stats
+    once. *)
 
 (** {1 Typing-level interface}
 
@@ -109,7 +119,8 @@ val run :
   ?budget:Alive_smt.Solve.budget ->
   Ast.transform ->
   result
-(** Check every feasible typing sequentially. An [Invalid] stops the scan;
+(** Check every feasible typing sequentially, and {!publish} the result.
+    An [Invalid] stops the scan;
     an [Unknown] is remembered but the remaining typings still run, since a
     later definite counterexample outranks it. [precise_pre] selects the
     two-sided reading of precondition predicate calls (see {!Vcgen.run});

@@ -344,6 +344,7 @@ let check_parallel ?jobs ?widths ?max_typings ?share_memory_reads ?budget
           typings
       in
       let verdict, stats, cex_vc = reduce_typings t outcomes in
+      Refine.publish stats;
       let stats =
         { stats with Refine.elapsed = Unix.gettimeofday () -. t0 }
       in
@@ -417,7 +418,8 @@ let verdict_name (r : task_result) =
 let print_table ?(oc = stdout) report =
   (* Column widths are computed from the data so long transform names don't
      shear the numeric columns out of alignment. Numbers are right-justified
-     under their headers. *)
+     under their headers; each row ends with the task's non-zero solver
+     counters. *)
   let row r =
     match r.outcome with
     | Ok res ->
@@ -425,11 +427,15 @@ let print_table ?(oc = stdout) report =
         ( Printf.sprintf "%.3f" r.elapsed,
           Printf.sprintf "%.3f" s.Refine.typing_s,
           Printf.sprintf "%.3f" s.Refine.vcgen_s,
-          Printf.sprintf "%.3f" s.Refine.telemetry.sat_time,
           string_of_int s.Refine.queries,
-          string_of_int s.Refine.telemetry.conflicts,
-          string_of_int s.Refine.telemetry.cegar_iterations )
-    | Error _ -> (Printf.sprintf "%.3f" r.elapsed, "-", "-", "-", "-", "-", "-")
+          List.filter_map
+            (fun (name, v) ->
+              match v with
+              | Solve.Count 0 | Solve.Seconds 0.0 -> None
+              | v -> Some (Format.asprintf "%s=%a" name Solve.pp_value v))
+            (Solve.report s.Refine.telemetry)
+          |> String.concat " " )
+    | Error _ -> (Printf.sprintf "%.3f" r.elapsed, "-", "-", "-", "")
   in
   let rows = List.map (fun r -> (r, row r)) report.results in
   let name_w =
@@ -442,74 +448,44 @@ let print_table ?(oc = stdout) report =
       (fun w (r, _) -> max w (String.length (verdict_name r)))
       (String.length "verdict") rows
   in
-  Printf.fprintf oc "%-*s  %-*s  %8s %9s %8s %8s %8s %10s %6s\n" name_w
-    "transform" verdict_w "verdict" "time(s)" "typing(s)" "vcgen(s)" "sat(s)"
-    "queries" "conflicts" "cegar";
+  Printf.fprintf oc "%-*s  %-*s  %8s %9s %8s %8s  %s\n" name_w "transform"
+    verdict_w "verdict" "time(s)" "typing(s)" "vcgen(s)" "queries" "solver";
   List.iter
-    (fun (r, (time, typing, vcgen, sat, queries, conflicts, cegar)) ->
-      Printf.fprintf oc "%-*s  %-*s  %8s %9s %8s %8s %8s %10s %6s\n" name_w
-        r.name verdict_w (verdict_name r) time typing vcgen sat queries
-        conflicts cegar)
+    (fun (r, (time, typing, vcgen, queries, solver)) ->
+      Printf.fprintf oc "%-*s  %-*s  %8s %9s %8s %8s  %s\n" name_w r.name
+        verdict_w (verdict_name r) time typing vcgen queries solver)
     rows;
-  let t = report.total in
-  let u = t.Refine.unknown_reasons in
   Printf.fprintf oc
-    "total: %d tasks (%d crashed), wall %.2fs with %d job(s); %d queries, %d \
-     unknown (timeout=%d conflicts=%d cegar=%d), typing %.2fs, vcgen %.2fs, \
-     sat %.2fs, %d conflicts, %d clauses (peak %d), %d vars (peak %d), %d \
-     cegar iterations, cache %d/%d hit/miss, store %d/%d hit/miss, %d \
-     static-proved, %d cubes (%d pruned), aig %d->%d nodes\n"
+    "total: %d tasks (%d crashed), wall %.2fs with %d job(s); %s\n"
     (List.length report.results)
-    report.crashed report.wall report.jobs t.Refine.queries t.Refine.unknowns
-    u.Refine.by_timeout u.Refine.by_conflicts u.Refine.by_cegar
-    t.Refine.typing_s t.Refine.vcgen_s t.Refine.telemetry.sat_time
-    t.Refine.telemetry.conflicts t.Refine.telemetry.clauses
-    t.Refine.telemetry.peak_clauses t.Refine.telemetry.vars
-    t.Refine.telemetry.peak_vars t.Refine.telemetry.cegar_iterations
-    t.Refine.telemetry.cache_hits t.Refine.telemetry.cache_misses
-    t.Refine.telemetry.store_hits t.Refine.telemetry.store_misses
-    t.Refine.telemetry.static_proved t.Refine.telemetry.cubes_spawned
-    t.Refine.telemetry.cubes_pruned t.Refine.telemetry.aig_nodes_in
-    t.Refine.telemetry.aig_nodes_out
+    report.crashed report.wall report.jobs
+    (Format.asprintf "%a" Refine.pp_stats report.total)
 
-let stats_json (s : Refine.stats) =
-  Json.Obj
-    [
-      ("typings", Json.Int s.Refine.typings_done);
-      ("queries", Json.Int s.Refine.queries);
-      ("unknowns", Json.Int s.Refine.unknowns);
-      ( "unknown_reasons",
-        Json.Obj
-          [
-            ("timeout", Json.Int s.Refine.unknown_reasons.Refine.by_timeout);
-            ("conflicts", Json.Int s.Refine.unknown_reasons.Refine.by_conflicts);
-            ("cegar", Json.Int s.Refine.unknown_reasons.Refine.by_cegar);
-          ] );
-      ("elapsed_s", Json.Float s.Refine.elapsed);
-      ("typing_s", Json.Float s.Refine.typing_s);
-      ("vcgen_s", Json.Float s.Refine.vcgen_s);
-      ("sat_time_s", Json.Float s.Refine.telemetry.sat_time);
-      ("checks", Json.Int s.Refine.telemetry.checks);
-      ("conflicts", Json.Int s.Refine.telemetry.conflicts);
-      ("decisions", Json.Int s.Refine.telemetry.decisions);
-      ("propagations", Json.Int s.Refine.telemetry.propagations);
-      ("restarts", Json.Int s.Refine.telemetry.restarts);
-      ("clauses", Json.Int s.Refine.telemetry.clauses);
-      ("vars", Json.Int s.Refine.telemetry.vars);
-      ("peak_clauses", Json.Int s.Refine.telemetry.peak_clauses);
-      ("peak_vars", Json.Int s.Refine.telemetry.peak_vars);
-      ("cegar_iterations", Json.Int s.Refine.telemetry.cegar_iterations);
-      ("cache_hits", Json.Int s.Refine.telemetry.cache_hits);
-      ("cache_misses", Json.Int s.Refine.telemetry.cache_misses);
-      ("cache_evictions", Json.Int s.Refine.telemetry.cache_evictions);
-      ("store_hits", Json.Int s.Refine.telemetry.store_hits);
-      ("store_misses", Json.Int s.Refine.telemetry.store_misses);
-      ("static_proved", Json.Int s.Refine.telemetry.static_proved);
-      ("cubes_spawned", Json.Int s.Refine.telemetry.cubes_spawned);
-      ("cubes_pruned", Json.Int s.Refine.telemetry.cubes_pruned);
-      ("aig_nodes_in", Json.Int s.Refine.telemetry.aig_nodes_in);
-      ("aig_nodes_out", Json.Int s.Refine.telemetry.aig_nodes_out);
-    ]
+let stats_fields (s : Refine.stats) =
+  [
+    ("typings", Json.Int s.Refine.typings_done);
+    ("queries", Json.Int s.Refine.queries);
+    ("unknowns", Json.Int s.Refine.unknowns);
+    ( "unknown_reasons",
+      Json.Obj
+        [
+          ("timeout", Json.Int s.Refine.unknown_reasons.Refine.by_timeout);
+          ("conflicts", Json.Int s.Refine.unknown_reasons.Refine.by_conflicts);
+          ("cegar", Json.Int s.Refine.unknown_reasons.Refine.by_cegar);
+        ] );
+    ("elapsed_s", Json.Float s.Refine.elapsed);
+    ("typing_s", Json.Float s.Refine.typing_s);
+    ("vcgen_s", Json.Float s.Refine.vcgen_s);
+  ]
+  @ List.map
+      (fun (name, v) ->
+        ( name,
+          match v with
+          | Solve.Count n -> Json.Int n
+          | Solve.Seconds s -> Json.Float s ))
+      (Solve.report s.Refine.telemetry)
+
+let stats_json s = Json.Obj (stats_fields s)
 
 let report_json report =
   Json.Obj

@@ -59,25 +59,9 @@ let g_connections = Metrics.gauge "service.connections"
 let g_inflight = Metrics.gauge "service.inflight"
 let h_request = Metrics.histogram "service.request_s"
 
-let op_counter =
-  (* Per-op request counters, created on first use. *)
-  let tbl = Hashtbl.create 16 in
-  let lock = Mutex.create () in
-  fun op ->
-    Mutex.lock lock;
-    let c =
-      match Hashtbl.find_opt tbl op with
-      | Some c -> c
-      | None ->
-          let c = Metrics.counter ("service.requests." ^ op) in
-          Hashtbl.add tbl op c;
-          c
-    in
-    Mutex.unlock lock;
-    c
-
-(* Per-op latency histograms, found-or-created in the registry (one mutexed
-   lookup per request — same cost class as op_counter). *)
+(* Per-op request counters and latency histograms, found-or-created in the
+   registry: one mutexed lookup each per request. *)
+let op_counter op = Metrics.counter ("service.requests." ^ op)
 let op_histogram op = Metrics.histogram ("service.request_s." ^ op)
 
 (* Satellite fix: the engine aggregates unknown-reason breakdowns in its
@@ -156,8 +140,9 @@ let parse_transforms args =
 
 (* --- Handlers --- *)
 
+(* The verdict, then the same per-check stats an engine JSON report
+   carries: counts, times and every solver counter by report name. *)
 let verdict_json (r : Alive.Refine.result) =
-  let s = r.stats in
   let name =
     match r.verdict with
     | Alive.Refine.Valid _ -> "valid"
@@ -167,21 +152,10 @@ let verdict_json (r : Alive.Refine.result) =
     | Alive.Refine.Unsupported_feature _ -> "unsupported"
   in
   Json.Obj
-    [
-      ("verdict", Json.String name);
-      ("detail", Json.String (Format.asprintf "%a" Alive.Refine.pp_verdict r.verdict));
-      ("typings", Json.Int s.typings_done);
-      ("queries", Json.Int s.queries);
-      ("cache_hits", Json.Int s.telemetry.cache_hits);
-      ("cache_misses", Json.Int s.telemetry.cache_misses);
-      ("store_hits", Json.Int s.telemetry.store_hits);
-      ("store_misses", Json.Int s.telemetry.store_misses);
-      ("static_proved", Json.Int s.telemetry.static_proved);
-      ("conflicts", Json.Int s.telemetry.conflicts);
-      ("cegar", Json.Int s.telemetry.cegar_iterations);
-      ("sat_s", Json.Float s.telemetry.sat_time);
-      ("elapsed_s", Json.Float s.elapsed);
-    ]
+    (("verdict", Json.String name)
+    :: ( "detail",
+         Json.String (Format.asprintf "%a" Alive.Refine.pp_verdict r.verdict) )
+    :: Engine.stats_fields r.stats)
 
 let handle_ping t =
   Ok

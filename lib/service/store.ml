@@ -42,7 +42,7 @@ type entry = {
   verdict : [ `Valid | `Invalid of Model.t ];
   rev : string;
   budget : string;
-  cost : Alive_smt.Vc_cache.query_cost option;
+  cost : Alive_smt.Solve.cost option;
   timestamp : string;
 }
 
@@ -173,7 +173,7 @@ let entry_of_json j =
               | Some (Json.Bool b) -> b
               | _ -> false
             in
-            Some { Alive_smt.Vc_cache.sat_s; conflicts; cegar_iterations; static }
+            Some { Alive_smt.Solve.sat_s; conflicts; cegar_iterations; static }
         | _ -> None)
   in
   let finish digest verdict =

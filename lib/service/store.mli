@@ -20,7 +20,7 @@ type entry = {
       (** model over the canonical ([!cN]) variable names *)
   rev : string;  (** git revision of the run that solved it *)
   budget : string;  (** its budget, as a display string (may be empty) *)
-  cost : Alive_smt.Vc_cache.query_cost option;
+  cost : Alive_smt.Solve.cost option;
       (** what the solver spent deciding this query *)
   timestamp : string;  (** ISO-8601 UTC *)
 }
@@ -51,7 +51,7 @@ val lookup_verdict :
 val mem : t -> string -> bool
 
 val publish :
-  ?cost:Alive_smt.Vc_cache.query_cost ->
+  ?cost:Alive_smt.Solve.cost ->
   t ->
   string ->
   [ `Valid | `Invalid of Alive_smt.Model.t ] ->

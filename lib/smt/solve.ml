@@ -33,6 +33,8 @@ let budget ?timeout ?conflict_limit ?(max_cegar = default_max_cegar) () =
 
 (* --- Telemetry --- *)
 
+module Metrics = Alive_trace.Metrics
+
 type telemetry = {
   mutable checks : int;
   mutable sat_time : float;
@@ -82,28 +84,131 @@ let telemetry () =
     aig_nodes_out = 0;
   }
 
-let add_telemetry ~into (t : telemetry) =
-  into.checks <- into.checks + t.checks;
-  into.sat_time <- into.sat_time +. t.sat_time;
-  into.conflicts <- into.conflicts + t.conflicts;
-  into.decisions <- into.decisions + t.decisions;
-  into.propagations <- into.propagations + t.propagations;
-  into.restarts <- into.restarts + t.restarts;
-  into.clauses <- into.clauses + t.clauses;
-  into.vars <- into.vars + t.vars;
-  into.peak_clauses <- max into.peak_clauses t.peak_clauses;
-  into.peak_vars <- max into.peak_vars t.peak_vars;
-  into.cegar_iterations <- into.cegar_iterations + t.cegar_iterations;
-  into.cache_hits <- into.cache_hits + t.cache_hits;
-  into.cache_misses <- into.cache_misses + t.cache_misses;
-  into.cache_evictions <- into.cache_evictions + t.cache_evictions;
-  into.store_hits <- into.store_hits + t.store_hits;
-  into.store_misses <- into.store_misses + t.store_misses;
-  into.static_proved <- into.static_proved + t.static_proved;
-  into.cubes_spawned <- into.cubes_spawned + t.cubes_spawned;
-  into.cubes_pruned <- into.cubes_pruned + t.cubes_pruned;
-  into.aig_nodes_in <- into.aig_nodes_in + t.aig_nodes_in;
-  into.aig_nodes_out <- into.aig_nodes_out + t.aig_nodes_out
+(* The counter table: each field declared once, with its report name
+   (--stats, JSON reports, the daemon's verify response), its registry
+   name (Prometheus, the ledger), its accessor and how two values merge.
+   Everything that lists the counters is derived from it. *)
+
+type _ merge = Sum : int merge | Max : int merge | Sum_seconds : float merge
+
+type counter =
+  | Counter : {
+      name : string;
+      metric : string;
+      merge : 'a merge;
+      get : telemetry -> 'a;
+      set : telemetry -> 'a -> unit;
+      handle : Metrics.counter;
+    }
+      -> counter
+
+(* Registered at module load so every counter exports (at zero) from the
+   first Prometheus scrape. *)
+let row (type a) name metric (merge : a merge) get set =
+  let handle =
+    match merge with
+    | Sum -> Metrics.counter metric
+    | Max -> Metrics.peak metric
+    | Sum_seconds -> Metrics.seconds metric
+  in
+  Counter { name; metric; merge; get; set; handle }
+
+let table =
+  [
+    row "sat_time_s" "solve.sat_s" Sum_seconds
+      (fun t -> t.sat_time) (fun t v -> t.sat_time <- v);
+    row "checks" "solve.checks" Sum
+      (fun t -> t.checks) (fun t v -> t.checks <- v);
+    row "conflicts" "solve.conflicts" Sum
+      (fun t -> t.conflicts) (fun t v -> t.conflicts <- v);
+    row "decisions" "solve.decisions" Sum
+      (fun t -> t.decisions) (fun t v -> t.decisions <- v);
+    row "propagations" "solve.propagations" Sum
+      (fun t -> t.propagations) (fun t v -> t.propagations <- v);
+    row "restarts" "solve.restarts" Sum
+      (fun t -> t.restarts) (fun t v -> t.restarts <- v);
+    row "clauses" "solve.clauses" Sum
+      (fun t -> t.clauses) (fun t v -> t.clauses <- v);
+    row "vars" "solve.vars" Sum (fun t -> t.vars) (fun t v -> t.vars <- v);
+    row "peak_clauses" "solve.peak_clauses" Max
+      (fun t -> t.peak_clauses) (fun t v -> t.peak_clauses <- v);
+    row "peak_vars" "solve.peak_vars" Max
+      (fun t -> t.peak_vars) (fun t v -> t.peak_vars <- v);
+    row "cegar_iterations" "solve.cegar_iterations" Sum
+      (fun t -> t.cegar_iterations) (fun t v -> t.cegar_iterations <- v);
+    row "cache_hits" "vc_cache.hits" Sum
+      (fun t -> t.cache_hits) (fun t v -> t.cache_hits <- v);
+    row "cache_misses" "vc_cache.misses" Sum
+      (fun t -> t.cache_misses) (fun t v -> t.cache_misses <- v);
+    row "cache_evictions" "vc_cache.evictions" Sum
+      (fun t -> t.cache_evictions) (fun t v -> t.cache_evictions <- v);
+    row "store_hits" "vc_cache.store_hits" Sum
+      (fun t -> t.store_hits) (fun t v -> t.store_hits <- v);
+    row "store_misses" "vc_cache.store_misses" Sum
+      (fun t -> t.store_misses) (fun t v -> t.store_misses <- v);
+    row "static_proved" "refine.static_proved" Sum
+      (fun t -> t.static_proved) (fun t v -> t.static_proved <- v);
+    row "cubes_spawned" "solve.cubes_spawned" Sum
+      (fun t -> t.cubes_spawned) (fun t v -> t.cubes_spawned <- v);
+    row "cubes_pruned" "solve.cubes_pruned" Sum
+      (fun t -> t.cubes_pruned) (fun t v -> t.cubes_pruned <- v);
+    row "aig_nodes_in" "solve.aig_nodes_in" Sum
+      (fun t -> t.aig_nodes_in) (fun t v -> t.aig_nodes_in <- v);
+    row "aig_nodes_out" "solve.aig_nodes_out" Sum
+      (fun t -> t.aig_nodes_out) (fun t v -> t.aig_nodes_out <- v);
+  ]
+
+let combine (type a) (merge : a merge) (x : a) (y : a) : a =
+  match merge with Sum -> x + y | Max -> max x y | Sum_seconds -> x +. y
+
+let add_telemetry ~into t =
+  List.iter
+    (fun (Counter c) -> c.set into (combine c.merge (c.get into) (c.get t)))
+    table
+
+let publish t =
+  List.iter
+    (fun (Counter c) ->
+      let v = c.get t in
+      match c.merge with
+      | Sum -> Metrics.add c.handle v
+      | Max -> Metrics.raise_to c.handle v
+      | Sum_seconds -> Metrics.add_seconds c.handle v)
+    table
+
+type value = Count of int | Seconds of float
+
+let value (type a) (merge : a merge) (v : a) =
+  match merge with Sum -> Count v | Max -> Count v | Sum_seconds -> Seconds v
+
+let report t =
+  List.map (fun (Counter c) -> (c.name, value c.merge (c.get t))) table
+
+let counters = List.map (fun (Counter c) -> (c.name, c.metric)) table
+
+let pp_value ppf = function
+  | Count n -> Format.pp_print_int ppf n
+  | Seconds s -> Format.fprintf ppf "%.3f" s
+
+(* The cost of deciding one query: the provenance a verdict store files
+   with the verdict. *)
+type cost = {
+  sat_s : float;
+  conflicts : int;
+  cegar_iterations : int;
+  static : bool;
+}
+
+let with_cost t f =
+  let sat0 = t.sat_time and conf0 = t.conflicts and cegar0 = t.cegar_iterations in
+  let r = f () in
+  ( r,
+    {
+      sat_s = t.sat_time -. sat0;
+      conflicts = t.conflicts - conf0;
+      cegar_iterations = t.cegar_iterations - cegar0;
+      static = false;
+    } )
 
 (* A meter tracks what one logical query has consumed: the deadline is fixed
    at query start, the conflict allowance is drawn down across every solver
@@ -111,25 +216,28 @@ let add_telemetry ~into (t : telemetry) =
 type meter = {
   deadline : float option;  (* absolute, gettimeofday scale *)
   mutable conflicts_left : int option;
-  sink : telemetry option;
+  sink : telemetry;
 }
 
-let start_meter ?telemetry:sink (b : budget) =
+let start_meter sink (b : budget) =
   {
     deadline = Option.map (fun s -> Unix.gettimeofday () +. s) b.timeout;
     conflicts_left = b.conflict_limit;
     sink;
   }
 
-module Trace = Alive_trace.Trace
-module Metrics = Alive_trace.Metrics
+(* A call made without the caller's record is a unit of solver work of
+   its own: it counts into a private record, published when it returns. *)
+let owned sink f =
+  match sink with
+  | Some t -> f t
+  | None ->
+      let t = telemetry () in
+      let r = f t in
+      publish t;
+      r
 
-(* Registered at module load so they export (at zero) from the first
-   Prometheus scrape, before any hard query has fired. *)
-let cubes_spawned_c = Metrics.counter "solve.cubes_spawned"
-let cubes_pruned_c = Metrics.counter "solve.cubes_pruned"
-let aig_nodes_in_c = Metrics.counter "solve.aig_nodes_in"
-let aig_nodes_out_c = Metrics.counter "solve.aig_nodes_out"
+module Trace = Alive_trace.Trace
 
 (* --- Cube-and-conquer switches --- *)
 
@@ -223,15 +331,13 @@ let metered_check ?assumptions m ctx :
   let spent = s1.conflicts - s0.conflicts in
   m.conflicts_left <-
     Option.map (fun left -> max 0 (left - spent)) m.conflicts_left;
-  (match m.sink with
-  | None -> ()
-  | Some t ->
-      t.checks <- t.checks + 1;
-      t.sat_time <- t.sat_time +. (Unix.gettimeofday () -. t0);
-      t.conflicts <- t.conflicts + spent;
-      t.decisions <- t.decisions + (s1.decisions - s0.decisions);
-      t.propagations <- t.propagations + (s1.propagations - s0.propagations);
-      t.restarts <- t.restarts + (s1.restarts - s0.restarts));
+  let t = m.sink in
+  t.checks <- t.checks + 1;
+  t.sat_time <- t.sat_time +. (Unix.gettimeofday () -. t0);
+  t.conflicts <- t.conflicts + spent;
+  t.decisions <- t.decisions + (s1.decisions - s0.decisions);
+  t.propagations <- t.propagations + (s1.propagations - s0.propagations);
+  t.restarts <- t.restarts + (s1.restarts - s0.restarts);
   Trace.add_meta sp
     [
       ( "result",
@@ -254,25 +360,17 @@ let metered_check ?assumptions m ctx :
    contexts; the peaks record the largest single context, which is what the
    encoding's footprint per query actually is. *)
 let retire_ctx m ctx =
-  let aig = Bitblast.aig_stats ctx in
-  (match aig with
+  let t = m.sink in
+  let s = Bitblast.stats ctx in
+  t.clauses <- t.clauses + s.clauses;
+  t.vars <- t.vars + s.vars;
+  t.peak_clauses <- max t.peak_clauses s.clauses;
+  t.peak_vars <- max t.peak_vars s.vars;
+  match Bitblast.aig_stats ctx with
   | None -> ()
   | Some a ->
-      Metrics.add aig_nodes_in_c a.Aig.n_requests;
-      Metrics.add aig_nodes_out_c a.Aig.n_ands);
-  match m.sink with
-  | None -> ()
-  | Some t ->
-      let s = Bitblast.stats ctx in
-      t.clauses <- t.clauses + s.clauses;
-      t.vars <- t.vars + s.vars;
-      t.peak_clauses <- max t.peak_clauses s.clauses;
-      t.peak_vars <- max t.peak_vars s.vars;
-      (match aig with
-      | None -> ()
-      | Some a ->
-          t.aig_nodes_in <- t.aig_nodes_in + a.Aig.n_requests;
-          t.aig_nodes_out <- t.aig_nodes_out + a.Aig.n_ands)
+      t.aig_nodes_in <- t.aig_nodes_in + a.Aig.n_requests;
+      t.aig_nodes_out <- t.aig_nodes_out + a.Aig.n_ands
 
 (* --- Public interface --- *)
 
@@ -311,12 +409,10 @@ let extract_model ctx vars =
    bounded by the shared absolute deadline), and per-task telemetry is
    folded into the caller's sink single-threaded after the join. *)
 
-let fresh_telemetry = telemetry
-
-let check_sat ?(budget = no_budget) ?telemetry formulas =
+let check_sat_into sink budget formulas =
   let ctx = Bitblast.create () in
   List.iter (Bitblast.assert_formula ctx) formulas;
-  let m = start_meter ?telemetry budget in
+  let m = start_meter sink budget in
   let qvars =
     List.sort_uniq Stdlib.compare (List.concat_map Term.vars formulas)
   in
@@ -327,20 +423,7 @@ let check_sat ?(budget = no_budget) ?telemetry formulas =
     | `Unknown r -> Unknown r
     | `Sat -> finish ctx
   in
-  let note_spawned n =
-    Metrics.add cubes_spawned_c n;
-    match m.sink with
-    | Some t -> t.cubes_spawned <- t.cubes_spawned + n
-    | None -> ()
-  in
-  let note_pruned n =
-    if n > 0 then begin
-      Metrics.add cubes_pruned_c n;
-      match m.sink with
-      | Some t -> t.cubes_pruned <- t.cubes_pruned + n
-      | None -> ()
-    end
-  in
+  let note_spawned n = m.sink.cubes_spawned <- m.sink.cubes_spawned + n in
   (* Sequential fallback: each cube is an assumption set on the original
      context, sharing its learnt clauses. The meter keeps drawing down the
      query's single conflict allowance across cubes. *)
@@ -362,7 +445,7 @@ let check_sat ?(budget = no_budget) ?telemetry formulas =
     let n = List.length cubes in
     note_spawned n;
     let slots = Array.make (n + 1) `Pending in
-    let locals = Array.init (n + 1) (fun _ -> fresh_telemetry ()) in
+    let locals = Array.init (n + 1) (fun _ -> telemetry ()) in
     let won = Atomic.make false in
     let shared_left = m.conflicts_left in
     let task i ~cube ~encoding () =
@@ -376,7 +459,7 @@ let check_sat ?(budget = no_budget) ?telemetry formulas =
         let mi =
           { deadline = m.deadline;
             conflicts_left = shared_left;
-            sink = Some locals.(i) }
+            sink = locals.(i) }
         in
         let r =
           match metered_check mi c with
@@ -398,9 +481,7 @@ let check_sat ?(budget = no_budget) ?telemetry formulas =
       @ [ task n ~cube:None ~encoding:(Some `Plaisted_greenbaum) ]
     in
     run tasks;
-    (match m.sink with
-    | Some t -> Array.iter (fun l -> add_telemetry ~into:t l) locals
-    | None -> ());
+    Array.iter (fun l -> add_telemetry ~into:m.sink l) locals;
     let pruned = ref 0 in
     let sat = ref None in
     let unknown = ref None in
@@ -415,7 +496,7 @@ let check_sat ?(budget = no_budget) ?telemetry formulas =
         | `Unsat -> if i = n then portfolio_unsat := true else incr cubes_unsat
         | `Unknown r -> if i < n && !unknown = None then unknown := Some r)
       slots;
-    note_pruned !pruned;
+    m.sink.cubes_pruned <- m.sink.cubes_pruned + !pruned;
     match !sat with
     | Some model -> Sat model
     | None ->
@@ -467,11 +548,17 @@ let check_sat ?(budget = no_budget) ?telemetry formulas =
   retire_ctx m ctx;
   result
 
-let is_valid ?(budget = no_budget) ?telemetry f =
-  match check_sat ~budget ?telemetry [ Term.not_ f ] with
+let check_sat ?(budget = no_budget) ?telemetry formulas =
+  owned telemetry (fun sink -> check_sat_into sink budget formulas)
+
+let is_valid_into sink budget f =
+  match check_sat_into sink budget [ Term.not_ f ] with
   | Unsat -> `Valid
   | Sat m -> `Invalid m
   | Unknown r -> `Unknown r
+
+let is_valid ?(budget = no_budget) ?telemetry f =
+  owned telemetry (fun sink -> is_valid_into sink budget f)
 
 let default_value = function
   | Term.Bool -> Term.Vbool false
@@ -488,10 +575,11 @@ let incremental_enabled () = Atomic.get incremental_flag
 
 let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
   let max_iterations = Option.value max_iterations ~default:budget.max_cegar in
+  owned telemetry @@ fun sink ->
   match exists with
-  | [] -> is_valid ~budget ?telemetry f
+  | [] -> is_valid_into sink budget f
   | _ ->
-      let m = start_meter ?telemetry budget in
+      let m = start_meter sink budget in
       let evar_names = List.map fst exists in
       let outer_vars =
         List.filter (fun (n, _) -> not (List.mem n evar_names)) (Term.vars f)
@@ -586,9 +674,7 @@ let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
       let rec loop iter =
         if iter >= max_iterations then `Unknown (Cegar_limit iter)
         else begin
-          (match telemetry with
-          | Some t -> t.cegar_iterations <- t.cegar_iterations + 1
-          | None -> ());
+          sink.cegar_iterations <- sink.cegar_iterations + 1;
           match step iter with
           | `Stop r -> r
           | `Refine -> loop (iter + 1)

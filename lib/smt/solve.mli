@@ -40,7 +40,13 @@ val budget :
 
     A [telemetry] record accumulates solver counters across the queries that
     were passed it; create one per unit of reporting (per transformation,
-    per run) and sum with {!add_telemetry}. *)
+    per run) and sum with {!add_telemetry}.
+
+    Each field is declared once more, as a row of the counter table in
+    [solve.ml]: its report name, its registry name, its accessor and its
+    merge rule. Summing, printing, JSON and publication into the
+    {!Alive_trace.Metrics} registry are all derived from that table, so a
+    new counter is a record field, its zero in {!telemetry} and one row. *)
 
 type telemetry = {
   mutable checks : int;  (** SAT solver invocations *)
@@ -53,12 +59,14 @@ type telemetry = {
   mutable vars : int;  (** SAT variables allocated, summed over contexts *)
   mutable peak_clauses : int;
       (** largest single context retired — the per-query encoding footprint
-          (summed with [max], not [+], by {!add_telemetry}) *)
+          (merged with [max], not [+]) *)
   mutable peak_vars : int;  (** likewise for variables *)
   mutable cegar_iterations : int;
   mutable cache_hits : int;  (** verdict-cache hits (see {!Vc_cache}) *)
   mutable cache_misses : int;
   mutable cache_evictions : int;
+      (** entries pushed out of the cache, by a solved verdict or by an
+          adopted store hit *)
   mutable store_hits : int;
       (** persistent verdict-store hits/misses, counted only while a store
           backing is installed (see {!Vc_cache.set_backing}) *)
@@ -80,7 +88,37 @@ val telemetry : unit -> telemetry
 (** A fresh all-zero record. *)
 
 val add_telemetry : into:telemetry -> telemetry -> unit
-(** [add_telemetry ~into t] adds every counter of [t] into [into]. *)
+(** [add_telemetry ~into t] merges every counter of [t] into [into]: a
+    sum, or the larger value for the two peaks. *)
+
+val publish : telemetry -> unit
+(** Add a finished unit of solver work to the registry: sums by addition,
+    peaks as high-water marks, [sat_time] as a seconds counter. Publish
+    each record once, when its work is done. The query functions below
+    publish for themselves when called without a [telemetry]. *)
+
+type value = Count of int | Seconds of float
+
+val report : telemetry -> (string * value) list
+(** Every counter's report name and value, in table order. *)
+
+val counters : (string * string) list
+(** Every counter's report name and registry name, in table order. *)
+
+val pp_value : Format.formatter -> value -> unit
+(** An integer, or seconds to the millisecond. *)
+
+type cost = {
+  sat_s : float;
+  conflicts : int;
+  cegar_iterations : int;
+  static : bool;  (** decided by the tier-0 static prover, no SAT solving *)
+}
+(** What one query cost to decide — provenance for the verdict store. *)
+
+val with_cost : telemetry -> (unit -> 'a) -> 'a * cost
+(** Run a solve that records into the given record, and return what it
+    spent there. *)
 
 (** {1 Queries} *)
 

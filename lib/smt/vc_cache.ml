@@ -63,12 +63,6 @@ let clear () =
     !registry;
   Mutex.unlock registry_lock
 
-let m_hits = Alive_trace.Metrics.counter "vc_cache.hits"
-let m_misses = Alive_trace.Metrics.counter "vc_cache.misses"
-let m_evictions = Alive_trace.Metrics.counter "vc_cache.evictions"
-let m_store_hits = Alive_trace.Metrics.counter "vc_cache.store_hits"
-let m_store_misses = Alive_trace.Metrics.counter "vc_cache.store_misses"
-
 let canon ~exists f =
   let cf, mapping = T.canonicalize f in
   (* Existentials that do not occur in the formula cannot affect the
@@ -167,22 +161,14 @@ let digest k =
    lib/smt does not depend on the service layer. Models cross the boundary
    in the canonical namespace. *)
 
-type query_cost = {
-  sat_s : float;
-  conflicts : int;
-  cegar_iterations : int;
-  static : bool;
-}
-
 type backing = {
   lookup : string -> [ `Valid | `Invalid of Model.t ] option;
   publish :
-    string -> cost:query_cost option -> [ `Valid | `Invalid of Model.t ] -> unit;
+    string -> cost:Solve.cost option -> [ `Valid | `Invalid of Model.t ] -> unit;
 }
 
 let backing : backing option Atomic.t = Atomic.make None
 let set_backing b = Atomic.set backing b
-let backing_installed () = Atomic.get backing <> None
 
 type hit_source = Memory | Backing
 
@@ -194,17 +180,14 @@ let rename_model mapping m =
 
 (* Install a canonical-namespace entry into this domain's table, evicting
    FIFO past capacity; shared by [store] and backing-hit adoption. *)
-let install st key entry =
-  if Hashtbl.mem st.table key then 0
-  else begin
+let install (tl : Solve.telemetry) st key entry =
+  if not (Hashtbl.mem st.table key) then begin
     Hashtbl.replace st.table key entry;
     Queue.push key st.order;
     if Hashtbl.length st.table > Atomic.get capacity then begin
       Hashtbl.remove st.table (Queue.pop st.order);
-      Alive_trace.Metrics.incr m_evictions;
-      1
+      tl.cache_evictions <- tl.cache_evictions + 1
     end
-    else 0
   end
 
 let to_requester k = function
@@ -218,37 +201,37 @@ let to_requester k = function
    disturbing hit/miss statistics or consulting the backing store. *)
 let mem_local k = Hashtbl.mem (state ()).table k.key
 
-let find k =
+let find ~telemetry:(tl : Solve.telemetry) k =
   let st = state () in
   match Hashtbl.find_opt st.table k.key with
   | Some e ->
-      Alive_trace.Metrics.incr m_hits;
+      tl.cache_hits <- tl.cache_hits + 1;
       Some (to_requester k e, Memory)
   | None -> (
+      let miss () =
+        tl.cache_misses <- tl.cache_misses + 1;
+        None
+      in
       match Atomic.get backing with
-      | None ->
-          Alive_trace.Metrics.incr m_misses;
-          None
+      | None -> miss ()
       | Some b -> (
           match b.lookup (digest k) with
           | Some outcome ->
-              Alive_trace.Metrics.incr m_store_hits;
+              tl.store_hits <- tl.store_hits + 1;
               (* Adopt into the in-memory table: the next alpha-equivalent
                  query on this domain hits without the digest round-trip. *)
               let entry =
                 match outcome with `Valid -> Valid | `Invalid m -> Invalid m
               in
-              ignore (install st k.key entry);
+              install tl st k.key entry;
               Some (to_requester k entry, Backing)
           | None ->
-              Alive_trace.Metrics.incr m_misses;
-              Alive_trace.Metrics.incr m_store_misses;
-              None))
+              tl.store_misses <- tl.store_misses + 1;
+              miss ()))
 
-let store ?cost k outcome =
+let store ~telemetry ?cost k outcome =
   let st = state () in
-  if Hashtbl.mem st.table k.key then 0
-  else begin
+  if not (Hashtbl.mem st.table k.key) then begin
     let entry =
       match outcome with
       | `Valid -> Valid
@@ -259,5 +242,5 @@ let store ?cost k outcome =
     | Some b ->
         b.publish (digest k) ~cost
           (match entry with Valid -> `Valid | Invalid m -> `Invalid m));
-    install st k.key entry
+    install telemetry st k.key entry
   end

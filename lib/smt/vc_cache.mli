@@ -15,7 +15,8 @@
     Only definite verdicts ([`Valid] / [`Invalid]) are cached; [`Unknown]
     is budget-dependent. Counterexample models are stored canonically and
     renamed into the requesting query's variables on a hit. Hits, misses,
-    evictions, and store hits/misses feed the ["vc_cache.*"] metrics
+    evictions, and store hits/misses count into the caller's
+    {!Solve.telemetry}, which publishes them as the ["vc_cache.*"]
     counters. *)
 
 type keyed
@@ -42,28 +43,28 @@ type hit_source = Memory | Backing
 (** Where a {!find} hit came from: this domain's table, or the persistent
     backing (which the entry is then adopted into). *)
 
-val find : keyed -> ([ `Valid | `Invalid of Model.t ] * hit_source) option
+val find :
+  telemetry:Solve.telemetry ->
+  keyed ->
+  ([ `Valid | `Invalid of Model.t ] * hit_source) option
 (** Look up this domain's cache, then the backing (if installed). On
     [`Invalid] the model is already renamed back to the query's own
-    variable names. Bumps hit/miss and store hit/miss counters. *)
+    variable names. Counts the hit or miss, the store hit or miss, and an
+    eviction caused by adopting a store hit into [telemetry]. *)
 
 val mem_local : keyed -> bool
 (** Is the key present in {e this} domain's table? Consults neither the
     backing nor the counters — a side-effect-free probe for verdict
     provenance ([explain]). *)
 
-type query_cost = {
-  sat_s : float;
-  conflicts : int;
-  cegar_iterations : int;
-  static : bool;  (** decided by the tier-0 static prover, no SAT solving *)
-}
-(** What one query cost to decide — provenance for the persistent store. *)
-
 val store :
-  ?cost:query_cost -> keyed -> [ `Valid | `Invalid of Model.t ] -> int
-(** Record a definite verdict; returns the number of entries evicted
-    (0 or 1). Storing an already-present key is a no-op. When a backing is
+  telemetry:Solve.telemetry ->
+  ?cost:Solve.cost ->
+  keyed ->
+  [ `Valid | `Invalid of Model.t ] ->
+  unit
+(** Record a definite verdict, counting an eviction into [telemetry].
+    Storing an already-present key is a no-op. When a backing is
     installed the verdict is also published to it, with [cost] (what the
     solver spent deciding this query) recorded as provenance. *)
 
@@ -75,7 +76,7 @@ type backing = {
           the canonical namespace *)
   publish :
     string ->
-    cost:query_cost option ->
+    cost:Solve.cost option ->
     [ `Valid | `Invalid of Model.t ] ->
     unit;
       (** fed every definite verdict this process solves *)
@@ -85,8 +86,6 @@ val set_backing : backing option -> unit
 (** Install (or remove) the persistent layer. Call before workers start;
     the slot is atomic but the callbacks must themselves be thread-safe —
     every worker domain calls them. *)
-
-val backing_installed : unit -> bool
 
 (** {1 Switches} *)
 

@@ -1,58 +1,31 @@
 (* The cross-run performance ledger.
 
-   Every instrumented engine run appends exactly one JSONL record to
-   bench/ledger.jsonl: enough identity to know what ran (git revision,
-   label, jobs, budget) and enough aggregate to spot a regression (wall
-   time, solver counters, verdict histogram, per-phase totals from the
-   metrics registry). `alive_cli perf diff` compares the newest record
-   against a baseline and flags wall/conflict movements beyond a
-   threshold. *)
+   An instrumented run appends one JSONL record: what ran (git revision,
+   label, jobs, tasks, budget), its wall time, what the metrics registry
+   recorded over the run — the difference between a snapshot taken before
+   and one taken after, as counters and per-phase histogram totals — a few
+   named figures the registry does not hold (optimizer rates, inference
+   wall), and the verdict histogram. `alive perf diff` compares the newest
+   record against a baseline. *)
 
 type phase_total = { phase : string; count : int; total_s : float }
-
-type op_stat = { op : string; op_count : int; op_total_s : float; op_p99_s : float }
+type budget = { timeout_s : float; conflict_limit : int }
 
 type record = {
   schema : int;
   timestamp : string;  (* ISO-8601 UTC *)
   git_rev : string;
-  label : string;  (* e.g. "corpus_check", "bench.parallel" *)
+  label : string;  (* e.g. "corpus_check", "optimize" *)
   jobs : int;
   tasks : int;
-  budget_timeout_s : float;  (* 0 = none *)
-  budget_conflicts : int;  (* 0 = none *)
+  budget : budget;  (* 0 = none *)
   wall_s : float;
-  sat_s : float;
-  infer_s : float;  (* precondition-inference wall (schema >= 3; 0 before) *)
-  queries : int;
-  conflicts : int;
-  cegar_iterations : int;
-  cache_hits : int;  (* canonical verdict cache (schema >= 2; 0 before) *)
-  cache_misses : int;
-  cache_evictions : int;
-  peak_clauses : int;  (* largest single SAT context of the run *)
-  peak_vars : int;
-  requests : int;  (* daemon/service fields (schema >= 4; 0 before) *)
-  store_hits : int;  (* persistent verdict store *)
-  store_misses : int;
-  static_proved : int;  (* tier-0 static prover (schema >= 5; 0 before) *)
-  log_lines : int;  (* telemetry fields (schema >= 6; 0/[] before) *)
-  slow_queries : int;
-  ops : op_stat list;  (* per-op daemon latency totals *)
-  cubes : int;  (* cube-and-conquer fields (schema >= 7; 0 before) *)
-  cubes_pruned : int;
-  aig_nodes_in : int;  (* AIG simplifier gate counts (schema >= 7) *)
-  aig_nodes_out : int;
-  opt_firings : int;  (* optimizer fields (schema >= 8; 0 before) *)
-  opt_firings_per_s : float;  (* whole-pass rewrite throughput *)
-  opt_match_per_s : float;  (* compiled single-match throughput *)
-  opt_match_linear_per_s : float;  (* per-rule-scan baseline throughput *)
-  opt_top10_share : float;  (* firing share of the top ten rules (Fig. 9) *)
+  counters : (string * float) list;  (* sorted by name *)
   verdicts : (string * int) list;  (* verdict name -> count *)
   phases : phase_total list;
 }
 
-let schema_version = 8
+let schema_version = 9
 
 let iso8601 t =
   let tm = Unix.gmtime t in
@@ -74,24 +47,49 @@ let git_rev () =
         if line = "" then "unknown" else line
       with _ -> "unknown")
 
-let phases_of_metrics () =
+(* --- A run's registry change --- *)
+
+(* Totals and seconds by difference. A peak is a high-water mark, so the
+   later snapshot gives the run's own peak only when the run raised it or
+   the registry started at zero; otherwise the peak is left out. *)
+let counters_since (before : Metrics.snapshot) (after : Metrics.snapshot) =
+  let was l n = List.assoc_opt n l in
+  let totals =
+    List.map
+      (fun (n, v) ->
+        (n, float_of_int (v - Option.value ~default:0 (was before.counters n))))
+      after.counters
+  and seconds =
+    List.map
+      (fun (n, v) -> (n, v -. Option.value ~default:0.0 (was before.seconds n)))
+      after.seconds
+  and peaks =
+    List.filter_map
+      (fun (n, v) ->
+        let prev = Option.value ~default:0 (was before.peaks n) in
+        if v > prev || prev = 0 then Some (n, float_of_int v) else None)
+      after.peaks
+  in
+  List.sort compare (totals @ seconds @ peaks)
+
+let phases_since (before : Metrics.snapshot) (after : Metrics.snapshot) =
   List.filter_map
     (fun (h : Metrics.hist_snapshot) ->
-      if h.count > 0 then
-        Some { phase = h.name; count = h.count; total_s = h.total_s }
-      else None)
-    (Metrics.snapshot ()).histograms
+      let count, total_s =
+        match
+          List.find_opt
+            (fun (b : Metrics.hist_snapshot) -> b.name = h.name)
+            before.histograms
+        with
+        | Some b -> (h.count - b.count, h.total_s -. b.total_s)
+        | None -> (h.count, h.total_s)
+      in
+      if count > 0 then Some { phase = h.name; count; total_s } else None)
+    after.histograms
 
-let make ~label ~jobs ~tasks ?(budget_timeout_s = 0.0) ?(budget_conflicts = 0)
-    ~wall_s ~sat_s ?(infer_s = 0.0) ~queries ~conflicts ~cegar_iterations
-    ?(cache_hits = 0)
-    ?(cache_misses = 0) ?(cache_evictions = 0) ?(peak_clauses = 0)
-    ?(peak_vars = 0) ?(requests = 0) ?(store_hits = 0) ?(store_misses = 0)
-    ?(static_proved = 0) ?(log_lines = 0) ?(slow_queries = 0) ?(ops = [])
-    ?(cubes = 0) ?(cubes_pruned = 0) ?(aig_nodes_in = 0) ?(aig_nodes_out = 0)
-    ?(opt_firings = 0) ?(opt_firings_per_s = 0.0) ?(opt_match_per_s = 0.0)
-    ?(opt_match_linear_per_s = 0.0) ?(opt_top10_share = 0.0)
-    ~verdicts ?(phases = phases_of_metrics ()) () =
+let make ~label ~jobs ~tasks
+    ?(budget = { timeout_s = 0.0; conflict_limit = 0 }) ~wall_s ?(extras = [])
+    ?(verdicts = []) before after =
   {
     schema = schema_version;
     timestamp = iso8601 (Unix.gettimeofday ());
@@ -99,40 +97,18 @@ let make ~label ~jobs ~tasks ?(budget_timeout_s = 0.0) ?(budget_conflicts = 0)
     label;
     jobs;
     tasks;
-    budget_timeout_s;
-    budget_conflicts;
+    budget;
     wall_s;
-    sat_s;
-    infer_s;
-    queries;
-    conflicts;
-    cegar_iterations;
-    cache_hits;
-    cache_misses;
-    cache_evictions;
-    peak_clauses;
-    peak_vars;
-    requests;
-    store_hits;
-    store_misses;
-    static_proved;
-    log_lines;
-    slow_queries;
-    ops;
-    cubes;
-    cubes_pruned;
-    aig_nodes_in;
-    aig_nodes_out;
-    opt_firings;
-    opt_firings_per_s;
-    opt_match_per_s;
-    opt_match_linear_per_s;
-    opt_top10_share;
+    counters = List.sort compare (counters_since before after @ extras);
     verdicts;
-    phases;
+    phases = phases_since before after;
   }
 
 (* --- JSON --- *)
+
+let number v =
+  if Float.is_integer v && Float.abs v < 1e15 then Json.Int (int_of_float v)
+  else Json.Float v
 
 let to_json r =
   Json.Obj
@@ -146,67 +122,11 @@ let to_json r =
       ( "budget",
         Json.Obj
           [
-            ("timeout_s", Json.Float r.budget_timeout_s);
-            ("conflict_limit", Json.Int r.budget_conflicts);
+            ("timeout_s", Json.Float r.budget.timeout_s);
+            ("conflict_limit", Json.Int r.budget.conflict_limit);
           ] );
       ("wall_s", Json.Float r.wall_s);
-      ("sat_s", Json.Float r.sat_s);
-      ("infer_s", Json.Float r.infer_s);
-      ("queries", Json.Int r.queries);
-      ("conflicts", Json.Int r.conflicts);
-      ("cegar_iterations", Json.Int r.cegar_iterations);
-      ( "cache",
-        Json.Obj
-          [
-            ("hits", Json.Int r.cache_hits);
-            ("misses", Json.Int r.cache_misses);
-            ("evictions", Json.Int r.cache_evictions);
-          ] );
-      ("peak_clauses", Json.Int r.peak_clauses);
-      ("peak_vars", Json.Int r.peak_vars);
-      ( "store",
-        Json.Obj
-          [
-            ("requests", Json.Int r.requests);
-            ("hits", Json.Int r.store_hits);
-            ("misses", Json.Int r.store_misses);
-          ] );
-      ("static_proved", Json.Int r.static_proved);
-      ("log_lines", Json.Int r.log_lines);
-      ("slow_queries", Json.Int r.slow_queries);
-      ( "ops",
-        Json.Obj
-          (List.map
-             (fun o ->
-               ( o.op,
-                 Json.Obj
-                   [
-                     ("count", Json.Int o.op_count);
-                     ("total_s", Json.Float o.op_total_s);
-                     ("p99_s", Json.Float o.op_p99_s);
-                   ] ))
-             r.ops) );
-      ( "cubes",
-        Json.Obj
-          [
-            ("spawned", Json.Int r.cubes);
-            ("pruned", Json.Int r.cubes_pruned);
-          ] );
-      ( "aig",
-        Json.Obj
-          [
-            ("nodes_in", Json.Int r.aig_nodes_in);
-            ("nodes_out", Json.Int r.aig_nodes_out);
-          ] );
-      ( "opt",
-        Json.Obj
-          [
-            ("firings", Json.Int r.opt_firings);
-            ("firings_per_s", Json.Float r.opt_firings_per_s);
-            ("match_per_s", Json.Float r.opt_match_per_s);
-            ("match_linear_per_s", Json.Float r.opt_match_linear_per_s);
-            ("top10_share", Json.Float r.opt_top10_share);
-          ] );
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, number v)) r.counters));
       ("verdicts", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.verdicts));
       ( "phases",
         Json.Obj
@@ -222,154 +142,51 @@ let to_json r =
     ]
 
 let of_json j =
-  let str k d = Option.value ~default:d (Option.bind (Json.member k j) Json.to_str) in
-  let int k d = Option.value ~default:d (Option.bind (Json.member k j) Json.to_int) in
-  let flt k d =
-    Option.value ~default:d (Option.bind (Json.member k j) Json.to_float)
+  let get k conv o = Option.bind (Json.member k o) conv in
+  let obj k conv =
+    match Json.member k j with
+    | Some (Json.Obj fields) ->
+        List.filter_map
+          (fun (n, v) -> Option.map (fun x -> (n, x)) (conv v))
+          fields
+    | _ -> []
   in
-  match Json.member "wall_s" j with
-  | None -> Error "ledger record: missing wall_s"
-  | Some _ ->
+  match (get "schema" Json.to_int j, get "wall_s" Json.to_float j) with
+  | Some schema, _ when schema <> schema_version ->
+      Error
+        (Printf.sprintf "ledger record: schema %d, this build reads %d" schema
+           schema_version)
+  | None, _ | _, None -> Error "ledger record: missing schema or wall_s"
+  | Some schema, Some wall_s ->
+      let str k = Option.value ~default:"" (get k Json.to_str j) in
       let budget = Option.value ~default:(Json.Obj []) (Json.member "budget" j) in
-      let cache = Option.value ~default:(Json.Obj []) (Json.member "cache" j) in
-      let store = Option.value ~default:(Json.Obj []) (Json.member "store" j) in
-      let verdicts =
-        match Option.bind (Json.member "verdicts" j) Json.to_obj with
-        | None -> []
-        | Some fields ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v))
-              fields
-      in
-      let phases =
-        match Option.bind (Json.member "phases" j) Json.to_obj with
-        | None -> []
-        | Some fields ->
-            List.map
-              (fun (phase, v) ->
-                {
-                  phase;
-                  count =
-                    Option.value ~default:0
-                      (Option.bind (Json.member "count" v) Json.to_int);
-                  total_s =
-                    Option.value ~default:0.0
-                      (Option.bind (Json.member "total_s" v) Json.to_float);
-                })
-              fields
-      in
       Ok
         {
-          schema = int "schema" 1;
-          timestamp = str "timestamp" "";
-          git_rev = str "git_rev" "unknown";
-          label = str "label" "";
-          jobs = int "jobs" 1;
-          tasks = int "tasks" 0;
-          budget_timeout_s =
-            Option.value ~default:0.0
-              (Option.bind (Json.member "timeout_s" budget) Json.to_float);
-          budget_conflicts =
-            Option.value ~default:0
-              (Option.bind (Json.member "conflict_limit" budget) Json.to_int);
-          wall_s = flt "wall_s" 0.0;
-          sat_s = flt "sat_s" 0.0;
-          (* "infer_s" is a schema-3 key; older records read back as 0. *)
-          infer_s = flt "infer_s" 0.0;
-          queries = int "queries" 0;
-          conflicts = int "conflicts" 0;
-          cegar_iterations = int "cegar_iterations" 0;
-          (* "cache" and the peaks are schema-2 keys; schema-1 records read
-             back as zeros. *)
-          cache_hits =
-            Option.value ~default:0
-              (Option.bind (Json.member "hits" cache) Json.to_int);
-          cache_misses =
-            Option.value ~default:0
-              (Option.bind (Json.member "misses" cache) Json.to_int);
-          cache_evictions =
-            Option.value ~default:0
-              (Option.bind (Json.member "evictions" cache) Json.to_int);
-          peak_clauses = int "peak_clauses" 0;
-          peak_vars = int "peak_vars" 0;
-          (* "store" is a schema-4 key; older records read back as zeros
-             and the schema field flags them as not comparable. *)
-          requests =
-            Option.value ~default:0
-              (Option.bind (Json.member "requests" store) Json.to_int);
-          store_hits =
-            Option.value ~default:0
-              (Option.bind (Json.member "hits" store) Json.to_int);
-          store_misses =
-            Option.value ~default:0
-              (Option.bind (Json.member "misses" store) Json.to_int);
-          (* "static_proved" is a schema-5 key; older records read back as
-             zero and the schema field flags them as not comparable. *)
-          static_proved = int "static_proved" 0;
-          (* telemetry keys are schema-6; older records read back empty. *)
-          log_lines = int "log_lines" 0;
-          slow_queries = int "slow_queries" 0;
-          ops =
-            (match Option.bind (Json.member "ops" j) Json.to_obj with
-            | None -> []
-            | Some fields ->
-                List.map
-                  (fun (op, v) ->
-                    {
-                      op;
-                      op_count =
-                        Option.value ~default:0
-                          (Option.bind (Json.member "count" v) Json.to_int);
-                      op_total_s =
-                        Option.value ~default:0.0
-                          (Option.bind (Json.member "total_s" v) Json.to_float);
-                      op_p99_s =
-                        Option.value ~default:0.0
-                          (Option.bind (Json.member "p99_s" v) Json.to_float);
-                    })
-                  fields);
-          (* "cubes" and "aig" are schema-7 keys; older records read back
-             as zeros and the schema field flags them as not comparable. *)
-          cubes =
-            (let c = Option.value ~default:(Json.Obj []) (Json.member "cubes" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "spawned" c) Json.to_int));
-          cubes_pruned =
-            (let c = Option.value ~default:(Json.Obj []) (Json.member "cubes" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "pruned" c) Json.to_int));
-          aig_nodes_in =
-            (let a = Option.value ~default:(Json.Obj []) (Json.member "aig" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "nodes_in" a) Json.to_int));
-          aig_nodes_out =
-            (let a = Option.value ~default:(Json.Obj []) (Json.member "aig" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "nodes_out" a) Json.to_int));
-          (* "opt" is a schema-8 key; older records read back as zeros and
-             the schema field flags them as not comparable. *)
-          opt_firings =
-            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
-             Option.value ~default:0
-               (Option.bind (Json.member "firings" o) Json.to_int));
-          opt_firings_per_s =
-            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
-             Option.value ~default:0.0
-               (Option.bind (Json.member "firings_per_s" o) Json.to_float));
-          opt_match_per_s =
-            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
-             Option.value ~default:0.0
-               (Option.bind (Json.member "match_per_s" o) Json.to_float));
-          opt_match_linear_per_s =
-            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
-             Option.value ~default:0.0
-               (Option.bind (Json.member "match_linear_per_s" o) Json.to_float));
-          opt_top10_share =
-            (let o = Option.value ~default:(Json.Obj []) (Json.member "opt" j) in
-             Option.value ~default:0.0
-               (Option.bind (Json.member "top10_share" o) Json.to_float));
-          verdicts;
-          phases;
+          schema;
+          timestamp = str "timestamp";
+          git_rev = str "git_rev";
+          label = str "label";
+          jobs = Option.value ~default:1 (get "jobs" Json.to_int j);
+          tasks = Option.value ~default:0 (get "tasks" Json.to_int j);
+          budget =
+            {
+              timeout_s =
+                Option.value ~default:0.0 (get "timeout_s" Json.to_float budget);
+              conflict_limit =
+                Option.value ~default:0 (get "conflict_limit" Json.to_int budget);
+            };
+          wall_s;
+          counters = List.sort compare (obj "counters" Json.to_float);
+          verdicts = obj "verdicts" Json.to_int;
+          phases =
+            obj "phases" (fun p ->
+                match
+                  (get "count" Json.to_int p, get "total_s" Json.to_float p)
+                with
+                | Some count, Some total_s -> Some (count, total_s)
+                | _ -> None)
+            |> List.map (fun (phase, (count, total_s)) ->
+                   { phase; count; total_s });
         }
 
 (* --- Persistence --- *)
@@ -394,12 +211,9 @@ let load ~path =
     let rec go acc i = function
       | [] -> Ok (List.rev acc)
       | line :: rest -> (
-          match Json.parse line with
+          match Result.bind (Json.parse line) of_json with
           | Error e -> Error (Printf.sprintf "%s:%d: %s" path (i + 1) e)
-          | Ok j -> (
-              match of_json j with
-              | Error e -> Error (Printf.sprintf "%s:%d: %s" path (i + 1) e)
-              | Ok r -> go (r :: acc) (i + 1) rest))
+          | Ok r -> go (r :: acc) (i + 1) rest)
     in
     go [] 0 lines
 
@@ -407,182 +221,104 @@ let load ~path =
 
 type delta = {
   metric : string;
-  base : float;
-  now : float;
-  pct : float;  (* signed percentage change, +: now is bigger *)
+  base : float option;
+  now : float option;
+  pct : float;  (* signed percentage change, +: now is bigger; nan one-sided *)
   regressed : bool;
 }
 
 type diff = {
   baseline : record;
   latest : record;
-  deltas : delta list;  (* gating metrics first, then per-phase info *)
+  deltas : delta list;  (* gated figures first, then counters, then phases *)
   regressions : delta list;
 }
 
-(* Records from different schema versions only share the older schema's
-   fields: keys the older schema lacks read back as zeros, so comparing
-   them would report phantom regressions (or, worse, silently compare
-   zeros and pass — PR 4's schema-1 records exhibited exactly that).
-   [diff] therefore restricts itself to the shared field prefix, and
-   callers surface [schema_mismatch] as a warning rather than refusing
-   outright, so a schema bump does not invalidate every old baseline. *)
-let schema_mismatch ~baseline ~latest =
-  if baseline.schema = latest.schema then None
-  else
-    Some
-      (Printf.sprintf
-         "schema mismatch: baseline record is schema %d, latest is schema \
-          %d; comparing only the fields both schemas define. Re-seed the \
-          baseline with a schema-%d record for a full diff."
-         baseline.schema latest.schema schema_version)
+(* The gated figures, each with the direction that regresses it: cost
+   regresses by growing, throughput by dropping. *)
+let gates =
+  [
+    ("wall_s", `Grows);
+    ("solve.conflicts", `Grows);
+    ("opt_match_per_s", `Drops);
+    ("opt_firings_per_s", `Drops);
+  ]
 
 let pct_change base now =
   if base = 0.0 then if now = 0.0 then 0.0 else Float.infinity
   else (now -. base) /. base *. 100.0
 
 let diff ?(threshold_pct = 15.0) ~baseline ~latest () =
-  let gate metric base now =
-    let pct = pct_change base now in
-    { metric; base; now; pct; regressed = pct > threshold_pct }
+  let figures r = ("wall_s", r.wall_s) :: r.counters in
+  let delta metric base now =
+    let pct =
+      match (base, now) with
+      | Some b, Some n -> pct_change b n
+      | _ -> Float.nan
+    in
+    let regressed =
+      match List.assoc_opt metric gates with
+      | Some `Grows -> pct > threshold_pct
+      | Some `Drops -> pct < -.threshold_pct
+      | None -> false
+    in
+    { metric; base; now; pct; regressed }
   in
-  (* Throughput gate: a regression is a *drop* beyond the threshold. Only
-     meaningful against a baseline that measured the metric at all. *)
-  let gate_drop metric base now =
-    let pct = pct_change base now in
-    { metric; base; now; pct; regressed = base > 0.0 && pct < -.threshold_pct }
+  (* Gated figures first, in gate order, then the others by name. *)
+  let names =
+    List.sort_uniq compare (List.map fst (figures baseline @ figures latest))
   in
-  let info metric base now =
-    { metric; base; now; pct = pct_change base now; regressed = false }
+  let counters =
+    List.filter (fun m -> List.mem m names) (List.map fst gates)
+    @ List.filter (fun m -> not (List.mem_assoc m gates)) names
+    |> List.map (fun m ->
+           delta m
+             (List.assoc_opt m (figures baseline))
+             (List.assoc_opt m (figures latest)))
   in
-  (* Rows only for fields both schemas define, so a cross-schema diff
-     never compares a real value against a phantom zero. *)
-  let shared = min baseline.schema latest.schema in
-  let since v rows = if shared >= v then rows () else [] in
-  let gating =
-    [
-      gate "wall_s" baseline.wall_s latest.wall_s;
-      gate "conflicts" (float_of_int baseline.conflicts)
-        (float_of_int latest.conflicts);
-    ]
-    @ since 8 (fun () ->
-          [
-            gate_drop "opt_match_per_s" baseline.opt_match_per_s
-              latest.opt_match_per_s;
-            gate_drop "opt_firings_per_s" baseline.opt_firings_per_s
-              latest.opt_firings_per_s;
-          ])
+  let phases =
+    List.filter_map
+      (fun p ->
+        List.find_opt (fun b -> b.phase = p.phase) baseline.phases
+        |> Option.map (fun b ->
+               delta ("phase:" ^ p.phase) (Some b.total_s) (Some p.total_s)))
+      latest.phases
   in
-  let informational =
-    List.concat
-      [
-        [
-          info "sat_s" baseline.sat_s latest.sat_s;
-          info "queries" (float_of_int baseline.queries)
-            (float_of_int latest.queries);
-          info "cegar_iterations"
-            (float_of_int baseline.cegar_iterations)
-            (float_of_int latest.cegar_iterations);
-        ];
-        since 2 (fun () ->
-            [
-              info "cache_hits"
-                (float_of_int baseline.cache_hits)
-                (float_of_int latest.cache_hits);
-              info "peak_clauses"
-                (float_of_int baseline.peak_clauses)
-                (float_of_int latest.peak_clauses);
-            ]);
-        since 3 (fun () -> [ info "infer_s" baseline.infer_s latest.infer_s ]);
-        since 4 (fun () ->
-            [
-              info "store_hits"
-                (float_of_int baseline.store_hits)
-                (float_of_int latest.store_hits);
-            ]);
-        since 5 (fun () ->
-            [
-              info "static_proved"
-                (float_of_int baseline.static_proved)
-                (float_of_int latest.static_proved);
-            ]);
-        since 6 (fun () ->
-            info "log_lines"
-              (float_of_int baseline.log_lines)
-              (float_of_int latest.log_lines)
-            :: info "slow_queries"
-                 (float_of_int baseline.slow_queries)
-                 (float_of_int latest.slow_queries)
-            :: List.filter_map
-                 (fun o ->
-                   match
-                     List.find_opt (fun b -> b.op = o.op) baseline.ops
-                   with
-                   | Some b ->
-                       Some (info ("op:" ^ o.op) b.op_total_s o.op_total_s)
-                   | None -> None)
-                 latest.ops);
-        since 7 (fun () ->
-            [
-              info "cubes" (float_of_int baseline.cubes)
-                (float_of_int latest.cubes);
-              info "cubes_pruned"
-                (float_of_int baseline.cubes_pruned)
-                (float_of_int latest.cubes_pruned);
-              info "aig_nodes_in"
-                (float_of_int baseline.aig_nodes_in)
-                (float_of_int latest.aig_nodes_in);
-              info "aig_nodes_out"
-                (float_of_int baseline.aig_nodes_out)
-                (float_of_int latest.aig_nodes_out);
-            ]);
-        since 8 (fun () ->
-            [
-              info "opt_firings"
-                (float_of_int baseline.opt_firings)
-                (float_of_int latest.opt_firings);
-              info "opt_match_linear_per_s" baseline.opt_match_linear_per_s
-                latest.opt_match_linear_per_s;
-              info "opt_top10_share" baseline.opt_top10_share
-                latest.opt_top10_share;
-            ]);
-        List.filter_map
-          (fun p ->
-            match
-              List.find_opt (fun b -> b.phase = p.phase) baseline.phases
-            with
-            | Some b -> Some (info ("phase:" ^ p.phase) b.total_s p.total_s)
-            | None -> None)
-          latest.phases;
-      ]
-  in
-  let deltas = gating @ informational in
+  let deltas = counters @ phases in
   {
     baseline;
     latest;
     deltas;
-    regressions = List.filter (fun d -> d.regressed) gating;
+    regressions = List.filter (fun d -> d.regressed) deltas;
   }
 
 let render_diff ?(oc = stdout) d =
-  Printf.fprintf oc "baseline: %s  %s  (%s, %d tasks, %d jobs)\n"
-    d.baseline.git_rev d.baseline.timestamp d.baseline.label d.baseline.tasks
-    d.baseline.jobs;
-  Printf.fprintf oc "latest:   %s  %s  (%s, %d tasks, %d jobs)\n"
-    d.latest.git_rev d.latest.timestamp d.latest.label d.latest.tasks
-    d.latest.jobs;
+  let who r =
+    Printf.sprintf "%s  %s  (%s, %d tasks, %d jobs)" r.git_rev r.timestamp
+      r.label r.tasks r.jobs
+  in
+  Printf.fprintf oc "baseline: %s\nlatest:   %s\n" (who d.baseline)
+    (who d.latest);
   let metric_w =
     List.fold_left (fun w x -> max w (String.length x.metric)) 6 d.deltas
   in
   Printf.fprintf oc "%-*s %14s %14s %9s\n" metric_w "metric" "baseline"
     "latest" "change";
+  let value = function
+    | Some v -> Printf.sprintf "%14.3f" v
+    | None -> Printf.sprintf "%14s" "-"
+  in
   List.iter
     (fun x ->
-      let pct =
-        if Float.is_finite x.pct then Printf.sprintf "%+.1f%%" x.pct else "new"
+      let change =
+        match (x.base, x.now) with
+        | None, _ -> "only in latest"
+        | _, None -> "only in baseline"
+        | _ when Float.is_finite x.pct -> Printf.sprintf "%+.1f%%" x.pct
+        | _ -> "new"
       in
-      Printf.fprintf oc "%-*s %14.3f %14.3f %9s%s\n" metric_w x.metric x.base
-        x.now pct
+      Printf.fprintf oc "%-*s %s %s %9s%s\n" metric_w x.metric (value x.base)
+        (value x.now) change
         (if x.regressed then "  REGRESSION" else ""))
     d.deltas;
   if d.regressions = [] then

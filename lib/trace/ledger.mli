@@ -1,20 +1,15 @@
 (** The cross-run performance ledger.
 
-    Each instrumented engine run appends one JSON line to a ledger file
-    (by convention [bench/ledger.jsonl]): git revision, run label, jobs,
-    budget, wall time, solver counters, verdict histogram, and per-phase
-    totals from the {!Metrics} registry. [alive_cli perf diff] loads the
-    ledger and compares the newest record against a baseline. *)
+    Each instrumented run appends one JSON line to a ledger file (by
+    convention [bench/ledger*.jsonl]). A record is a snapshot of the
+    {!Metrics} registry's change over the run, plus the run's identity and
+    a few named figures the registry does not hold. [alive perf diff]
+    loads the ledger and compares the newest record against a baseline. *)
 
 type phase_total = { phase : string; count : int; total_s : float }
 
-type op_stat = {
-  op : string;
-  op_count : int;
-  op_total_s : float;
-  op_p99_s : float;
-}
-(** Per-op daemon latency totals (schema >= 6). *)
+type budget = { timeout_s : float; conflict_limit : int }
+(** Per-query budget the run used; 0 means none. *)
 
 type record = {
   schema : int;
@@ -23,56 +18,16 @@ type record = {
   label : string;
   jobs : int;
   tasks : int;
-  budget_timeout_s : float;  (** 0 = none *)
-  budget_conflicts : int;  (** 0 = none *)
+  budget : budget;
   wall_s : float;
-  sat_s : float;
-  infer_s : float;
-      (** wall time spent in precondition inference (schema >= 3; zero when
-          reading older records) *)
-  queries : int;
-  conflicts : int;
-  cegar_iterations : int;
-  cache_hits : int;
-      (** canonical verdict cache counters (schema >= 2; zero when reading
-          older records) *)
-  cache_misses : int;
-  cache_evictions : int;
-  peak_clauses : int;  (** largest single SAT context of the run *)
-  peak_vars : int;
-  requests : int;
-      (** daemon/service requests served by this run (schema >= 4; zero
-          when reading older records) *)
-  store_hits : int;  (** persistent verdict-store hits *)
-  store_misses : int;
-  static_proved : int;
-      (** verification conditions discharged by the tier-0 static prover
-          (schema >= 5; zero when reading older records) *)
-  log_lines : int;
-      (** structured log lines emitted during the run (schema >= 6; zero
-          when reading older records) *)
-  slow_queries : int;  (** requests past the slow-query threshold *)
-  ops : op_stat list;  (** per-op daemon latencies (schema >= 6) *)
-  cubes : int;
-      (** cubes spawned by the cube-and-conquer splitter (schema >= 7;
-          zero when reading older records) *)
-  cubes_pruned : int;  (** cube tasks cancelled by an early winner *)
-  aig_nodes_in : int;
-      (** gate requests into the AIG simplifier, before structural
-          hashing (schema >= 7) *)
-  aig_nodes_out : int;  (** distinct AIG nodes after simplification *)
-  opt_firings : int;
-      (** rewrites applied by the fused optimizer (schema >= 8; zero when
-          reading older records) *)
-  opt_firings_per_s : float;  (** whole-pass rewrite throughput *)
-  opt_match_per_s : float;
-      (** compiled decision-tree single-match throughput *)
-  opt_match_linear_per_s : float;
-      (** per-rule-scan baseline throughput for the same matches *)
-  opt_top10_share : float;
-      (** fraction of firings from the ten most-fired rules (Fig. 9) *)
+  counters : (string * float) list;
+      (** sorted by name: every registry counter's change over the run
+          (registry names, e.g. ["solve.conflicts"]), plus the named
+          extras the run supplied (e.g. ["opt_match_per_s"], ["infer_s"]) *)
   verdicts : (string * int) list;
   phases : phase_total list;
+      (** every histogram that recorded during the run: span phases and
+          per-op request latencies *)
 }
 
 val schema_version : int
@@ -85,49 +40,35 @@ val git_rev : unit -> string
 val iso8601 : float -> string
 (** Render a [Unix.gettimeofday]-style timestamp as ISO-8601 UTC. *)
 
+val counters_since : Metrics.snapshot -> Metrics.snapshot -> (string * float) list
+(** What the registry's counters recorded between two snapshots: totals
+    and seconds counters by difference; a peak only where the later value
+    is the interval's own peak — it rose, or it started at zero. *)
+
 val make :
   label:string ->
   jobs:int ->
   tasks:int ->
-  ?budget_timeout_s:float ->
-  ?budget_conflicts:int ->
+  ?budget:budget ->
   wall_s:float ->
-  sat_s:float ->
-  ?infer_s:float ->
-  queries:int ->
-  conflicts:int ->
-  cegar_iterations:int ->
-  ?cache_hits:int ->
-  ?cache_misses:int ->
-  ?cache_evictions:int ->
-  ?peak_clauses:int ->
-  ?peak_vars:int ->
-  ?requests:int ->
-  ?store_hits:int ->
-  ?store_misses:int ->
-  ?static_proved:int ->
-  ?log_lines:int ->
-  ?slow_queries:int ->
-  ?ops:op_stat list ->
-  ?cubes:int ->
-  ?cubes_pruned:int ->
-  ?aig_nodes_in:int ->
-  ?aig_nodes_out:int ->
-  ?opt_firings:int ->
-  ?opt_firings_per_s:float ->
-  ?opt_match_per_s:float ->
-  ?opt_match_linear_per_s:float ->
-  ?opt_top10_share:float ->
-  verdicts:(string * int) list ->
-  ?phases:phase_total list ->
-  unit ->
+  ?extras:(string * float) list ->
+  ?verdicts:(string * int) list ->
+  Metrics.snapshot ->
+  Metrics.snapshot ->
   record
-(** Build a record stamped with the current UTC time and git revision
-    ([GITHUB_SHA] env, else [git rev-parse], else ["unknown"]). [phases]
-    defaults to the current {!Metrics} histogram totals. *)
+(** [make ... before after] stamps a record with the current UTC time and
+    git revision; its counters are {!counters_since} [before after] plus
+    [extras], its phases the histograms' change. A local run snapshots its
+    own registry; a run through the daemon scrapes the daemon's. *)
+
+val number : float -> Json.t
+(** An integral value as a JSON integer, any other as a float — how
+    counters are written. *)
 
 val to_json : record -> Json.t
+
 val of_json : Json.t -> (record, string) result
+(** Reads only the current schema; any other is an error. *)
 
 val append : path:string -> record -> unit
 (** Append one JSONL line, creating the file if needed. *)
@@ -139,10 +80,11 @@ val load : path:string -> (record list, string) result
 
 type delta = {
   metric : string;
-  base : float;
-  now : float;
-  pct : float;  (** signed percentage change; +: latest is bigger *)
-  regressed : bool;  (** only ever set on the gating metrics *)
+  base : float option;  (** [None]: the baseline does not carry it *)
+  now : float option;  (** [None]: the latest record does not carry it *)
+  pct : float;
+      (** signed percentage change; +: latest is bigger; nan when one-sided *)
+  regressed : bool;  (** only ever set on a gated figure both records carry *)
 }
 
 type diff = {
@@ -152,20 +94,11 @@ type diff = {
   regressions : delta list;
 }
 
-val schema_mismatch : baseline:record -> latest:record -> string option
-(** [Some message] when the two records carry different schema versions.
-    {!diff} still works on such pairs — it compares only the shared field
-    prefix — but callers should surface this as a warning so the missing
-    rows are explained ([alive_cli perf diff] prints it to stderr). *)
-
 val diff : ?threshold_pct:float -> baseline:record -> latest:record -> unit -> diff
-(** Gating metrics are wall time and SAT conflicts (growing more than
-    [threshold_pct], default 15%, counts as a regression) plus — when both
-    records are schema >= 8 — the optimizer's matcher and firing
-    throughputs, which regress by {e dropping} more than the threshold
-    against a non-zero baseline. SAT time, query/CEGAR counts, per-op
-    latencies and per-phase totals are reported informationally —
-    restricted to fields defined by {e both} records' schemas, so
-    cross-schema diffs never compare against phantom zeros. *)
+(** Four figures gate: [wall_s] and ["solve.conflicts"] regress by
+    growing more than [threshold_pct] (default 15%), ["opt_match_per_s"]
+    and ["opt_firings_per_s"] by dropping more than it. Every other
+    counter either record carries is reported, one-sided ones marked, and
+    so is each phase total both carry; none of these gate. *)
 
 val render_diff : ?oc:out_channel -> diff -> unit

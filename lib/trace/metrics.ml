@@ -76,13 +76,26 @@ let percentile h p =
     go 0 0
   end
 
-(* --- Counters --- *)
+(* --- Counters ---
 
-type counter = { cname : string; cell : int Atomic.t }
+   Every counter is one atomic int, so recording into it is one atomic
+   operation. A counter is one of three kinds: a total grows by [add]; a
+   peak is a high-water mark, moved by [raise_to]; a seconds counter sums
+   durations, held as integer nanoseconds and reported in seconds. *)
+
+type kind = Total | Peak | Seconds
+type counter = { cname : string; kind : kind; cell : int Atomic.t }
 
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 let incr c = add c 1
+let add_seconds c s = add c (Float.to_int (Float.round (s *. 1e9)))
+
+let rec raise_to c n =
+  let cur = Atomic.get c.cell in
+  if n > cur && not (Atomic.compare_and_set c.cell cur n) then raise_to c n
+
 let counter_value c = Atomic.get c.cell
+let seconds_of_ns n = float_of_int n /. 1e9
 
 (* --- Gauges --- *)
 
@@ -124,15 +137,21 @@ let histogram name =
           Hashtbl.replace registry name (Histogram h);
           h)
 
-let counter name =
+let register kind name =
   with_registry (fun () ->
       match Hashtbl.find_opt registry name with
-      | Some (Counter c) -> c
-      | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
+      | Some (Counter c) when c.kind = kind -> c
+      | Some _ ->
+          invalid_arg
+            ("Metrics.counter: " ^ name ^ " is registered as another instrument")
       | None ->
-          let c = { cname = name; cell = Atomic.make 0 } in
+          let c = { cname = name; kind; cell = Atomic.make 0 } in
           Hashtbl.replace registry name (Counter c);
           c)
+
+let counter = register Total
+let peak = register Peak
+let seconds = register Seconds
 
 let gauge name =
   with_registry (fun () ->
@@ -180,7 +199,9 @@ type hist_snapshot = {
 }
 
 type snapshot = {
-  counters : (string * int) list;  (** sorted by name *)
+  counters : (string * int) list;  (** totals, sorted by name *)
+  seconds : (string * float) list;  (** seconds counters, sorted by name *)
+  peaks : (string * int) list;  (** sorted by name *)
   gauges : (string * int) list;  (** sorted by name *)
   histograms : hist_snapshot list;  (** sorted by name *)
 }
@@ -203,18 +224,28 @@ let snapshot_histogram h =
   Mutex.unlock h.hlock;
   s
 
+let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l
+
 let snapshot () =
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
+  let counters = ref [] and seconds = ref [] and peaks = ref [] in
+  let gauges = ref [] and histograms = ref [] in
   with_registry (fun () ->
       Hashtbl.iter
         (fun name -> function
-          | Counter c -> counters := (name, Atomic.get c.cell) :: !counters
+          | Counter c -> (
+              let v = Atomic.get c.cell in
+              match c.kind with
+              | Total -> counters := (name, v) :: !counters
+              | Peak -> peaks := (name, v) :: !peaks
+              | Seconds -> seconds := (name, seconds_of_ns v) :: !seconds)
           | Gauge g -> gauges := (name, Atomic.get g.glevel) :: !gauges
           | Histogram h -> histograms := snapshot_histogram h :: !histograms)
         registry);
   {
-    counters = List.sort (fun (a, _) (b, _) -> compare a b) !counters;
-    gauges = List.sort (fun (a, _) (b, _) -> compare a b) !gauges;
+    counters = by_name !counters;
+    seconds = by_name !seconds;
+    peaks = by_name !peaks;
+    gauges = by_name !gauges;
     histograms =
       List.sort (fun a b -> compare a.name b.name) !histograms;
   }
@@ -237,11 +268,20 @@ let render_table ?(oc = stdout) () =
           name_w h.name h.count h.total_s (ms h.p50_s) (ms h.p90_s)
           (ms h.p95_s) (ms h.max_s))
       live;
-    let nonzero = List.filter (fun (_, v) -> v <> 0) snap.counters in
+    let nonzero =
+      by_name
+        (List.filter_map
+           (fun (n, v) -> if v = 0 then None else Some (n, string_of_int v))
+           (snap.counters @ snap.peaks)
+        @ List.filter_map
+            (fun (n, v) ->
+              if v = 0.0 then None else Some (n, Printf.sprintf "%.3f" v))
+            snap.seconds)
+    in
     if nonzero <> [] then begin
       Printf.fprintf oc "counters:\n";
       List.iter
-        (fun (name, v) -> Printf.fprintf oc "  %-*s %12d\n" name_w name v)
+        (fun (name, v) -> Printf.fprintf oc "  %-*s %12s\n" name_w name v)
         nonzero
     end;
     let gauges = List.filter (fun (_, v) -> v <> 0) snap.gauges in
@@ -297,8 +337,14 @@ let render_prometheus () =
   let by_name f = List.sort (fun a b -> compare (f a) (f b)) in
   List.iter
     (fun c ->
-      let n = "alive_" ^ prom_sanitize c.cname ^ "_total" in
-      Printf.bprintf buf "# TYPE %s counter\n%s %d\n" n n (Atomic.get c.cell))
+      let v = Atomic.get c.cell and n = "alive_" ^ prom_sanitize c.cname in
+      let n, kind, v =
+        match c.kind with
+        | Total -> (n ^ "_total", "counter", string_of_int v)
+        | Seconds -> (n ^ "_total", "counter", prom_float (seconds_of_ns v))
+        | Peak -> (n, "gauge", string_of_int v)
+      in
+      Printf.bprintf buf "# TYPE %s %s\n%s %s\n" n kind n v)
     (by_name (fun c -> c.cname) !counters);
   List.iter
     (fun g ->
@@ -331,6 +377,7 @@ let render_prometheus () =
 
 let to_json () =
   let snap = snapshot () in
+  let ints l = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) l) in
   Json.Obj
     [
       ( "histograms",
@@ -338,8 +385,51 @@ let to_json () =
           (List.filter_map
              (fun h -> if h.count > 0 then Some (h.name, hist_json h) else None)
              snap.histograms) );
-      ( "counters",
-        Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) snap.counters) );
-      ( "gauges",
-        Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) snap.gauges) );
+      ("counters", ints snap.counters);
+      ( "seconds",
+        Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) snap.seconds) );
+      ("peaks", ints snap.peaks);
+      ("gauges", ints snap.gauges);
     ]
+
+(* The inverse of [to_json], for a registry scraped from another process
+   (the daemon's [metrics] op). Missing sections read as empty. *)
+let snapshot_of_json j =
+  let section k conv =
+    match Json.member k j with
+    | Some (Json.Obj fields) ->
+        by_name
+          (List.filter_map
+             (fun (n, v) -> Option.map (fun x -> (n, x)) (conv v))
+             fields)
+    | _ -> []
+  in
+  let hist name h =
+    let f k =
+      Option.value ~default:0.0 (Option.bind (Json.member k h) Json.to_float)
+    in
+    Option.map
+      (fun count ->
+        {
+          name;
+          count;
+          total_s = f "total_s";
+          min_s = f "min_s";
+          max_s = f "max_s";
+          p50_s = f "p50_s";
+          p90_s = f "p90_s";
+          p95_s = f "p95_s";
+          p99_s = f "p99_s";
+        })
+      (Option.bind (Json.member "count" h) Json.to_int)
+  in
+  {
+    counters = section "counters" Json.to_int;
+    seconds = section "seconds" Json.to_float;
+    peaks = section "peaks" Json.to_int;
+    gauges = section "gauges" Json.to_int;
+    histograms =
+      List.filter_map
+        (fun (n, h) -> hist n h)
+        (section "histograms" Option.some);
+  }

@@ -35,17 +35,37 @@ val percentile : histogram -> float -> float
 val observe_phase : string -> float -> unit
 (** [observe (histogram phase) dur] — the span-finish hot path. *)
 
-(** {1 Counters} *)
+(** {1 Counters}
+
+    A counter is one atomic int, of one of three kinds: a total grows by
+    {!add}; a peak is a high-water mark, moved by {!raise_to}; a seconds
+    counter sums durations ({!add_seconds}), held as integer nanoseconds
+    and reported in seconds. *)
 
 type counter
 
 val counter : string -> counter
-(** Find or register the counter with this name.
-    @raise Invalid_argument if the name is registered as a histogram. *)
+(** Find or register the total with this name.
+    @raise Invalid_argument if the name is registered as anything else. *)
+
+val peak : string -> counter
+(** Find or register the high-water mark with this name. *)
+
+val seconds : string -> counter
+(** Find or register the seconds counter with this name. *)
 
 val add : counter -> int -> unit
 val incr : counter -> unit
+
+val add_seconds : counter -> float -> unit
+(** Add a duration in seconds (rounded to the nanosecond). *)
+
+val raise_to : counter -> int -> unit
+(** Raise a peak to at least this value. *)
+
 val counter_value : counter -> int
+(** The raw cell: a total or a peak as is, a seconds counter in
+    nanoseconds. *)
 
 (** {1 Gauges}
 
@@ -80,12 +100,19 @@ type hist_snapshot = {
 }
 
 type snapshot = {
-  counters : (string * int) list;  (** sorted by name *)
+  counters : (string * int) list;  (** totals, sorted by name *)
+  seconds : (string * float) list;  (** seconds counters, sorted by name *)
+  peaks : (string * int) list;  (** sorted by name *)
   gauges : (string * int) list;  (** sorted by name *)
   histograms : hist_snapshot list;  (** sorted by name *)
 }
 
 val snapshot : unit -> snapshot
+
+val snapshot_of_json : Json.t -> snapshot
+(** Read back what {!to_json} wrote — a registry scraped from another
+    process, such as the daemon's [metrics] op. Missing sections read as
+    empty. *)
 
 val reset : unit -> unit
 (** Zero every registered instrument (handles stay valid). *)
@@ -95,12 +122,13 @@ val render_table : ?oc:out_channel -> unit -> unit
 
 val to_json : unit -> Json.t
 (** [{"histograms": {phase: {count, total_s, p50_s, ...}}, "counters":
-    {...}, "gauges": {...}}] — only histograms with observations are
-    included. *)
+    {...}, "seconds": {...}, "peaks": {...}, "gauges": {...}}] — only
+    histograms with observations are included. *)
 
 val render_prometheus : unit -> string
-(** The whole registry in Prometheus text exposition format. Counters
-    become [alive_<name>_total], gauges [alive_<name>], histograms emit
+(** The whole registry in Prometheus text exposition format. Totals and
+    seconds counters become [alive_<name>_total] counters, peaks and gauges
+    [alive_<name>] gauges, histograms emit
     sparse cumulative [_bucket{le="..."}] lines (one per occupied
     log-scale bucket, closed by [+Inf]) plus [_sum]/[_count]. Dots in
     instrument names map to underscores. *)

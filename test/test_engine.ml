@@ -275,4 +275,108 @@ let json_tests =
           (Astring.String.is_infix ~affix:"\"valid\"" s));
   ]
 
-let suite = ("engine", budget_tests @ pool_tests @ corpus_tests @ json_tests)
+(* --- The counter table ---
+
+   Every solver counter is declared once, as a row of [Solve]'s table, and
+   each report is derived from it. These tests hold the table to the
+   record from outside: a field-wise oracle written against the record
+   itself, and the registry checked against an engine report. *)
+
+let random_telemetry =
+  QCheck.Gen.(
+    map2
+      (fun counts sat_time ->
+        match counts with
+        | [ checks; conflicts; decisions; propagations; restarts; clauses;
+            vars; peak_clauses; peak_vars; cegar_iterations; cache_hits;
+            cache_misses; cache_evictions; store_hits; store_misses;
+            static_proved; cubes_spawned; cubes_pruned; aig_nodes_in;
+            aig_nodes_out ] ->
+            { Solve.checks; sat_time; conflicts; decisions; propagations;
+              restarts; clauses; vars; peak_clauses; peak_vars;
+              cegar_iterations; cache_hits; cache_misses; cache_evictions;
+              store_hits; store_misses; static_proved; cubes_spawned;
+              cubes_pruned; aig_nodes_in; aig_nodes_out }
+        | _ -> assert false)
+      (list_repeat 20 (int_bound 1_000_000))
+      (float_bound_inclusive 100.0))
+
+let table_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"add_telemetry is the field-wise sum, max for the peaks"
+         ~count:200
+         (QCheck.make (QCheck.Gen.pair random_telemetry random_telemetry))
+         (fun (a, b) ->
+           (* A copy: add_telemetry writes into its target. *)
+           let into = { a with Solve.checks = a.checks } in
+           Solve.add_telemetry ~into b;
+           into
+           = {
+               Solve.checks = a.checks + b.checks;
+               sat_time = a.sat_time +. b.sat_time;
+               conflicts = a.conflicts + b.conflicts;
+               decisions = a.decisions + b.decisions;
+               propagations = a.propagations + b.propagations;
+               restarts = a.restarts + b.restarts;
+               clauses = a.clauses + b.clauses;
+               vars = a.vars + b.vars;
+               peak_clauses = max a.peak_clauses b.peak_clauses;
+               peak_vars = max a.peak_vars b.peak_vars;
+               cegar_iterations = a.cegar_iterations + b.cegar_iterations;
+               cache_hits = a.cache_hits + b.cache_hits;
+               cache_misses = a.cache_misses + b.cache_misses;
+               cache_evictions = a.cache_evictions + b.cache_evictions;
+               store_hits = a.store_hits + b.store_hits;
+               store_misses = a.store_misses + b.store_misses;
+               static_proved = a.static_proved + b.static_proved;
+               cubes_spawned = a.cubes_spawned + b.cubes_spawned;
+               cubes_pruned = a.cubes_pruned + b.cubes_pruned;
+               aig_nodes_in = a.aig_nodes_in + b.aig_nodes_in;
+               aig_nodes_out = a.aig_nodes_out + b.aig_nodes_out;
+             }));
+    Alcotest.test_case "the registry's change over a run equals its report"
+      `Slow (fun () ->
+        let tasks =
+          List.filteri (fun i _ -> i < 20) Alive_suite.Registry.all
+          |> List.map (fun (e : Alive_suite.Entry.t) ->
+                 {
+                   Engine.task_name = e.name;
+                   widths = e.widths;
+                   prepare = (fun () -> Alive_suite.Entry.parse e);
+                 })
+        in
+        (* From zero, so the peaks are the run's own. *)
+        Alive_trace.Metrics.reset ();
+        Alive_smt.Vc_cache.clear ();
+        let before = Alive_trace.Metrics.snapshot () in
+        let report = Engine.verify_corpus ~jobs:1 tasks in
+        let change =
+          Alive_trace.Ledger.counters_since before
+            (Alive_trace.Metrics.snapshot ())
+        in
+        let total = Solve.report report.total.telemetry in
+        check_bool "the slice solved something" true
+          (List.assoc "conflicts" total <> Solve.Count 0);
+        List.iter
+          (fun (name, metric) ->
+            let recorded = List.assoc metric change in
+            match List.assoc name total with
+            | Solve.Count n ->
+                Alcotest.(check (float 0.0)) metric (float_of_int n) recorded
+            | Solve.Seconds s -> Alcotest.(check (float 1e-6)) metric s recorded)
+          Solve.counters;
+        Alcotest.(check (float 0.0)) "refine.queries"
+          (float_of_int report.total.queries)
+          (List.assoc "refine.queries" change);
+        let json = List.map fst (Engine.stats_fields report.total) in
+        List.iter
+          (fun (name, _) ->
+            check_bool (name ^ " in JSON") true (List.mem name json))
+          Solve.counters);
+  ]
+
+let suite =
+  ( "engine",
+    budget_tests @ pool_tests @ corpus_tests @ json_tests @ table_tests )

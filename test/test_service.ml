@@ -175,7 +175,7 @@ let store_tests =
             Store.publish s "d-valid" `Valid;
             Store.publish
               ~cost:
-                { Alive_smt.Vc_cache.sat_s = 0.25; conflicts = 42;
+                { Alive_smt.Solve.sat_s = 0.25; conflicts = 42;
                   cegar_iterations = 3; static = false }
               s "d-invalid" (`Invalid some_model);
             Store.close s;
@@ -193,8 +193,8 @@ let store_tests =
                   (Model.find m "!c1" = Some (T.Vbool true))
             | `Valid -> Alcotest.fail "expected invalid");
             let c = get e.Store.cost in
-            check_int "conflicts" 42 c.Alive_smt.Vc_cache.conflicts;
-            check_int "cegar" 3 c.Alive_smt.Vc_cache.cegar_iterations;
+            check_int "conflicts" 42 c.Alive_smt.Solve.conflicts;
+            check_int "cegar" 3 c.Alive_smt.Solve.cegar_iterations;
             check_int "live" 2 (Store.stats s).Store.live;
             Store.close s));
     Alcotest.test_case "a torn final line is dropped quietly" `Quick
@@ -847,7 +847,113 @@ let telemetry_tests =
             stop_daemon d2));
   ]
 
+(* --- Ledger records of daemon runs ---
+
+   A run through the daemon records the daemon's registry change between a
+   scrape before it and one after, as [corpus_check --via --ledger] does. *)
+
+module Metrics = Alive_trace.Metrics
+module Ledger = Alive_trace.Ledger
+
+let scrape c =
+  match Client.metrics c with
+  | Ok j -> Metrics.snapshot_of_json j
+  | Error e -> Alcotest.fail ("metrics: " ^ e)
+
+let verify_ok c text =
+  match Client.verify c ~text () with
+  | Ok (Json.List items) -> items
+  | Ok _ -> Alcotest.fail "verify shape"
+  | Error e -> Alcotest.fail ("verify: " ^ e)
+
+(* One worker, so the second of two passes sees the caches the first one
+   warmed. *)
+let one_worker_daemon dir =
+  start_daemon
+    {
+      (Daemon.default_config ~socket_path:(Filename.concat dir "l.sock")) with
+      Daemon.jobs = Some 1;
+    }
+
+let ledger_tests =
+  [
+    Alcotest.test_case "every counter reaches the response, ledger and scrape"
+      `Quick (fun () ->
+        with_temp_dir (fun dir ->
+            (* From zero, so the peaks are this run's own. *)
+            Metrics.reset ();
+            let d = one_worker_daemon dir in
+            let c, _, _ = d in
+            let before = scrape c in
+            let items = verify_ok c (hard_text "l1" "and" "or") in
+            let record =
+              Ledger.make ~label:"test" ~jobs:1 ~tasks:1 ~wall_s:0.0 before
+                (scrape c)
+            in
+            let prom =
+              match Client.metrics_prom c with
+              | Ok text -> text
+              | Error e -> Alcotest.fail ("metrics-prom: " ^ e)
+            in
+            stop_daemon d;
+            List.iter
+              (fun (name, metric) ->
+                List.iter
+                  (fun j ->
+                    check_bool ("response has " ^ name) true
+                      (Json.member name j <> None))
+                  items;
+                check_bool ("record has " ^ metric) true
+                  (List.mem_assoc metric record.counters);
+                let exported =
+                  "# TYPE alive_"
+                  ^ String.map (fun ch -> if ch = '.' then '_' else ch) metric
+                in
+                check_bool ("scrape exports " ^ metric) true
+                  (Astring.String.is_infix ~affix:exported prom))
+              Alive_smt.Solve.counters));
+    Alcotest.test_case "a daemon run's record holds only its own pass" `Quick
+      (fun () ->
+        with_temp_dir (fun dir ->
+            let entries =
+              List.filter
+                (fun (e : Alive_suite.Entry.t) -> e.file = "AndOrXor")
+                Alive_suite.Registry.all
+              |> List.filteri (fun i _ -> i < 12)
+            in
+            let d = one_worker_daemon dir in
+            let c, _, _ = d in
+            let pass () =
+              let before = scrape c in
+              List.iter
+                (fun (e : Alive_suite.Entry.t) ->
+                  match Client.verify c ?widths:e.widths ~text:e.text () with
+                  | Ok _ -> ()
+                  | Error err -> Alcotest.fail ("verify: " ^ err))
+                entries;
+              let r =
+                Ledger.make ~label:"test" ~jobs:1 ~tasks:(List.length entries)
+                  ~wall_s:0.0 before (scrape c)
+              in
+              fun k -> Option.value ~default:(-1.0) (List.assoc_opt k r.counters)
+            in
+            let first = pass () in
+            let second = pass () in
+            stop_daemon d;
+            let n = float_of_int (List.length entries) in
+            check_bool "the first pass built AIG nodes" true
+              (first "solve.aig_nodes_in" > 0.0);
+            Alcotest.(check (float 0.0)) "first pass verify requests" n
+              (first "service.requests.verify");
+            Alcotest.(check (float 0.0)) "the second pass solved nothing" 0.0
+              (second "solve.conflicts");
+            Alcotest.(check (float 0.0)) "so it built no AIG nodes" 0.0
+              (second "solve.aig_nodes_in");
+            Alcotest.(check (float 0.0)) "one verify per request" n
+              (second "service.requests.verify")));
+  ]
+
 let suite =
   ( "service",
     protocol_tests @ store_tests @ determinism_tests @ daemon_tests
-    @ telemetry_tests )
+    @ telemetry_tests @ ledger_tests )

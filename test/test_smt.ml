@@ -437,22 +437,25 @@ let vc_cache_tests =
     Vc_cache.clear ();
     Fun.protect ~finally:(fun () -> Vc_cache.clear ()) f
   in
+  let tl = Solve.telemetry () in
+  let find = Vc_cache.find ~telemetry:tl in
+  let store = Vc_cache.store ~telemetry:tl in
   [
     Alcotest.test_case "alpha-equivalent queries share an entry" `Quick
       (fun () ->
         with_fresh_cache (fun () ->
             let q name = T.eq (T.var name (T.Bv 8)) (cv 8 7) in
             let k1 = Vc_cache.canon ~exists:[] (q "x") in
-            check_bool "cold miss" true (Vc_cache.find k1 = None);
-            ignore (Vc_cache.store k1 `Valid);
+            check_bool "cold miss" true (find k1 = None);
+            store k1 `Valid;
             let k2 = Vc_cache.canon ~exists:[] (q "y") in
             check_bool "alpha-equivalent hit" true
-              (Vc_cache.find k2 = Some (`Valid, Vc_cache.Memory));
+              (find k2 = Some (`Valid, Vc_cache.Memory));
             let k16 =
               Vc_cache.canon ~exists:[] (T.eq (T.var "x" (T.Bv 16)) (cv 16 7))
             in
             check_bool "same pattern at another width misses" true
-              (Vc_cache.find k16 = None)));
+              (find k16 = None)));
     Alcotest.test_case "models are renamed through the cache" `Quick
       (fun () ->
         with_fresh_cache (fun () ->
@@ -465,12 +468,12 @@ let vc_cache_tests =
               Model.of_list
                 [ ("lo", T.Vbv (bv 8 3)); ("hi", T.Vbv (bv 8 9)) ]
             in
-            ignore (Vc_cache.store k1 (`Invalid model));
+            store k1 (`Invalid model);
             let k2 =
               Vc_cache.canon ~exists:[]
                 (q (T.var "a" (T.Bv 8)) (T.var "b" (T.Bv 8)))
             in
-            match Vc_cache.find k2 with
+            match find k2 with
             | Some (`Invalid m, _) ->
                 Alcotest.(check (option value_testable))
                   "lo renamed to a" (Some (T.Vbv (bv 8 3))) (Model.find m "a");
@@ -482,10 +485,10 @@ let vc_cache_tests =
         with_fresh_cache (fun () ->
             let f = T.eq (T.var "u" (T.Bv 8)) (T.var "x" (T.Bv 8)) in
             let k_ef = Vc_cache.canon ~exists:[ ("u", T.Bv 8) ] f in
-            ignore (Vc_cache.store k_ef `Valid);
+            store k_ef `Valid;
             let k_all = Vc_cache.canon ~exists:[] f in
             check_bool "pure-forall query does not hit the EF entry" true
-              (Vc_cache.find k_all = None)));
+              (find k_all = None)));
     Alcotest.test_case "FIFO eviction at capacity" `Quick (fun () ->
         with_fresh_cache (fun () ->
             Fun.protect
@@ -496,14 +499,44 @@ let vc_cache_tests =
                   Vc_cache.canon ~exists:[]
                     (T.eq (T.var "x" (T.Bv 8)) (cv 8 i))
                 in
-                Alcotest.(check int) "no eviction" 0 (Vc_cache.store (key 1) `Valid);
-                Alcotest.(check int) "no eviction" 0 (Vc_cache.store (key 2) `Valid);
-                Alcotest.(check int) "oldest evicted" 1
-                  (Vc_cache.store (key 3) `Valid);
-                check_bool "first entry gone" true (Vc_cache.find (key 1) = None);
+                let evicted = tl.cache_evictions in
+                store (key 1) `Valid;
+                store (key 2) `Valid;
+                Alcotest.(check int) "no eviction" evicted tl.cache_evictions;
+                store (key 3) `Valid;
+                Alcotest.(check int) "oldest evicted" (evicted + 1)
+                  tl.cache_evictions;
+                check_bool "first entry gone" true (find (key 1) = None);
                 check_bool "newest entries live" true
-                  (Vc_cache.find (key 2) = Some (`Valid, Vc_cache.Memory)
-                  && Vc_cache.find (key 3) = Some (`Valid, Vc_cache.Memory)))));
+                  (find (key 2) = Some (`Valid, Vc_cache.Memory)
+                  && find (key 3) = Some (`Valid, Vc_cache.Memory)))));
+    Alcotest.test_case "adopting a store hit counts its eviction" `Quick
+      (fun () ->
+        with_fresh_cache (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                Vc_cache.set_capacity 8192;
+                Vc_cache.set_backing None)
+              (fun () ->
+                Vc_cache.set_capacity 1;
+                let key i =
+                  Vc_cache.canon ~exists:[]
+                    (T.eq (T.var "x" (T.Bv 8)) (cv 8 i))
+                in
+                let t = Solve.telemetry () in
+                Vc_cache.store ~telemetry:t (key 1) `Valid;
+                Vc_cache.set_backing
+                  (Some
+                     {
+                       Vc_cache.lookup = (fun _ -> Some `Valid);
+                       publish = (fun _ ~cost:_ _ -> ());
+                     });
+                check_bool "store hit" true
+                  (Vc_cache.find ~telemetry:t (key 2)
+                  = Some (`Valid, Vc_cache.Backing));
+                Alcotest.(check int) "store hit counted" 1 t.store_hits;
+                Alcotest.(check int) "adoption evicted the oldest entry" 1
+                  t.cache_evictions)));
   ]
 
 let suite =

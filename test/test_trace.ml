@@ -387,26 +387,50 @@ let json_tests =
 
 (* --- Ledger --- *)
 
-let sample_record ?(wall = 7.0) ?(conflicts = 1000) ?(label = "test") () =
-  Ledger.make ~label ~jobs:2 ~tasks:218 ~budget_timeout_s:5.0
-    ~budget_conflicts:200000 ~wall_s:wall ~sat_s:4.0 ~queries:4861 ~conflicts
-    ~cegar_iterations:3
-    ~verdicts:[ ("invalid", 8); ("valid", 210) ]
-    ~phases:[ { Ledger.phase = "sat_solve"; count = 4861; total_s = 4.0 } ]
+let sample_record ?(wall = 7.0) ?(conflicts = 1000) ?(label = "test")
+    ?(counters = []) () =
+  {
+    Ledger.schema = Ledger.schema_version;
+    timestamp = "2026-01-01T00:00:00Z";
+    git_rev = "abc";
+    label;
+    jobs = 2;
+    tasks = 218;
+    budget = { timeout_s = 5.0; conflict_limit = 200000 };
+    wall_s = wall;
+    counters =
+      List.sort compare
+        (counters
+        @ List.filter
+            (fun (k, _) -> not (List.mem_assoc k counters))
+            [
+              ("solve.conflicts", float_of_int conflicts);
+              ("refine.queries", 4861.0);
+            ]);
+    verdicts = [ ("invalid", 8); ("valid", 210) ];
+    phases = [ { Ledger.phase = "sat_solve"; count = 4861; total_s = 4.0 } ];
+  }
+
+let opt_record ~match_per_s ~firings_per_s =
+  sample_record ~label:"optimize" ~wall:1.0 ~conflicts:0
+    ~counters:
+      [
+        ("opt_match_per_s", match_per_s);
+        ("opt_firings_per_s", firings_per_s);
+        ("opt_match_linear_per_s", 10_000.0);
+      ]
     ()
+
+let regressed (d : Ledger.diff) =
+  List.map (fun (dl : Ledger.delta) -> dl.metric) d.regressions
 
 let ledger_tests =
   [
     Alcotest.test_case "record JSON round-trips" `Quick (fun () ->
-        let r = sample_record () in
+        let r = sample_record ~counters:[ ("solve.sat_s", 1.48909) ] () in
         match Ledger.of_json (parse_ok (Json.to_string (Ledger.to_json r))) with
         | Error e -> Alcotest.fail e
-        | Ok r' ->
-            check_string "label" r.label r'.label;
-            check_int "tasks" r.tasks r'.tasks;
-            check_bool "wall" true (Float.abs (r.wall_s -. r'.wall_s) < 1e-9);
-            check_bool "verdicts" true (r.verdicts = r'.verdicts);
-            check_bool "phases" true (r.phases = r'.phases));
+        | Ok r' -> check_bool "identical" true (r = r'));
     Alcotest.test_case "append/load keeps order" `Quick (fun () ->
         let path = Filename.temp_file "ledger" ".jsonl" in
         Fun.protect
@@ -423,58 +447,170 @@ let ledger_tests =
                 check_string "newest last" "second" (List.nth rs 1).label));
     Alcotest.test_case "diff flags only >threshold gating growth" `Quick
       (fun () ->
-        let base = sample_record ~wall:1.0 ~conflicts:1000 () in
-        let fine = sample_record ~wall:1.1 ~conflicts:1100 () in
-        let bad = sample_record ~wall:1.2 ~conflicts:1000 () in
-        let d_fine = Ledger.diff ~baseline:base ~latest:fine () in
-        check_int "10% growth passes at 15%" 0 (List.length d_fine.regressions);
-        let d_bad = Ledger.diff ~baseline:base ~latest:bad () in
-        check_int "20% wall growth regresses" 1 (List.length d_bad.regressions);
-        check_string "the wall metric" "wall_s"
-          (List.hd d_bad.regressions).metric;
-        let d_strict = Ledger.diff ~threshold_pct:5.0 ~baseline:base ~latest:fine () in
-        check_int "10% growth fails at 5%" 2 (List.length d_strict.regressions);
-        let d_conf =
-          Ledger.diff ~baseline:base
-            ~latest:(sample_record ~wall:1.0 ~conflicts:2000 ())
+        (* Each of the four gates fires in its own direction past the
+           threshold, and not below it; no other counter gates. *)
+        let base =
+          sample_record ~wall:2.0 ~conflicts:1000
+            ~counters:
+              [ ("opt_match_per_s", 100_000.0); ("opt_firings_per_s", 15_000.0) ]
             ()
         in
-        check_string "conflicts gate too" "conflicts"
-          (List.hd d_conf.regressions).metric;
-        (* Shrinking is never a regression. *)
-        let d_down =
-          Ledger.diff ~baseline:bad ~latest:base ()
+        let scaled metric pct =
+          let k = 1.0 +. (pct /. 100.0) in
+          if metric = "wall_s" then { base with wall_s = base.wall_s *. k }
+          else
+            {
+              base with
+              counters =
+                List.map
+                  (fun (m, v) -> if m = metric then (m, v *. k) else (m, v))
+                  base.counters;
+            }
         in
-        check_int "improvement passes" 0 (List.length d_down.regressions));
-    Alcotest.test_case "optimizer throughput gates on drops (schema 8)" `Quick
+        List.iter
+          (fun (metric, sign) ->
+            List.iter
+              (fun threshold_pct ->
+                let fires pct =
+                  regressed
+                    (Ledger.diff ~threshold_pct ~baseline:base
+                       ~latest:(scaled metric pct) ())
+                  = [ metric ]
+                in
+                let name what =
+                  Printf.sprintf "%s %s at %.0f%%" metric what threshold_pct
+                in
+                check_bool (name "past the threshold") true
+                  (fires (sign *. (threshold_pct +. 1.0)));
+                check_bool (name "below the threshold") false
+                  (fires (sign *. (threshold_pct -. 1.0)));
+                check_bool (name "the other way") false (fires (-.sign *. 50.0)))
+              [ 5.0; 15.0; 60.0; 75.0 ])
+          [
+            ("wall_s", 1.0);
+            ("solve.conflicts", 1.0);
+            ("opt_match_per_s", -1.0);
+            ("opt_firings_per_s", -1.0);
+          ];
+        List.iter
+          (fun pct ->
+            check_int "refine.queries never gates" 0
+              (List.length
+                 (Ledger.diff ~baseline:base
+                    ~latest:(scaled "refine.queries" pct) ())
+                   .regressions))
+          [ 500.0; -90.0 ]);
+    Alcotest.test_case "optimizer throughput gates on drops" `Quick
       (fun () ->
-        let opt_record ~match_per_s ~firings_per_s =
-          Ledger.make ~label:"optimize" ~jobs:1 ~tasks:100 ~wall_s:1.0
-            ~sat_s:0.0 ~queries:0 ~conflicts:0 ~cegar_iterations:0
-            ~opt_firings:1000 ~opt_firings_per_s:firings_per_s
-            ~opt_match_per_s:match_per_s ~opt_match_linear_per_s:10_000.0
-            ~opt_top10_share:0.7 ~verdicts:[] ~phases:[] ()
-        in
         let base = opt_record ~match_per_s:100_000.0 ~firings_per_s:15_000.0 in
         let dropped = opt_record ~match_per_s:30_000.0 ~firings_per_s:15_000.0 in
-        let d = Ledger.diff ~baseline:base ~latest:dropped () in
         check_bool "70% match-rate drop regresses" true
-          (List.exists
-             (fun (dl : Ledger.delta) -> dl.metric = "opt_match_per_s")
-             d.regressions);
+          (regressed (Ledger.diff ~baseline:base ~latest:dropped ())
+          = [ "opt_match_per_s" ]);
         (* Growth is the good direction for a throughput metric. *)
         let faster = opt_record ~match_per_s:250_000.0 ~firings_per_s:40_000.0 in
-        let d_up = Ledger.diff ~baseline:base ~latest:faster () in
-        check_int "throughput growth passes" 0 (List.length d_up.regressions);
-        (* A zero baseline (record from a run without the optimizer leg)
-           never gates. *)
-        let zero = opt_record ~match_per_s:0.0 ~firings_per_s:0.0 in
-        let d_zero = Ledger.diff ~baseline:zero ~latest:dropped () in
-        check_int "zero baseline never gates" 0 (List.length d_zero.regressions))
+        check_int "throughput growth passes" 0
+          (List.length
+             (Ledger.diff ~baseline:base ~latest:faster ()).regressions));
+    Alcotest.test_case "a run's counters are the registry's change" `Quick
+      (fun () ->
+        let snap counters seconds peaks =
+          let obj f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+          Metrics.snapshot_of_json
+            (Json.Obj
+               [
+                 ("counters", obj (fun v -> Json.Int v) counters);
+                 ("seconds", obj (fun v -> Json.Float v) seconds);
+                 ("peaks", obj (fun v -> Json.Int v) peaks);
+               ])
+        in
+        let change before after = Ledger.counters_since before after in
+        check_bool "totals and seconds by difference; a new counter whole"
+          true
+          (change
+             (snap [ ("a", 5) ] [ ("s", 1.5) ] [])
+             (snap [ ("a", 12); ("b", 3) ] [ ("s", 2.0) ] [])
+          = [ ("a", 7.0); ("b", 3.0); ("s", 0.5) ]);
+        check_bool "a peak the run raised, or that started at zero" true
+          (change
+             (snap [] [] [ ("p", 10); ("q", 0) ])
+             (snap [] [] [ ("p", 12); ("q", 4) ])
+          = [ ("p", 12.0); ("q", 4.0) ]);
+        check_bool "a peak the run did not raise is left out" true
+          (change (snap [] [] [ ("p", 10) ]) (snap [] [] [ ("p", 10) ]) = []));
+    Alcotest.test_case "a counter one record lacks is listed, never gates"
+      `Quick (fun () ->
+        let base = sample_record ~counters:[ ("store.only_before", 5.0) ] () in
+        let latest = sample_record ~counters:[ ("log.lines", 1e9) ] () in
+        let latest =
+          {
+            latest with
+            counters = List.remove_assoc "solve.conflicts" latest.counters;
+          }
+        in
+        let d = Ledger.diff ~baseline:base ~latest () in
+        let find m =
+          List.find (fun (dl : Ledger.delta) -> dl.metric = m) d.deltas
+        in
+        check_bool "only in latest" true ((find "log.lines").base = None);
+        check_bool "only in baseline" true
+          ((find "store.only_before").now = None);
+        check_bool "a gated figure one record lacks" true
+          ((find "solve.conflicts").now = None);
+        check_int "nothing gates" 0 (List.length d.regressions));
+    Alcotest.test_case "converted baselines keep their values" `Quick
+      (fun () ->
+        (* [dune runtest] runs in the build's test directory, [dune exec]
+           in the project root. *)
+        let load file =
+          let path =
+            List.find_opt Sys.file_exists
+              [ Filename.concat "../bench" file; Filename.concat "bench" file ]
+          in
+          match Ledger.load ~path:(Option.value ~default:file path) with
+          | Ok rs -> rs
+          | Error e -> Alcotest.fail e
+        in
+        let counter (r : Ledger.record) m = List.assoc_opt m r.counters in
+        (* wall, conflicts, queries and static-proved of every record, as
+           the pre-conversion files had them; static_proved is absent from
+           the two schema-4 records, which predate it. *)
+        let golden =
+          [
+            ("ledger.jsonl", 5.33305, 376586, 4861, None);
+            ("ledger.jsonl", 4.33392, 376586, 4861, None);
+            ("ledger.jsonl", 4.26186, 186823, 4861, Some 3719);
+            ("ledger.jsonl", 14.7452, 495311, 18055, Some 14273);
+            ("ledger.jsonl", 1.93318, 65277, 4933, Some 3825);
+            ("ledger_wide.jsonl", 4.1122, 94671, 1606, Some 1184);
+            ("ledger_opt.jsonl", 64.9244, 0, 0, Some 0);
+          ]
+        in
+        let records =
+          List.concat_map load
+            [ "ledger.jsonl"; "ledger_wide.jsonl"; "ledger_opt.jsonl" ]
+        in
+        check_int "seven records" (List.length golden) (List.length records);
+        List.iter2
+          (fun (file, wall, conflicts, queries, static) (r : Ledger.record) ->
+            let what = Printf.sprintf "%s %s" file r.timestamp in
+            check_bool (what ^ " wall") true (r.wall_s = wall);
+            check_bool (what ^ " conflicts") true
+              (counter r "solve.conflicts" = Some (float_of_int conflicts));
+            check_bool (what ^ " queries") true
+              (counter r "refine.queries" = Some (float_of_int queries));
+            check_bool (what ^ " static-proved") true
+              (counter r "refine.static_proved"
+              = Option.map float_of_int static))
+          golden records;
+        let opt = List.nth records 6 in
+        check_bool "optimizer rates kept" true
+          (counter opt "opt_match_per_s" = Some 314377.0
+          && counter opt "opt_firings_per_s" = Some 14704.7
+          && counter opt "opt_firings" = Some 954694.0));
   ]
 
-(* --- Live-service telemetry: context capture, Prometheus, logs,
-   cross-schema ledger diffs --- *)
+(* --- Live-service telemetry: context capture, Prometheus, logs --- *)
 
 module Log = Alive_trace.Log
 
@@ -640,73 +776,6 @@ let telemetry_tests =
         let l2 = parse_ok (List.nth lines 1) in
         check_bool "rid from bound context" true
           (Option.bind (Json.member "rid" l2) Json.to_str = Some "r-ctx"));
-    Alcotest.test_case "cross-schema ledger diff warns and compares prefix"
-      `Quick (fun () ->
-        let latest =
-          Ledger.make ~label:"svc" ~jobs:2 ~tasks:10 ~wall_s:1.0 ~sat_s:0.5
-            ~queries:100 ~conflicts:1000 ~cegar_iterations:2 ~log_lines:42
-            ~slow_queries:1
-            ~ops:
-              [
-                { Ledger.op = "verify"; op_count = 9; op_total_s = 0.9;
-                  op_p99_s = 0.3 };
-              ]
-            ~cubes:4 ~cubes_pruned:1 ~aig_nodes_in:500 ~aig_nodes_out:200
-            ~verdicts:[ ("valid", 10) ] ()
-        in
-        (* A baseline written by the previous schema: strip the new fields
-           and decrement the version, as an old ledger line would read. *)
-        let old_json =
-          match Ledger.to_json latest with
-          | Json.Obj fields ->
-              Json.Obj
-                (List.filter_map
-                   (fun (k, v) ->
-                     match k with
-                     | "schema" -> Some (k, Json.Int (Ledger.schema_version - 1))
-                     | "opt" -> None
-                     | _ -> Some (k, v))
-                   fields)
-          | _ -> Alcotest.fail "record JSON shape"
-        in
-        let baseline = Result.get_ok (Ledger.of_json old_json) in
-        check_bool "mismatch detected" true
-          (Ledger.schema_mismatch ~baseline ~latest <> None);
-        let d = Ledger.diff ~baseline ~latest () in
-        check_bool "no schema-8 rows against a schema-7 baseline" true
-          (not
-             (List.exists
-                (fun (dl : Ledger.delta) ->
-                  dl.metric = "opt_firings" || dl.metric = "opt_firings_per_s"
-                  || dl.metric = "opt_match_per_s"
-                  || dl.metric = "opt_match_linear_per_s"
-                  || dl.metric = "opt_top10_share")
-                d.deltas));
-        check_bool "gating metrics still diffed" true
-          (List.exists (fun (dl : Ledger.delta) -> dl.metric = "wall_s")
-             d.deltas);
-        check_int "equal records: no regressions" 0
-          (List.length d.regressions);
-        (* Same-schema pairs do carry the new rows. *)
-        let d8 = Ledger.diff ~baseline:latest ~latest () in
-        check_bool "same-schema pair has op rows" true
-          (List.exists
-             (fun (dl : Ledger.delta) -> dl.metric = "op:verify")
-             d8.deltas);
-        check_bool "same-schema pair has log_lines" true
-          (List.exists
-             (fun (dl : Ledger.delta) -> dl.metric = "log_lines")
-             d8.deltas);
-        check_bool "same-schema pair has cube and AIG rows" true
-          (List.exists (fun (dl : Ledger.delta) -> dl.metric = "cubes")
-             d8.deltas
-          && List.exists
-               (fun (dl : Ledger.delta) -> dl.metric = "aig_nodes_out")
-               d8.deltas);
-        check_bool "same-schema pair has optimizer rows" true
-          (List.exists
-             (fun (dl : Ledger.delta) -> dl.metric = "opt_firings")
-             d8.deltas))
   ]
 
 (* --- Whole-pipeline smoke: instrumented corpus slice --- *)
