@@ -656,7 +656,7 @@ let concat dhi dlo =
 
 (* ---- Overflow reasoning on ranges (the WillNotOverflow family) ---- *)
 
-let tri_will_not_overflow op ~signed a b =
+let range_will_not_overflow op ~signed a b =
   let w = a.width in
   if signed then begin
     if (match op with `Mul -> w > 32 | _ -> w > 63) then Unknown
@@ -694,6 +694,13 @@ let tri_will_not_overflow op ~signed a b =
         if not (Bitvec.mul_overflows_unsigned a.umax b.umax) then True
         else if Bitvec.mul_overflows_unsigned a.umin b.umin then False
         else Unknown
+
+(* Exact on two singletons at every width, where the Int64 corner
+   arithmetic above gives up: the Bitvec checks are exact up to 64 bits. *)
+let tri_will_not_overflow op ~signed a b =
+  match (is_singleton a, is_singleton b) with
+  | Some x, Some y -> tri_of_bool (not (Bitvec.overflows op ~signed x y))
+  | _ -> range_will_not_overflow op ~signed a b
 
 (* ---- Derived predicates shared by lint / opt / infer ---- *)
 

@@ -84,5 +84,7 @@ val concat : t -> t -> t
 
 val tri_will_not_overflow :
   [ `Add | `Sub | `Mul ] -> signed:bool -> t -> t -> tribool
+(** Exact on two singletons at every width; otherwise decided from the
+    signed or unsigned ranges. *)
 
 val tri_is_power_of_two : ?or_zero:bool -> t -> tribool

@@ -1,9 +1,8 @@
 (* The concrete-IR facade over the reduced product: one forward pass
-   assigns every value of a straight-line function a [Domain.t], and the
-   predicate helpers answer the questions the optimizer's precondition
-   evaluator ([Opt.Concrete]) and the linter ask — strictly at least as
-   precisely as the known-bits-only [Ir.Analysis], since known bits are
-   one component of the product. *)
+   assigns every value of a straight-line function a [Domain.t] — strictly
+   at least as precise as the known-bits-only [Ir.Analysis], since known
+   bits are one component of the product. The optimizer's precondition
+   evaluator ([Opt.Concrete]) reads instruction operands through it. *)
 
 type env = { func : Ir.func; vals : (string, Domain.t) Hashtbl.t }
 
@@ -64,24 +63,3 @@ let value_domain (env : env) (v : Ir.value) : Domain.t =
       match Hashtbl.find_opt env.vals n with
       | Some d -> d
       | None -> Domain.top (Ir.value_width env.func v))
-
-(* ---- Predicates (tribool versions for the linter, bool for Opt) ---- *)
-
-let masked_value_is_zero env v mask =
-  let d = value_domain env v in
-  Bitvec.is_zero
-    (Bitvec.logand mask (Bitvec.lognot d.Domain.kb.Analysis.zeros))
-
-let is_known_power_of_two env v =
-  Domain.tri_is_power_of_two (value_domain env v) = Domain.True
-
-let is_known_non_negative env v =
-  let d = value_domain env v in
-  Bitvec.sle (Bitvec.zero d.Domain.width) d.Domain.smin
-
-let will_not_overflow env op ~signed a b =
-  Domain.tri_will_not_overflow op ~signed (value_domain env a)
-    (value_domain env b)
-  = Domain.True
-
-let tri_icmp env c a b = tri_cond c (value_domain env a) (value_domain env b)

@@ -1,19 +1,13 @@
 (** The concrete-IR facade over the reduced product: one forward pass per
-    function, then predicate queries — strictly at least as precise as
-    the known-bits-only [Ir.Analysis], since known bits are one component
-    of the product. Consumed by [Opt.Concrete] (conditionally-valid
-    rewrites, ROADMAP item 4) and the linter. *)
+    function assigns every value a {!Domain.t} — strictly at least as
+    precise as the known-bits-only [Ir.Analysis], since known bits are one
+    component of the product. [Opt.Concrete] reads the operands of
+    conditionally-valid rewrites through it. *)
 
 type env
 
 val analyze : Ir.func -> env
 val value_domain : env -> Ir.value -> Domain.t
+
 val tri_cond : Ir.cond -> Domain.t -> Domain.t -> Domain.tribool
-val tri_icmp : env -> Ir.cond -> Ir.value -> Ir.value -> Domain.tribool
-
-val masked_value_is_zero : env -> Ir.value -> Bitvec.t -> bool
-val is_known_power_of_two : env -> Ir.value -> bool
-val is_known_non_negative : env -> Ir.value -> bool
-
-val will_not_overflow :
-  env -> [ `Add | `Sub | `Mul ] -> signed:bool -> Ir.value -> Ir.value -> bool
+(** An [icmp] condition over two abstract operands. *)

@@ -233,6 +233,15 @@ let mul_overflows_signed a b =
     (equal b (all_ones a.width) && equal a (min_signed a.width))
     || not (equal (sdiv p b) a)
 
+let overflows op ~signed =
+  match (op, signed) with
+  | `Add, true -> add_overflows_signed
+  | `Add, false -> add_overflows_unsigned
+  | `Sub, true -> sub_overflows_signed
+  | `Sub, false -> sub_overflows_unsigned
+  | `Mul, true -> mul_overflows_signed
+  | `Mul, false -> mul_overflows_unsigned
+
 let to_string_hex x = Printf.sprintf "0x%LX" x.bits
 let to_string_unsigned x = Printf.sprintf "%Lu" x.bits
 let to_string_signed x = Int64.to_string (to_signed_int64 x)

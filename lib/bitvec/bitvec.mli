@@ -150,6 +150,9 @@ val sub_overflows_unsigned : t -> t -> bool
 val mul_overflows_signed : t -> t -> bool
 val mul_overflows_unsigned : t -> t -> bool
 
+val overflows : [ `Add | `Sub | `Mul ] -> signed:bool -> t -> t -> bool
+(** The check above for one operation and signedness. *)
+
 (** {1 Printing} *)
 
 val to_string_hex : t -> string

@@ -1,7 +1,7 @@
 open Ast
 module T = Alive_smt.Term
 
-exception Unsupported of string
+exception Unsupported = Constlang.Unsupported
 
 type ival = { value : T.t; defined : T.t; poison_free : T.t }
 
@@ -31,95 +31,18 @@ type vc = {
 
 let input_var name width = T.var name (T.Bv width)
 
-(* --- Constant expressions --- *)
+(* --- Constant expressions and preconditions (Constlang over terms) --- *)
 
-let log2_term x =
-  (* Position of the highest set bit; scans upward so later bits win. *)
-  let w = T.width x in
-  let rec go i acc =
-    if i = w then acc
-    else
-      go (i + 1)
-        (T.ite
-           (T.eq (T.extract ~hi:i ~lo:i x) (T.one 1))
-           (T.const_int ~width:w i) acc)
-  in
-  go 0 (T.zero w)
-
-let abs_term x =
-  let w = T.width x in
-  T.ite (T.slt x (T.zero w)) (T.bneg x) x
-
-let rec cexpr_term env ~lookup ~width e =
-  let recur = cexpr_term env ~lookup ~width in
-  match e with
-  | Cint n -> T.const (Bitvec.make ~width n)
-  | Cbool b -> T.const_int ~width (if b then 1 else 0)
-  | Cabs name -> input_var name (Typing.width_of_const env name)
-  | Cval name -> lookup name
-  | Cun (Cneg, e) -> T.bneg (recur e)
-  | Cun (Cnot, e) -> T.bnot (recur e)
-  | Cbin (op, a, b) ->
-      let a = recur a and b = recur b in
-      let f =
-        match op with
-        | Cadd -> T.add
-        | Csub -> T.sub
-        | Cmul -> T.mul
-        | Csdiv -> T.sdiv
-        | Cudiv -> T.udiv
-        | Csrem -> T.srem
-        | Curem -> T.urem
-        | Cshl -> T.shl
-        | Clshr -> T.lshr
-        | Cashr -> T.ashr
-        | Cand -> T.band
-        | Cor -> T.bor
-        | Cxor -> T.bxor
-      in
-      f a b
-  | Cfun ("abs", [ a ]) -> abs_term (recur a)
-  | Cfun ("log2", [ a ]) -> log2_term (recur a)
-  | Cfun ("umax", [ a; b ]) ->
-      let a = recur a and b = recur b in
-      T.ite (T.ult a b) b a
-  | Cfun ("umin", [ a; b ]) ->
-      let a = recur a and b = recur b in
-      T.ite (T.ult a b) a b
-  | Cfun ("smax", [ a; b ]) ->
-      let a = recur a and b = recur b in
-      T.ite (T.slt a b) b a
-  | Cfun ("smin", [ a; b ]) ->
-      let a = recur a and b = recur b in
-      T.ite (T.slt a b) a b
-  | Cfun ("width", [ a ]) ->
-      (* The bitwidth of the argument, as a constant at the context width. *)
-      let arg_width = cexpr_width env a in
-      T.const_int ~width arg_width
-  | Cfun (f, args) ->
-      raise
-        (Unsupported
-           (Printf.sprintf "constant function %s/%d" f (List.length args)))
-
-(* Width of a constant expression, resolved through its named leaves. *)
-and cexpr_width env e =
-  let rec leaves = function
-    | Cint _ | Cbool _ -> []
-    | Cabs n | Cval n -> [ n ]
-    | Cun (_, e) -> leaves e
-    | Cbin (_, a, b) -> leaves a @ leaves b
-    | Cfun ("width", _) -> []
-    | Cfun (_, args) -> List.concat_map leaves args
-  in
-  match leaves e with
-  | n :: _ -> Typing.width_of_value env n
-  | [] ->
-      raise
-        (Unsupported
-           "cannot determine the width of a fully literal expression in this \
-            context")
-
-(* --- Preconditions --- *)
+let leaves env ~lookup : (T.t, T.t) Constlang.leaves =
+  {
+    constant = (fun name ~width:_ -> input_var name (Typing.width_of_const env name));
+    value = (fun name ~width:_ -> lookup name);
+    width_of = (fun name -> Some (Typing.width_of_value env name));
+    default_width = None;
+    bitwidth = None;
+    (* A profitability hint, not a correctness fact (§2.3). *)
+    one_use = (fun _ -> T.tru);
+  }
 
 (* Is every leaf of the expression a compile-time constant? Such predicate
    applications are encoded precisely (§3.1.1). *)
@@ -143,114 +66,24 @@ let fresh_analysis_var st name =
   st.analysis_vars <- (v, T.Bool) :: st.analysis_vars;
   T.var v T.Bool
 
-(* The precise fact underlying each built-in predicate. *)
-let predicate_fact env ~lookup name (args : cexpr list) =
-  let term ?w e =
-    let width = match w with Some w -> w | None -> cexpr_width env e in
-    cexpr_term env ~lookup ~width e
-  in
-  match (name, args) with
-  | "isPowerOf2", [ a ] -> T.is_power_of_two (term a)
-  | "isPowerOf2OrZero", [ a ] ->
-      let x = term a in
-      let w = T.width x in
-      T.is_zero (T.band x (T.sub x (T.one w)))
-  | "isSignBit", [ a ] ->
-      let x = term a in
-      T.eq x (T.const (Bitvec.min_signed (T.width x)))
-  | "isShiftedMask", [ a ] ->
-      (* A non-empty run of contiguous ones: x ≠ 0 and (x | (x-1)) + 1 has at
-         most one bit set. *)
-      let x = term a in
-      let w = T.width x in
-      let filled = T.bor x (T.sub x (T.one w)) in
-      let succ = T.add filled (T.one w) in
-      T.and_
-        [ T.not_ (T.is_zero x); T.is_zero (T.band succ (T.sub succ (T.one w))) ]
-  | "MaskedValueIsZero", [ v; mask ] ->
-      let mv = term v in
-      let mm = cexpr_term env ~lookup ~width:(T.width mv) mask in
-      T.is_zero (T.band mv mm)
-  | "WillNotOverflowSignedAdd", [ a; b ] ->
-      T.not_ (T.add_overflows_signed (term a) (term b))
-  | "WillNotOverflowUnsignedAdd", [ a; b ] ->
-      T.not_ (T.add_overflows_unsigned (term a) (term b))
-  | "WillNotOverflowSignedSub", [ a; b ] ->
-      T.not_ (T.sub_overflows_signed (term a) (term b))
-  | "WillNotOverflowUnsignedSub", [ a; b ] ->
-      T.not_ (T.sub_overflows_unsigned (term a) (term b))
-  | "WillNotOverflowSignedMul", [ a; b ] ->
-      T.not_ (T.mul_overflows_signed (term a) (term b))
-  | "WillNotOverflowUnsignedMul", [ a; b ] ->
-      T.not_ (T.mul_overflows_unsigned (term a) (term b))
-  | ("hasOneUse" | "OneUse"), [ _ ] ->
-      (* A profitability hint, not a correctness fact (§2.3). *)
-      T.tru
-  | _ ->
-      raise
-        (Unsupported
-           (Printf.sprintf "predicate %s/%d" name (List.length args)))
-
 (* Predicates encoded with a fresh variable even on constant inputs would be
    vacuously unverifiable; the paper encodes constant applications precisely
    and must-analyses as [p ⇒ fact]. [hasOneUse] is always [true]. *)
-let rec pred_term env ~lookup st p =
-  match p with
-  | Ptrue -> T.tru
-  | Pcmp (op, a, b) ->
-      let width =
-        try cexpr_width env a with Unsupported _ -> cexpr_width env b
-      in
-      let ta = cexpr_term env ~lookup ~width a
-      and tb = cexpr_term env ~lookup ~width b in
-      let f =
-        match op with
-        | Peq -> T.eq
-        | Pne -> T.distinct
-        | Pslt -> T.slt
-        | Psle -> T.sle
-        | Psgt -> T.sgt
-        | Psge -> T.sge
-        | Pult -> T.ult
-        | Pule -> T.ule
-        | Pugt -> T.ugt
-        | Puge -> T.uge
-      in
-      f ta tb
-  | Pcall (name, args) ->
-      let fact = predicate_fact env ~lookup name args in
-      if
-        List.for_all all_constant args
-        || name = "hasOneUse" || name = "OneUse"
-      then fact
-      else begin
-        let p = fresh_analysis_var st name in
-        st.side <- T.implies p fact :: st.side;
-        p
-      end
-  | Pand (a, b) -> T.and_ [ pred_term env ~lookup st a; pred_term env ~lookup st b ]
-  | Por (a, b) -> T.or_ [ pred_term env ~lookup st a; pred_term env ~lookup st b ]
-  | Pnot a -> T.not_ (pred_term env ~lookup st a)
+let one_sided st name args fact =
+  if List.for_all all_constant args || name = "hasOneUse" || name = "OneUse"
+  then fact
+  else begin
+    let p = fresh_analysis_var st name in
+    st.side <- T.implies p fact :: st.side;
+    p
+  end
 
 (* The fully precise reading of a predicate: every [Pcall] becomes its
    underlying fact, with no must-analysis variables. This is the semantics
    inference and precondition comparison need — two predicates are compared
    as facts about the inputs, not as obligations on an abstract analysis. *)
-let rec pred_term_precise env ~lookup p =
-  match p with
-  | Ptrue | Pcmp _ ->
-      let st = { analysis_vars = []; side = []; counter = 0 } in
-      pred_term env ~lookup st p
-  | Pcall (name, args) -> predicate_fact env ~lookup name args
-  | Pand (a, b) ->
-      T.and_
-        [ pred_term_precise env ~lookup a; pred_term_precise env ~lookup b ]
-  | Por (a, b) ->
-      T.or_
-        [ pred_term_precise env ~lookup a; pred_term_precise env ~lookup b ]
-  | Pnot a -> T.not_ (pred_term_precise env ~lookup a)
-
-(* --- Instruction semantics --- *)
+let pred_term_precise env ~lookup p =
+  Constlang.Term.pred (leaves env ~lookup) p
 
 (* --- Memory (§3.3) --- *)
 
@@ -351,7 +184,7 @@ let operand_ival b ~width { op; ty = _ } =
   | ConstOp e ->
       let lookup name = (lookup_value b name).value in
       {
-        value = cexpr_term b.env ~lookup ~width e;
+        value = Constlang.Term.cexpr (leaves b.env ~lookup) ~width e;
         defined = T.tru;
         poison_free = T.tru;
       }
@@ -368,7 +201,10 @@ let operand_width b top ~fallback =
       match top.op with
       | Var name -> value_bits b.env name
       | ConstOp e -> (
-          try cexpr_width b.env e with Unsupported _ -> fallback ())
+          let lookup name = (lookup_value b name).value in
+          match Constlang.width (leaves b.env ~lookup) e with
+          | Some w -> w
+          | None -> fallback ())
       | Undef -> fallback ())
 
 let no_fallback what () =
@@ -703,7 +539,7 @@ let run_untraced ?(share_memory_reads = true) ?(precise_pre = false) env
      evaluation disagree on it. *)
   let precondition =
     if precise_pre then pred_term_precise env ~lookup t.pre
-    else pred_term env ~lookup st t.pre
+    else Constlang.Term.pred ~call:(one_sided st) (leaves env ~lookup) t.pre
   in
   (* The input set I: program inputs and abstract constants. *)
   let info =

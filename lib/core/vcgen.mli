@@ -75,28 +75,14 @@ val run :
     evaluation.
     @raise Unsupported for constructs outside the implemented fragment. *)
 
-val cexpr_term :
-  Typing.env ->
-  lookup:(string -> Alive_smt.Term.t) ->
-  width:int ->
-  Ast.cexpr ->
-  Alive_smt.Term.t
-(** Translate a constant expression at a context width. [lookup] resolves
-    [%value] references (§2.2 constant language + built-in functions).
-    Exposed for the optimizer's concrete precondition evaluation and tests.
-*)
-
-val cexpr_width : Typing.env -> Ast.cexpr -> int
-(** The width of a constant expression, resolved through its first named
-    leaf. @raise Unsupported on fully literal expressions. *)
-
 val pred_term_precise :
   Typing.env ->
   lookup:(string -> Alive_smt.Term.t) ->
   Ast.pred ->
   Alive_smt.Term.t
 (** Translate a precondition with every built-in predicate read as its
-    precise underlying fact — no must-analysis variables, no side
-    constraints. Used by precondition inference to compare two predicates
-    as facts about the inputs ([hasOneUse] still reads as [true]).
-    @raise Unsupported outside the implemented fragment. *)
+    precise underlying fact ({!Constlang} over terms) — no must-analysis
+    variables, no side constraints. Used by precondition inference to
+    compare two predicates as facts about the inputs ([hasOneUse] still
+    reads as [true]). @raise Unsupported outside the implemented
+    fragment. *)

@@ -1,12 +1,14 @@
-(* Concrete semantics for precondition inference: Bitvec evaluation of the
-   constant/predicate language (mirroring Vcgen's precise encoding), plus
-   lowering of both templates to executable IR under one typing and one
-   binding of abstract constants, so Interp can label concrete examples. *)
+(* Concrete semantics for precondition inference: the constant/predicate
+   language read over bit-vectors ([Constlang.Concrete], the same
+   definition the verifier reads over terms), plus lowering of both
+   templates to executable IR under one typing and one binding of abstract
+   constants, so Interp can label concrete examples. *)
 
 open Alive.Ast
 module Typing = Alive.Typing
 module Vcgen = Alive.Vcgen
 module Scoping = Alive.Scoping
+module Constlang = Alive.Constlang
 
 type binds = (string * Bitvec.t) list
 
@@ -14,122 +16,28 @@ exception Eval_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
 
-let lookup binds name =
-  match List.assoc_opt name binds with
-  | Some v -> v
-  | None -> fail "unbound name %s" name
-
-let cexpr_width env e =
-  try Vcgen.cexpr_width env e
-  with Vcgen.Unsupported m -> raise (Eval_error m)
-
-(* The concrete twin of Vcgen.cexpr_term: same operators, same built-in
-   functions, over Bitvec instead of Term. Keep the two in lockstep — the
-   differential test in test_infer.ml checks them against each other. *)
-let rec eval_cexpr env ~binds ~width e =
-  let recur = eval_cexpr env ~binds ~width in
-  match e with
-  | Cint n -> Bitvec.make ~width n
-  | Cbool b -> Bitvec.of_int ~width (if b then 1 else 0)
-  | Cabs name | Cval name -> lookup binds name
-  | Cun (Cneg, e) -> Bitvec.neg (recur e)
-  | Cun (Cnot, e) -> Bitvec.lognot (recur e)
-  | Cbin (op, a, b) ->
-      let a = recur a and b = recur b in
-      let f =
-        match op with
-        | Cadd -> Bitvec.add
-        | Csub -> Bitvec.sub
-        | Cmul -> Bitvec.mul
-        | Csdiv -> Bitvec.sdiv
-        | Cudiv -> Bitvec.udiv
-        | Csrem -> Bitvec.srem
-        | Curem -> Bitvec.urem
-        | Cshl -> Bitvec.shl
-        | Clshr -> Bitvec.lshr
-        | Cashr -> Bitvec.ashr
-        | Cand -> Bitvec.logand
-        | Cor -> Bitvec.logor
-        | Cxor -> Bitvec.logxor
-      in
-      f a b
-  | Cfun ("abs", [ a ]) -> Bitvec.abs (recur a)
-  | Cfun ("log2", [ a ]) -> Bitvec.log2 (recur a)
-  | Cfun ("umax", [ a; b ]) -> Bitvec.umax (recur a) (recur b)
-  | Cfun ("umin", [ a; b ]) -> Bitvec.umin (recur a) (recur b)
-  | Cfun ("smax", [ a; b ]) -> Bitvec.smax (recur a) (recur b)
-  | Cfun ("smin", [ a; b ]) -> Bitvec.smin (recur a) (recur b)
-  | Cfun ("width", [ a ]) -> Bitvec.of_int ~width (cexpr_width env a)
-  | Cfun (f, args) -> fail "constant function %s/%d" f (List.length args)
-
-(* The precise reading of each built-in predicate — the concrete twin of
-   Vcgen.predicate_fact. *)
-let predicate_fact env ~binds name args =
-  let term ?w e =
-    let width = match w with Some w -> w | None -> cexpr_width env e in
-    eval_cexpr env ~binds ~width e
+let leaves env binds : (Bitvec.t, bool) Constlang.leaves =
+  let lookup name ~width:_ =
+    match List.assoc_opt name binds with
+    | Some v -> v
+    | None -> fail "unbound name %s" name
   in
-  let power_of_two_or_zero x =
-    Bitvec.is_zero (Bitvec.logand x (Bitvec.sub x (Bitvec.one (Bitvec.width x))))
-  in
-  match (name, args) with
-  | "isPowerOf2", [ a ] -> Bitvec.is_power_of_two (term a)
-  | "isPowerOf2OrZero", [ a ] -> power_of_two_or_zero (term a)
-  | "isSignBit", [ a ] ->
-      let x = term a in
-      Bitvec.equal x (Bitvec.min_signed (Bitvec.width x))
-  | "isShiftedMask", [ a ] ->
-      let x = term a in
-      let one = Bitvec.one (Bitvec.width x) in
-      let filled = Bitvec.logor x (Bitvec.sub x one) in
-      let succ = Bitvec.add filled one in
-      (not (Bitvec.is_zero x)) && power_of_two_or_zero succ
-  | "MaskedValueIsZero", [ v; mask ] ->
-      let mv = term v in
-      let mm = eval_cexpr env ~binds ~width:(Bitvec.width mv) mask in
-      Bitvec.is_zero (Bitvec.logand mv mm)
-  | "WillNotOverflowSignedAdd", [ a; b ] ->
-      not (Bitvec.add_overflows_signed (term a) (term b))
-  | "WillNotOverflowUnsignedAdd", [ a; b ] ->
-      not (Bitvec.add_overflows_unsigned (term a) (term b))
-  | "WillNotOverflowSignedSub", [ a; b ] ->
-      not (Bitvec.sub_overflows_signed (term a) (term b))
-  | "WillNotOverflowUnsignedSub", [ a; b ] ->
-      not (Bitvec.sub_overflows_unsigned (term a) (term b))
-  | "WillNotOverflowSignedMul", [ a; b ] ->
-      not (Bitvec.mul_overflows_signed (term a) (term b))
-  | "WillNotOverflowUnsignedMul", [ a; b ] ->
-      not (Bitvec.mul_overflows_unsigned (term a) (term b))
-  | ("hasOneUse" | "OneUse"), [ _ ] -> true
-  | _ -> fail "predicate %s/%d" name (List.length args)
+  {
+    constant = lookup;
+    value = lookup;
+    width_of = (fun name -> Some (Typing.width_of_value env name));
+    default_width = None;
+    bitwidth = None;
+    one_use = (fun _ -> true);
+  }
 
-let rec eval_pred env ~binds p =
-  match p with
-  | Ptrue -> true
-  | Pcmp (op, a, b) ->
-      let width =
-        try cexpr_width env a with Eval_error _ -> cexpr_width env b
-      in
-      let ta = eval_cexpr env ~binds ~width a
-      and tb = eval_cexpr env ~binds ~width b in
-      let f =
-        match op with
-        | Peq -> Bitvec.equal
-        | Pne -> fun a b -> not (Bitvec.equal a b)
-        | Pslt -> Bitvec.slt
-        | Psle -> Bitvec.sle
-        | Psgt -> fun a b -> Bitvec.slt b a
-        | Psge -> fun a b -> Bitvec.sle b a
-        | Pult -> Bitvec.ult
-        | Pule -> Bitvec.ule
-        | Pugt -> fun a b -> Bitvec.ult b a
-        | Puge -> fun a b -> Bitvec.ule b a
-      in
-      f ta tb
-  | Pcall (name, args) -> predicate_fact env ~binds name args
-  | Pand (a, b) -> eval_pred env ~binds a && eval_pred env ~binds b
-  | Por (a, b) -> eval_pred env ~binds a || eval_pred env ~binds b
-  | Pnot a -> not (eval_pred env ~binds a)
+let eval_cexpr env ~binds ~width e =
+  try Constlang.Concrete.cexpr (leaves env binds) ~width e
+  with Constlang.Unsupported m -> raise (Eval_error m)
+
+let eval_pred env ~binds p =
+  try Constlang.Concrete.pred (leaves env binds) p
+  with Constlang.Unsupported m -> raise (Eval_error m)
 
 (* --- Template lowering --- *)
 
@@ -190,7 +98,7 @@ let lower env ~binds (info : Scoping.info) (t : transform) =
     let op_width (o : toperand) =
       match o.op with
       | Var n -> Some (value_width env n)
-      | ConstOp e -> ( try Some (cexpr_width env e) with Eval_error _ -> None)
+      | ConstOp e -> Constlang.width (leaves env binds) e
       | Undef -> None
     in
     let either_width a b =

@@ -4,10 +4,10 @@
     one concrete typing and one concrete binding of inputs and abstract
     constants:
 
-    - constant expressions and predicates evaluated over {!Bitvec}
-      (mirroring {!Alive.Vcgen}'s precise SMT encoding bit for bit, so a
-      predicate learned on concrete examples means the same thing to the
-      verifier);
+    - constant expressions and predicates evaluated over {!Bitvec} by
+      {!Alive.Constlang}, the one definition the verifier also reads over
+      SMT terms, so a predicate learned on concrete examples means the same
+      thing to the verifier;
     - both templates lowered to executable {!Ir} functions, with abstract
       constants folded in as literals;
     - an example classifier that runs both sides through {!Interp} and
@@ -20,16 +20,10 @@ type binds = (string * Bitvec.t) list
 exception Eval_error of string
 (** An expression outside the executable fragment, or an unbound name. *)
 
-val eval_cexpr :
-  Alive.Typing.env -> binds:binds -> width:int -> Alive.Ast.cexpr -> Bitvec.t
-(** Evaluate a constant expression at a context width. Mirrors
-    {!Alive.Vcgen.cexpr_term} (same operators, same built-in functions).
-    @raise Eval_error outside the fragment. *)
-
 val eval_pred : Alive.Typing.env -> binds:binds -> Alive.Ast.pred -> bool
 (** Evaluate a precondition under the {e precise} reading of every built-in
-    predicate — the concrete twin of {!Alive.Vcgen.pred_term_precise}
-    ([hasOneUse] is [true]). @raise Eval_error outside the fragment. *)
+    predicate ({!Alive.Constlang.Concrete}; [hasOneUse] is [true]).
+    @raise Eval_error outside the fragment or on an unbound name. *)
 
 val lower :
   Alive.Typing.env ->

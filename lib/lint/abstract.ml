@@ -12,7 +12,9 @@
 
    [~kb_only:true] collapses every computed value to its known-bits
    component, reproducing the pre-range precision; the rules compare the
-   two modes to attribute a finding to the range/congruence domains. *)
+   two modes to attribute a finding to the range/congruence domains.
+   Constant expressions and preconditions are [Constlang]'s, read over the
+   abstract algebra of either mode; this module supplies the leaves. *)
 
 open Alive.Ast
 module Dom = Alive_absint.Domain
@@ -24,97 +26,60 @@ type av = Dom.t
 type tribool = Dom.tribool = True | False | Unknown
 
 let tri_not = Dom.tri_not
-let tri_and = Dom.tri_and
-let tri_or = Dom.tri_or
-let tri_of_bool = Dom.tri_of_bool
-
-(* ---- Helpers ---- *)
 
 let known_value (d : av) = Dom.is_singleton d
-let fully_known (d : av) = known_value d <> None
 
 (* ---- Environment: template value name → abstract value ---- *)
 
 type env = { width : int; kb_only : bool; vals : (string, av) Hashtbl.t }
 
-(* Collapse to the known-bits component in kb-only mode; [Dom.of_kb]
-   re-derives the ranges the old known-bits linter computed on the fly, so
-   the collapsed mode matches its precision exactly. *)
-let clamp env (d : av) = if env.kb_only then Dom.of_kb d.Dom.width d.Dom.kb else d
-
-(* In kb-only mode the transfer must be the raw known-bits one: collapsing
-   the product transfer's result would smuggle range facts back into the
-   known bits through [Dom.of_kb]'s reduction (e.g. urem by 3 bounds the
-   result to [0,2], which reduction turns into known-zero high bits). *)
-let dom_binop env op w (da : av) (db : av) =
-  if env.kb_only then
+(* The known-bits-only transfer. It must be the raw known-bits one:
+   collapsing the product transfer's result would smuggle range facts back
+   into the known bits through [Dom.of_kb]'s reduction (e.g. urem by 3
+   bounds the result to [0,2], which reduction turns into known-zero high
+   bits). [Dom.of_kb] re-derives the ranges the old known-bits linter
+   computed on the fly, so the collapsed mode matches its precision
+   exactly. *)
+module Kb_transfer = struct
+  let binop op w (da : av) (db : av) =
     Dom.of_kb w (Analysis.transfer_binop op w da.Dom.kb db.Dom.kb)
-  else Dom.binop op w da db
+
+  let clamp (d : av) = Dom.of_kb d.Dom.width d.Dom.kb
+end
+
+module Kb = Alive.Constlang.Make (Alive.Constlang.Domain_algebra (Kb_transfer))
+
+let clamp env (d : av) = if env.kb_only then Kb_transfer.clamp d else d
+
+let dom_binop env op w (da : av) (db : av) =
+  if env.kb_only then Kb_transfer.binop op w da db else Dom.binop op w da db
 
 let lookup env ~w name =
   match Hashtbl.find_opt env.vals name with
   | Some d when d.Dom.width = w -> d
   | Some _ | None -> Dom.top w
 
-let cbinop_ir = function
-  | Cadd -> Ir.Add
-  | Csub -> Ir.Sub
-  | Cmul -> Ir.Mul
-  | Csdiv -> Ir.Sdiv
-  | Cudiv -> Ir.Udiv
-  | Csrem -> Ir.Srem
-  | Curem -> Ir.Urem
-  | Cshl -> Ir.Shl
-  | Clshr -> Ir.Lshr
-  | Cashr -> Ir.Ashr
-  | Cand -> Ir.And
-  | Cor -> Ir.Or
-  | Cxor -> Ir.Xor
+(* Abstract constants concretize freely, and [width(...)] is width-
+   polymorphic: never assume the analysis width is the real one. Only
+   template values whose width the source fixes have one; anything else
+   lives at the analysis width. *)
+let leaves env : (av, tribool) Alive.Constlang.leaves =
+  {
+    constant = (fun _ ~width -> Dom.top width);
+    value = (fun name ~width -> lookup env ~w:width name);
+    width_of =
+      (fun name -> Option.map (fun d -> d.Dom.width) (Hashtbl.find_opt env.vals name));
+    default_width = Some env.width;
+    bitwidth = Some (fun _ ~width -> Dom.top width);
+    (* hasOneUse and friends are dynamic facts *)
+    one_use = (fun _ -> Unknown);
+  }
 
-(* ---- Constant expressions ---- *)
-
-let rec eval_cexpr env ~w e : av =
-  match e with
-  | Cint n -> Dom.singleton (Bitvec.make ~width:w n)
-  | Cbool b -> Dom.singleton (Bitvec.of_int ~width:w (if b then 1 else 0))
-  | Cabs _ -> Dom.top w (* abstract constants concretize freely *)
-  | Cval name -> lookup env ~w name
-  | Cun (Cnot, a) -> clamp env (Dom.bnot (eval_cexpr env ~w a))
-  | Cun (Cneg, a) ->
-      dom_binop env Ir.Sub w
-        (Dom.singleton (Bitvec.zero w))
-        (eval_cexpr env ~w a)
-  | Cbin (op, a, b) ->
-      let da = eval_cexpr env ~w a and db = eval_cexpr env ~w b in
-      dom_binop env (cbinop_ir op) w da db
-  | Cfun ("width", _) ->
-      (* width-polymorphic: never assume the analysis width is the real one *)
-      Dom.top w
-  | Cfun (name, args) -> (
-      let ds = List.map (eval_cexpr env ~w) args in
-      match (name, List.map known_value ds) with
-      | "abs", [ Some a ] -> Dom.singleton (Bitvec.abs a)
-      | "log2", [ Some a ] -> Dom.singleton (Bitvec.log2 a)
-      | "umax", [ Some a; Some b ] -> Dom.singleton (Bitvec.umax a b)
-      | "umin", [ Some a; Some b ] -> Dom.singleton (Bitvec.umin a b)
-      | "smax", [ Some a; Some b ] -> Dom.singleton (Bitvec.smax a b)
-      | "smin", [ Some a; Some b ] -> Dom.singleton (Bitvec.smin a b)
-      | _ -> Dom.top w)
-
-(* Width of an expression through its annotated/known leaves; [None] means
-   "no demand", in which case the analysis width applies. *)
-let rec cexpr_width env e =
-  match e with
-  | Cint _ | Cbool _ | Cabs _ -> None
-  | Cval name ->
-      Option.map (fun d -> d.Dom.width) (Hashtbl.find_opt env.vals name)
-  | Cun (_, a) -> cexpr_width env a
-  | Cbin (_, a, b) -> (
-      match cexpr_width env a with
-      | Some w -> Some w
-      | None -> cexpr_width env b)
-  | Cfun ("width", _) -> None
-  | Cfun (_, args) -> List.find_map (cexpr_width env) args
+let eval_cexpr env ~w e =
+  try
+    if env.kb_only then Kb.cexpr (leaves env) ~width:w e
+    else Alive.Constlang.Abstract.cexpr (leaves env) ~width:w e
+  with Alive.Constlang.Unsupported _ -> Dom.top w
 
 (* ---- Source-pattern abstract interpretation ---- *)
 
@@ -150,17 +115,7 @@ let eval_icmp env cond a b =
     | None, None -> env.width
   in
   let da = eval_operand env ~w a and db = eval_operand env ~w b in
-  match cond with
-  | Ceq -> Dom.tri_eq da db
-  | Cne -> tri_not (Dom.tri_eq da db)
-  | Cult -> Dom.tri_ult da db
-  | Cule -> tri_not (Dom.tri_ult db da)
-  | Cugt -> Dom.tri_ult db da
-  | Cuge -> tri_not (Dom.tri_ult da db)
-  | Cslt -> Dom.tri_slt da db
-  | Csle -> tri_not (Dom.tri_slt db da)
-  | Csgt -> Dom.tri_slt db da
-  | Csge -> tri_not (Dom.tri_slt da db)
+  Alive_absint.Query.tri_cond (Alive_opt.Matcher.ir_cond cond) da db
 
 (* The abstract value of one instruction, given an environment holding its
    operands. Shared by the source interpretation below and the
@@ -257,70 +212,8 @@ let target_poison ~width src tgt =
 
 (* ---- Predicates ---- *)
 
-let pcall_width env args =
-  match List.find_map (cexpr_width env) args with
-  | Some w -> w
-  | None -> env.width
-
-let eval_pcall env name args =
-  let w = pcall_width env args in
-  let ds = List.map (eval_cexpr env ~w) args in
-  match (name, ds) with
-  | ("isPowerOf2" | "isPowerOf2OrZero"), [ d ] ->
-      Dom.tri_is_power_of_two ~or_zero:(name = "isPowerOf2OrZero") d
-  | "isSignBit", [ d ] ->
-      Dom.tri_eq d (Dom.singleton (Bitvec.min_signed w))
-  | "isShiftedMask", [ d ] -> (
-      match known_value d with
-      | Some c ->
-          let filled = Bitvec.logor c (Bitvec.sub c (Bitvec.one w)) in
-          let succ = Bitvec.add filled (Bitvec.one w) in
-          tri_of_bool
-            ((not (Bitvec.is_zero c))
-            && Bitvec.is_zero
-                 (Bitvec.logand succ (Bitvec.sub succ (Bitvec.one w))))
-      | None -> Unknown)
-  | "MaskedValueIsZero", [ dv; dm ] ->
-      (* mask ∧ v = 0 for every concretization *)
-      Dom.tri_eq
-        (Dom.binop Ir.And w dv dm)
-        (Dom.singleton (Bitvec.zero w))
-  | "WillNotOverflowSignedAdd", [ a; b ] ->
-      Dom.tri_will_not_overflow `Add ~signed:true a b
-  | "WillNotOverflowUnsignedAdd", [ a; b ] ->
-      Dom.tri_will_not_overflow `Add ~signed:false a b
-  | "WillNotOverflowSignedSub", [ a; b ] ->
-      Dom.tri_will_not_overflow `Sub ~signed:true a b
-  | "WillNotOverflowUnsignedSub", [ a; b ] ->
-      Dom.tri_will_not_overflow `Sub ~signed:false a b
-  | "WillNotOverflowSignedMul", [ a; b ] ->
-      Dom.tri_will_not_overflow `Mul ~signed:true a b
-  | "WillNotOverflowUnsignedMul", [ a; b ] ->
-      Dom.tri_will_not_overflow `Mul ~signed:false a b
-  | _ -> Unknown (* hasOneUse and friends are dynamic facts *)
-
-let rec eval_pred env p =
-  match p with
-  | Ptrue -> True
-  | Pand (a, b) -> tri_and (eval_pred env a) (eval_pred env b)
-  | Por (a, b) -> tri_or (eval_pred env a) (eval_pred env b)
-  | Pnot a -> tri_not (eval_pred env a)
-  | Pcall (name, args) -> eval_pcall env name args
-  | Pcmp (op, a, b) -> (
-      let w =
-        match cexpr_width env a with
-        | Some w -> w
-        | None -> Option.value ~default:env.width (cexpr_width env b)
-      in
-      let da = eval_cexpr env ~w a and db = eval_cexpr env ~w b in
-      match op with
-      | Peq -> Dom.tri_eq da db
-      | Pne -> tri_not (Dom.tri_eq da db)
-      | Pult -> Dom.tri_ult da db
-      | Pule -> tri_not (Dom.tri_ult db da)
-      | Pugt -> Dom.tri_ult db da
-      | Puge -> tri_not (Dom.tri_ult da db)
-      | Pslt -> Dom.tri_slt da db
-      | Psle -> tri_not (Dom.tri_slt db da)
-      | Psgt -> Dom.tri_slt db da
-      | Psge -> tri_not (Dom.tri_slt da db))
+let eval_pred env p =
+  try
+    if env.kb_only then Kb.pred (leaves env) p
+    else Alive.Constlang.Abstract.pred (leaves env) p
+  with Alive.Constlang.Unsupported _ -> Unknown

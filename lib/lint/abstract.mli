@@ -1,22 +1,17 @@
-(** Abstract interpretation over Alive templates (the lint twin of
-    {!Alive_absint.Query}, which works on concrete IR). Inputs and abstract
-    constants are ⊤; evaluation happens at a caller-chosen analysis width
-    over the reduced product of known bits × ranges × congruence
-    ({!Alive_absint.Domain}). The DSL is width-polymorphic, so sound
-    conclusions require agreement across several analysis widths — see
-    {!Rules.analysis_widths}. *)
+(** Abstract interpretation over Alive templates ({!Alive_absint.Query}
+    does the same over concrete IR). Inputs and abstract constants are ⊤;
+    evaluation happens at a caller-chosen analysis width over the reduced
+    product of known bits × ranges × congruence ({!Alive_absint.Domain}).
+    Constant expressions and preconditions are read by
+    {!Alive.Constlang.Abstract} (or its known-bits-only instance), with
+    abstract constants, [width(...)] and [hasOneUse] unknown. The DSL is
+    width-polymorphic, so sound conclusions require agreement across
+    several analysis widths — see {!Rules.analysis_widths}. *)
 
 type av = Alive_absint.Domain.t
 
 (** Kleene three-valued truth (re-exported from the domain). *)
 type tribool = Alive_absint.Domain.tribool = True | False | Unknown
-
-val tri_not : tribool -> tribool
-val tri_and : tribool -> tribool -> tribool
-val tri_or : tribool -> tribool -> tribool
-
-val fully_known : av -> bool
-val known_value : av -> Bitvec.t option
 
 type env
 
@@ -26,8 +21,6 @@ val env_of_source : ?kb_only:bool -> width:int -> Alive.Ast.stmt list -> env
     [~kb_only:true] collapses every value to its known-bits component —
     the precision of the pre-range linter — so a rule can attribute a
     verdict to the range/congruence domains by comparing modes. *)
-
-val eval_cexpr : env -> w:int -> Alive.Ast.cexpr -> av
 
 val eval_inst : env -> w:int -> Alive.Ast.inst -> av
 (** Transfer of one template instruction under [env]'s bindings. *)

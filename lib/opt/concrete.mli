@@ -1,7 +1,8 @@
-(** Concrete evaluation of Alive constant expressions and preconditions
-    against a matched IR context — the runtime counterpart of the C++ the
-    paper generates (§4): constant expressions become [APInt] arithmetic,
-    value predicates become calls into the trusted dataflow analyses. *)
+(** Alive constant expressions and preconditions against a matched IR
+    context — the runtime counterpart of the C++ the paper generates (§4):
+    constant expressions become [APInt] arithmetic, value predicates become
+    calls into the trusted dataflow analyses. Both readings are
+    {!Alive.Constlang}'s; this module supplies only the leaves. *)
 
 type env = {
   func : Ir.func;
@@ -10,25 +11,23 @@ type env = {
 }
 
 val cexpr : env -> width:int -> Alive.Ast.cexpr -> Bitvec.t option
-(** [None] when the expression references an unbound name or an unsupported
-    function. *)
+(** Concrete evaluation ({!Alive.Constlang.Concrete}). [None] when the
+    expression references an unbound name, a value not bound to an IR
+    constant, or an unsupported function. *)
 
 val cexpr_width : env -> Alive.Ast.cexpr -> int option
-(** Width of an expression, resolved through its bound named leaves. *)
-
-val adomain :
-  env -> width:int -> Alive.Ast.cexpr -> Alive_absint.Domain.t option
-(** Abstract evaluation: bound constants are singletons, bound values fall
-    back to the known-bits × range forward analysis of the matched
-    function. [None] when a leaf is unbound or a function is unsupported. *)
+(** Width of an expression by {!Alive.Constlang.width}, resolved through
+    its bound named leaves. *)
 
 val tri_pred : env -> Alive.Ast.pred -> Alive_absint.Domain.tribool
-(** Tri-valued precondition evaluation: [True]/[False] are proofs,
-    undecidable facts are [Unknown] (so negation stays sound). Comparisons
-    evaluate concretely when both sides reduce to constants and through
-    {!adomain} otherwise, which is what lets conditionally-valid rules
-    fire on symbolic operands whose analysis facts discharge the
-    precondition. *)
+(** Abstract precondition evaluation ({!Alive.Constlang.Abstract}):
+    [True]/[False] are proofs, undecidable facts are [Unknown] (so negation
+    stays sound). Bound constants are singletons; a value bound to an
+    instruction reads as its domain in the function's memoized
+    known-bits × range forward analysis, computed only when evaluation
+    reaches it; [hasOneUse] is the use count. This is what lets
+    conditionally-valid rules fire on symbolic operands whose analysis
+    facts discharge the precondition. *)
 
 val pred : env -> Alive.Ast.pred -> bool
 (** [tri_pred env p = True]: the rewrite fires only on a proof, mirroring

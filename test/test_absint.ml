@@ -444,6 +444,46 @@ let test_will_not_overflow_exhaustive () =
     done
   done
 
+(* Two singletons are answered exactly at every width, where the range
+   corner arithmetic gives up (signed add/sub above w=63, mul above w=32):
+   against integer arithmetic on every pair at widths 1-4, and against the
+   Bitvec checks on random pairs at the widths the ranges cannot reach. *)
+let test_will_not_overflow_singletons () =
+  let ops =
+    List.concat_map (fun op -> [ (op, true); (op, false) ]) [ `Add; `Sub; `Mul ]
+  in
+  let check w x y ~expect =
+    List.iter
+      (fun (op, signed) ->
+        let got =
+          Dom.tri_will_not_overflow op ~signed (Dom.singleton x) (Dom.singleton y)
+        in
+        if got <> Dom.tri_of_bool (not (expect op ~signed x y)) then
+          Alcotest.failf "tri_will_not_overflow i%d signed=%b on %s, %s" w signed
+            (Bitvec.to_string_hex x) (Bitvec.to_string_hex y))
+      ops
+  in
+  for w = 1 to 4 do
+    for x = 0 to (1 lsl w) - 1 do
+      for y = 0 to (1 lsl w) - 1 do
+        check w (Bitvec.of_int ~width:w x) (Bitvec.of_int ~width:w y)
+          ~expect:(overflows ~w)
+      done
+    done
+  done;
+  let st = Random.State.make [| 0x0f64 |] in
+  List.iter
+    (fun w ->
+      for _ = 1 to 300 do
+        let r () = Bitvec.make ~width:w (Random.State.bits64 st) in
+        check w (r ()) (r ()) ~expect:Bitvec.overflows
+      done;
+      (* the i64 disagreement that blocked verified rules *)
+      let c = Bitvec.of_int ~width:w in
+      check w (c 5) (c 7) ~expect:Bitvec.overflows;
+      check w (Bitvec.max_signed w) (c 1) ~expect:Bitvec.overflows)
+    [ 33; 63; 64 ]
+
 (* ---- Demanded bits ---- *)
 
 let def name width inst = { Ir.name; width; inst }
@@ -696,4 +736,6 @@ let suite =
         test_static_coverage;
       Alcotest.test_case "static on/off verdict parity (sample)" `Quick
         test_static_parity_sample;
+      Alcotest.test_case "tri_will_not_overflow exact on singletons" `Quick
+        test_will_not_overflow_singletons;
     ] )

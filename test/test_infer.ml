@@ -1,7 +1,7 @@
-(* Tests for lib/infer: the concrete/SMT differential on the predicate
-   language, template lowering, end-to-end counterexample-guided inference,
-   precondition comparison, and the corpus-wide vacuous-precondition
-   property that keeps the lint allowlist honest. *)
+(* Tests for lib/infer: template lowering, end-to-end counterexample-guided
+   inference, precondition comparison, and the corpus-wide
+   vacuous-precondition property that keeps the lint allowlist honest. (The
+   concrete/SMT agreement of the predicate language is test_constlang.ml's.) *)
 
 open Alive.Ast
 module Typing = Alive.Typing
@@ -31,78 +31,6 @@ let typing ?widths t =
   | Error e -> Alcotest.failf "typing: %a" Typing.pp_error e
 
 let pred_str p = Format.asprintf "%a" pp_pred p
-
-(* ---- Concrete evaluation vs the precise SMT encoding ---- *)
-
-(* Concrete.eval_pred and Vcgen.pred_term_precise are hand-kept twins; a
-   drift between them corrupts the learner's example labels. Evaluate the
-   whole atom vocabulary both ways over a grid of bindings and demand
-   agreement wherever both sides are defined. *)
-let differential_test =
-  Alcotest.test_case "eval_pred agrees with pred_term_precise" `Quick
-    (fun () ->
-      let t =
-        parse "%a = and %x, C1\n%r = add %a, C2\n=>\n%r = and %x, C1\n"
-      in
-      let info = scoping t in
-      let env = typing ~widths:[ 4 ] t in
-      let atoms = Atoms.vocabulary t info in
-      Alcotest.(check bool) "vocabulary is non-trivial" true
-        (List.length atoms > 20);
-      let names =
-        List.map (fun n -> (n, Typing.width_of_value env n)) info.inputs
-        @ List.map (fun n -> (n, Typing.width_of_const env n)) info.constants
-      in
-      let values w =
-        [ Bitvec.zero w; Bitvec.one w; Bitvec.all_ones w;
-          Bitvec.min_signed w; Bitvec.of_int ~width:w 5 ]
-      in
-      let rec grids = function
-        | [] -> [ [] ]
-        | (n, w) :: rest ->
-            let tails = grids rest in
-            List.concat_map
-              (fun v -> List.map (fun tl -> (n, v) :: tl) tails)
-              (values w)
-      in
-      let checked = ref 0 in
-      List.iter
-        (fun binds ->
-          let model =
-            Model.of_list (List.map (fun (n, v) -> (n, T.Vbv v)) binds)
-          in
-          let lookup n =
-            let w =
-              try Typing.width_of_value env n
-              with _ -> Typing.width_of_const env n
-            in
-            Vcgen.input_var n w
-          in
-          List.iter
-            (fun atom ->
-              let concrete =
-                try Some (Concrete.eval_pred env ~binds atom) with _ -> None
-              in
-              let smt =
-                try Some (Model.holds model (Vcgen.pred_term_precise env ~lookup atom))
-                with _ -> None
-              in
-              match (concrete, smt) with
-              | Some c, Some s ->
-                  incr checked;
-                  if c <> s then
-                    Alcotest.failf "%s: concrete=%b smt=%b on {%s}"
-                      (pred_str atom) c s
-                      (String.concat "; "
-                         (List.map
-                            (fun (n, v) ->
-                              n ^ "=" ^ Bitvec.to_string_unsigned v)
-                            binds))
-              | _ -> ())
-            atoms)
-        (grids names);
-      Alcotest.(check bool) "enough grid points were comparable" true
-        (!checked > 1000))
 
 (* ---- Template lowering ---- *)
 
@@ -312,6 +240,5 @@ let rederivation_test =
 
 let suite =
   ( "infer",
-    (differential_test :: lowering_tests)
-    @ infer_tests @ cmp_tests
+    lowering_tests @ infer_tests @ cmp_tests
     @ [ vacuous_test; rederivation_test ] )

@@ -28,6 +28,7 @@ let () =
       Test_differential.suite;
       Test_aig.suite;
       Test_lint.suite;
+      Test_constlang.suite;
       Test_infer.suite;
       Test_trace.suite;
       Test_service.suite;

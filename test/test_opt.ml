@@ -107,6 +107,54 @@ let matcher_tests =
         in
         check_bool "8 matches" true (Alive_opt.Matcher.match_at r pow2 "r" <> None);
         check_bool "6 rejected" true (Alive_opt.Matcher.match_at r not_pow2 "r" = None));
+    Alcotest.test_case "i64 overflow precondition fires on safe constants"
+      `Quick (fun () ->
+        (* Verified at every width, so it must fire wherever the constants
+           provably do not overflow — at i64 too, where the range check on
+           the abstract domain alone cannot decide signed add. *)
+        let r =
+          rule
+            "Pre: WillNotOverflowSignedAdd(C1, C2)\n\
+             %a = add nsw %x, C1\n%r = add nsw %a, C2\n=>\n\
+             %r = add nsw %x, C1+C2\n"
+        in
+        let chain c1 c2 =
+          func ~params:[ ("x", 64) ]
+            [
+              def "a" 64
+                (Ir.Binop (Ir.Add, [ Ir.Nsw ], Ir.Var "x", Ir.Const c1));
+              def "r" 64
+                (Ir.Binop (Ir.Add, [ Ir.Nsw ], Ir.Var "a", Ir.Const c2));
+            ]
+            (Ir.Var "r")
+        in
+        check_bool "5 + 7 fires" true
+          (Alive_opt.Matcher.match_at r (chain (bv 64 5) (bv 64 7)) "r" <> None);
+        check_bool "max + 1 is blocked" true
+          (Alive_opt.Matcher.match_at r
+             (chain (Bitvec.max_signed 64) (bv 64 1))
+             "r"
+          = None);
+        let env consts =
+          { Alive_opt.Concrete.func = chain (bv 64 5) (bv 64 7); consts;
+            values = [] }
+        in
+        let pre text =
+          (Alive.Parser.parse_transform
+             ("Pre: " ^ text ^ "\n%r = add %x, C1\n=>\n%r = add %x, C2\n"))
+            .Alive.Ast.pre
+        in
+        let safe = env [ ("C1", bv 64 5); ("C2", bv 64 7) ] in
+        let unsafe = env [ ("C1", Bitvec.min_signed 64); ("C2", bv 64 1) ] in
+        List.iter
+          (fun p ->
+            check_bool (p ^ " proved") true
+              (Alive_opt.Concrete.tri_pred safe (pre p) = Alive_absint.Domain.True))
+          [ "WillNotOverflowSignedAdd(C1, C2)"; "WillNotOverflowSignedSub(C1, C2)" ];
+        check_bool "min - 1 refuted" true
+          (Alive_opt.Concrete.tri_pred unsafe
+             (pre "WillNotOverflowSignedSub(C1, C2)")
+          = Alive_absint.Domain.False));
     Alcotest.test_case "copy target substitutes uses" `Quick (fun () ->
         let r = rule "%r = add %a, 0\n=>\n%r = %a\n" in
         let f =

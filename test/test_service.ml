@@ -400,13 +400,40 @@ let golden =
       "24cf0c749f36e02f30fa982cd1dd74c3" );
   ]
 
+(* Corpus entries with preconditions, at their declared widths: a
+   comparison beside a one-sided [MaskedValueIsZero], [width(...)] inside a
+   predicate argument and inside a comparison, and [isPowerOf2] of a value
+   beside [hasOneUse]. A reordered [%analysis.*] variable or any change in
+   how a predicate is encoded moves these. *)
+let golden_entries =
+  [
+    ("AndOrXor:fig2-masked-or", "1c650690e5717e6e543b0a38e0f54a90");
+    ("Shifts:ashr-nonneg-is-lshr", "157c70a2e11ee59d8944166e6ada8b59");
+    ("Shifts:shl-shl-accumulate", "4c3287363c2f51ca6e6b389b24cfeb3c");
+    ("PR21274", "6b69375094b38b0e4aa5ace0ebf79054");
+  ]
+
+let combined_entry name =
+  match Alive_suite.Registry.find name with
+  | None -> Alcotest.failf "no corpus entry %s" name
+  | Some e -> (
+      match
+        Alive.Refine.query_digests ?widths:e.widths (Alive_suite.Entry.parse e)
+      with
+      | Ok dss ->
+          Digest.to_hex (Digest.string (String.concat "," (List.concat dss)))
+      | Error m -> Alcotest.fail m)
+
 let determinism_tests =
   [
     Alcotest.test_case "store keys match their golden digests" `Quick
       (fun () ->
         List.iter
           (fun (text, want) -> check_string "combined digest" want (combined text))
-          golden);
+          golden;
+        List.iter
+          (fun (name, want) -> check_string name want (combined_entry name))
+          golden_entries);
     Alcotest.test_case "racing domains derive the same keys" `Quick (fun () ->
         let run _ () = List.map (fun (text, _) -> combined text) golden in
         let doms = List.init 4 (fun k -> Domain.spawn (run k)) in
