@@ -429,16 +429,13 @@ let parallel () =
      and the snapshot after the scaling run feeds BENCH_trace.json. *)
   if !json_enabled then Alive_trace.Metrics.set_phase_timing true;
   let r1 = run 1 in
-  (* A/B leg: the same jobs=1 run with the verdict cache and incremental
-     CEGAR switched off, so the solve-path optimizations stay measurable
-     run over run. The switches are restored afterwards. *)
+  (* A/B leg: the same jobs=1 run with the verdict cache switched off, so
+     what the cache saves stays measurable run over run. The switch is
+     restored afterwards. *)
   let cache_was = Alive_smt.Vc_cache.enabled () in
-  let incr_was = Alive_smt.Solve.incremental_enabled () in
   Alive_smt.Vc_cache.set_enabled false;
-  Alive_smt.Solve.set_incremental false;
   let r_off = run 1 in
   Alive_smt.Vc_cache.set_enabled cache_was;
-  Alive_smt.Solve.set_incremental incr_was;
   let n = Alive_engine.Engine.default_jobs () in
   let rn =
     if n > 1 then begin
@@ -452,16 +449,16 @@ let parallel () =
   in
   Printf.printf "  %d tasks\n" (List.length r1.results);
   Printf.printf "  --jobs 1:  wall %.2fs  (%s)\n" r1.wall (stats r1);
-  Printf.printf "  --jobs 1, cache+incremental off:  wall %.2fs  (%s)\n"
+  Printf.printf "  --jobs 1, cache off:  wall %.2fs  (%s)\n"
     r_off.wall (stats r_off);
   Printf.printf "  --jobs %d:  wall %.2fs  (%.2fx speedup)\n" n rn.wall
     (r1.wall /. Float.max 1e-9 rn.wall);
   if n = 1 then
     Printf.printf "  (single-core host: run on a multi-core machine to see scaling)\n";
   (* Wide-width leg: the entries without a justified width cap, verified
-     at exactly w=16 and w=32. This is the surface the AIG simplifier and
-     the cube splitter exist for; tracking its wall time per width keeps
-     the wide-width wall from silently creeping back. *)
+     at exactly w=16 and w=32. This is the surface the AIG simplifier
+     exists for; tracking its wall time per width keeps the wide-width
+     wall from silently creeping back. *)
   let sweep w =
     let tasks =
       List.filter_map
@@ -718,9 +715,6 @@ let () =
         | "--no-cache" ->
             Alive_smt.Vc_cache.set_enabled false;
             false
-        | "--no-incremental" ->
-            Alive_smt.Solve.set_incremental false;
-            false
         | _ -> true)
       (List.tl (Array.to_list Sys.argv))
   in
@@ -735,6 +729,6 @@ let () =
           exit 1)
   | _ ->
       Printf.eprintf
-        "usage: %s [--json] [--no-cache] [--no-incremental] [target]\n"
+        "usage: %s [--json] [--no-cache] [target]\n"
         Sys.argv.(0);
       exit 1

@@ -108,23 +108,6 @@ let no_cache_arg =
           "Disable the canonical verdict cache: solve every query even when \
            an alpha-equivalent one was already decided.")
 
-let no_incremental_arg =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Disable incremental CEGAR: build a fresh inner solver context \
-           per iteration instead of reusing one under assumptions.")
-
-let no_static_arg =
-  Arg.(
-    value & flag
-    & info [ "no-static" ]
-        ~doc:
-          "Disable the tier-0 static prover (abstract interpretation over \
-           known bits, ranges and congruences; see docs/ANALYSIS.md): every \
-           query goes straight to the cache/store/SAT path.")
-
 let dump_cnf_arg =
   Arg.(
     value
@@ -133,16 +116,6 @@ let dump_cnf_arg =
         ~doc:
           "Write every solved SAT query to $(docv) as a DIMACS file \
            (qNNNNNN-RESULT.cnf), creating the directory if needed.")
-
-let encoding_arg =
-  Arg.(
-    value
-    & opt (enum [ ("tseitin", `Tseitin); ("pg", `Plaisted_greenbaum) ]) `Tseitin
-    & info [ "encoding" ] ~docv:"ENC"
-        ~doc:
-          "CNF encoding: $(b,tseitin) (default) or $(b,pg) \
-           (Plaisted-Greenbaum polarity-aware, fewer clauses per query; see \
-           docs/PERFORMANCE.md).")
 
 let no_aig_arg =
   Arg.(
@@ -153,24 +126,6 @@ let no_aig_arg =
            directly to CNF instead of building, rewriting and \
            structurally hashing an and-inverter graph first (see \
            docs/PERFORMANCE.md).")
-
-let no_cubes_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cubes" ]
-        ~doc:
-          "Disable cube-and-conquer: never split a hard query on the high \
-           bits of its heaviest operand (divisors first); solve every \
-           query whole.")
-
-let cube_threshold_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "cube-threshold" ] ~docv:"N"
-        ~doc:
-          "Conflicts a query may burn whole before being split into cubes \
-           (default 2000; 0 keeps the default).")
 
 let dump_aig_arg =
   Arg.(
@@ -187,18 +142,11 @@ let setup_observability ~trace ~collapsed ~metrics =
   if trace <> None || collapsed <> None then Alive_trace.Trace.set_enabled true;
   if metrics then Alive_trace.Metrics.set_phase_timing true
 
-(* Flip the solve-path switches (cache, incremental CEGAR, CNF dumping,
-   encoding) before any query runs. *)
-let setup_solve_path ?(no_static = false) ?(no_aig = false) ?(no_cubes = false)
-    ?(cube_threshold = 0) ?(dump_aig = None) ~no_cache ~no_incremental
-    ~dump_cnf ~encoding () =
+(* Flip the solve-path switches (cache, AIG pass, CNF and AIG dumping)
+   before any query runs. *)
+let setup_solve_path ~no_cache ~no_aig ~dump_cnf ~dump_aig =
   if no_cache then Alive_smt.Vc_cache.set_enabled false;
-  if no_static then Alive_absint.Prover.set_enabled false;
-  if no_incremental then Alive_smt.Solve.set_incremental false;
   if no_aig then Alive_smt.Bitblast.set_simplify false;
-  if no_cubes then Alive_smt.Solve.set_cubes false;
-  if cube_threshold > 0 then Alive_smt.Solve.set_cube_threshold cube_threshold;
-  Alive_smt.Bitblast.set_encoding encoding;
   let mkdir dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   in
@@ -255,14 +203,12 @@ let with_transforms file f =
 
 let verify_cmd =
   let run file widths quiet jobs timeout conflict_limit show_stats trace
-      collapsed metrics no_cache no_static no_incremental dump_cnf encoding
-      no_aig no_cubes cube_threshold dump_aig =
+      collapsed metrics no_cache dump_cnf no_aig dump_aig =
     let widths = parse_widths widths in
     let jobs = resolve_jobs jobs in
     let budget = budget_of ~timeout ~conflict_limit in
     setup_observability ~trace ~collapsed ~metrics;
-    setup_solve_path ~no_static ~no_aig ~no_cubes ~cube_threshold ~dump_aig
-      ~no_cache ~no_incremental ~dump_cnf ~encoding ();
+    setup_solve_path ~no_cache ~no_aig ~dump_cnf ~dump_aig;
     let code =
       with_transforms file (fun transforms ->
           let invalid = ref 0 and unknown = ref 0 in
@@ -320,9 +266,7 @@ let verify_cmd =
     Term.(
       const run $ file_arg $ widths_arg $ quiet $ jobs_arg $ timeout_arg
       $ conflict_limit_arg $ stats $ trace_arg $ collapsed_arg $ metrics_arg
-      $ no_cache_arg $ no_static_arg $ no_incremental_arg $ dump_cnf_arg
-      $ encoding_arg $ no_aig_arg $ no_cubes_arg $ cube_threshold_arg
-      $ dump_aig_arg)
+      $ no_cache_arg $ dump_cnf_arg $ no_aig_arg $ dump_aig_arg)
 
 let infer_cmd =
   let run file widths =

@@ -36,13 +36,9 @@ let metrics = ref false
 let metrics_json = ref ""
 let ledger_path = ref ""
 let no_cache = ref false
-let no_static = ref false
 let static_report_path = ref ""
-let no_incremental = ref false
 let dump_cnf = ref ""
 let no_aig = ref false
-let no_cubes = ref false
-let cube_threshold = ref 0
 let dump_aig = ref ""
 let widths_spec = ref ""
 
@@ -77,10 +73,6 @@ let width_domain : int list option ref = ref None
 
 let entry_widths (e : Alive_suite.Entry.t) =
   match e.widths with Some w -> Some w | None -> !width_domain
-
-let set_encoding_arg = function
-  | "pg" -> Alive_smt.Bitblast.set_encoding `Plaisted_greenbaum
-  | _ -> Alive_smt.Bitblast.set_encoding `Tseitin
 
 let speclist =
   [
@@ -117,20 +109,16 @@ let speclist =
       Arg.Set_string ledger_path,
       "FILE  append one performance-ledger record (JSONL) for this run; \
        implies per-phase timing" );
-    ( "--no-static",
-      Arg.Set no_static,
-      " disable the tier-0 static prover (abstract interpretation); every \
-       query goes to the cache/store/SAT path — the parity baseline" );
     ( "--static-report",
       Arg.Set_string static_report_path,
-      "FILE  run only the tier-0 static prover over the selected entries, \
-       write a JSON report (per-suite breakdown) to FILE, and exit" );
+      Printf.sprintf
+        "FILE  run the tier-0 static prover over the selected entries, \
+         re-solve every query it proves by SAT under a fixed %d-conflict \
+         budget, write a JSON report (per-suite breakdown) to FILE, and exit"
+        Alive.Refine.static_recheck_conflicts );
     ( "--no-cache",
       Arg.Set no_cache,
       " disable the canonical verdict cache (solve every query)" );
-    ( "--no-incremental",
-      Arg.Set no_incremental,
-      " disable incremental CEGAR (fresh inner context per iteration)" );
     ( "--dump-cnf",
       Arg.Set_string dump_cnf,
       "DIR  write every solved SAT query to DIR as DIMACS \
@@ -143,22 +131,11 @@ let speclist =
       Arg.Set no_aig,
       " disable the AIG structural-simplification pass (direct \
        gate-by-gate CNF encoding) — the parity baseline for the AIG path" );
-    ( "--no-cubes",
-      Arg.Set no_cubes,
-      " disable cube-and-conquer: solve every query whole instead of \
-       splitting hard ones on their heaviest operand" );
-    ( "--cube-threshold",
-      Arg.Set_int cube_threshold,
-      "N  conflicts a query may burn whole before being split into cubes \
-       (default 2000)" );
     ( "--widths",
       Arg.Set_string widths_spec,
       "SPEC  width domain for entries without an explicit cap: \
        comma-separated widths and inclusive ranges (e.g. 16,32 or 1..32); \
        capped entries keep their caps" );
-    ( "--encoding",
-      Arg.Symbol ([ "tseitin"; "pg" ], set_encoding_arg),
-      "  CNF encoding: tseitin (default) or pg (Plaisted-Greenbaum)" );
     ( "--via",
       Arg.Set_string via,
       "SOCKET  send entries to the 'alive serve' daemon at SOCKET instead \
@@ -514,30 +491,54 @@ let run_infer_pre (entries : Alive_suite.Entry.t list) =
   end;
   exit (if ok >= min !min_ok (List.length outcomes) then 0 else 1)
 
-(* --- --static-report: tier-0 coverage artifact (no SAT, no cache) --- *)
+(* --- --static-report: tier-0 coverage, checked query by query ---
+
+   Every query tier 0 proves is re-solved by the SAT solver under a fixed
+   conflict budget, past the verdict cache. A model is a soundness bug in
+   the static prover and fails the run; a query the budget cannot decide
+   is counted per entry and printed, never dropped. An exception from the
+   re-solve (e.g. [Solve.Model_mismatch], a bug in lowering, the AIG or
+   the CNF) is recorded in that entry's row and fails the run too. *)
 
 let run_static_report ~path (entries : Alive_suite.Entry.t list) =
   let t0 = Unix.gettimeofday () in
   let rows = ref [] in
-  let suites : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let suites : (string, int * int * int) Hashtbl.t = Hashtbl.create 16 in
   let total = ref 0 and complete = ref 0 and unsound = ref 0 in
+  let confirmed = ref 0 and unknown = ref 0 and refuted = ref 0 in
+  let crashed = ref 0 in
   List.iter
     (fun (e : Alive_suite.Entry.t) ->
       incr total;
+      let crash = ref false in
       let summary =
         match Alive_suite.Entry.parse e with
         | exception exn -> Error (Printexc.to_string exn)
-        | tr -> Alive.Refine.static_report ?widths:e.widths tr
+        | tr -> (
+            match Alive.Refine.static_check ?widths:e.widths tr with
+            | r -> r
+            | exception exn ->
+                let m = Printexc.to_string exn in
+                crash := true;
+                incr crashed;
+                Printf.eprintf "static-report: CRASH: %s (%s): %s\n" e.name
+                  e.file m;
+                Error m)
       in
-      let typ, q, disch, comp, err =
+      let typ, q, disch, comp, (rc : Alive.Refine.static_recheck), err =
+        let none =
+          { Alive.Refine.recheck_confirmed = 0; recheck_unknown = 0;
+            recheck_refuted = [] }
+        in
         match summary with
-        | Ok s ->
+        | Ok (s, rc) ->
             ( s.Alive.Refine.static_typings,
               s.static_queries,
               s.static_discharged,
               s.static_complete,
+              rc,
               None )
-        | Error m -> (0, 0, 0, false, Some m)
+        | Error m -> (0, 0, 0, false, none, Some m)
       in
       if comp then incr complete;
       (* A statically proved expected-invalid entry is a soundness bug in
@@ -549,12 +550,26 @@ let run_static_report ~path (entries : Alive_suite.Entry.t list) =
            static tier proved it\n"
           e.name e.file
       end;
-      let en, pr =
+      confirmed := !confirmed + rc.recheck_confirmed;
+      unknown := !unknown + rc.recheck_unknown;
+      refuted := !refuted + List.length rc.recheck_refuted;
+      List.iter
+        (fun where ->
+          Printf.eprintf
+            "static-report: REFUTED: %s (%s): tier 0 proved %s, the solver \
+             found a model\n"
+            e.name e.file where)
+        rc.recheck_refuted;
+      if rc.recheck_unknown > 0 then
+        Printf.printf "  unknown on re-solve: %s (%s) %d\n" e.name e.file
+          rc.recheck_unknown;
+      let en, pr, un =
         match Hashtbl.find_opt suites e.file with
         | Some p -> p
-        | None -> (0, 0)
+        | None -> (0, 0, 0)
       in
-      Hashtbl.replace suites e.file (en + 1, if comp then pr + 1 else pr);
+      Hashtbl.replace suites e.file
+        (en + 1, (if comp then pr + 1 else pr), un + rc.recheck_unknown);
       rows :=
         Json.Obj
           ([
@@ -564,45 +579,64 @@ let run_static_report ~path (entries : Alive_suite.Entry.t list) =
              ("queries", Json.Int q);
              ("discharged", Json.Int disch);
              ("complete", Json.Bool comp);
+             ("confirmed", Json.Int rc.recheck_confirmed);
+             ("unknown", Json.Int rc.recheck_unknown);
+             ( "refuted",
+               Json.List
+                 (List.map (fun w -> Json.String w) rc.recheck_refuted) );
            ]
-          @ match err with None -> [] | Some m -> [ ("error", Json.String m) ])
+          @ (match err with None -> [] | Some m -> [ ("error", Json.String m) ])
+          @ if !crash then [ ("crashed", Json.Bool true) ] else [])
         :: !rows)
     entries;
   let wall = Unix.gettimeofday () -. t0 in
   let by_suite =
-    Hashtbl.fold (fun file (en, pr) acc -> (file, en, pr) :: acc) suites []
+    Hashtbl.fold (fun file (en, pr, un) acc -> (file, en, pr, un) :: acc) suites []
     |> List.sort compare
   in
   let doc =
     Json.Obj
       [
-        ("schema_version", Json.Int 1);
+        ("schema_version", Json.Int 2);
         ("entries", Json.Int !total);
         ("complete", Json.Int !complete);
         ("unsound", Json.Int !unsound);
+        ("recheck_conflicts", Json.Int Alive.Refine.static_recheck_conflicts);
+        ("confirmed", Json.Int !confirmed);
+        ("unknown", Json.Int !unknown);
+        ("refuted", Json.Int !refuted);
+        ("crashed", Json.Int !crashed);
         ("wall_s", Json.Float wall);
         ( "suites",
           Json.List
             (List.map
-               (fun (file, en, pr) ->
+               (fun (file, en, pr, un) ->
                  Json.Obj
                    [
                      ("file", Json.String file);
                      ("entries", Json.Int en);
                      ("complete", Json.Int pr);
+                     ("unknown", Json.Int un);
                    ])
                by_suite) );
         ("rows", Json.List (List.rev !rows));
       ]
   in
   Json.to_file path doc;
+  Printf.printf "  %-16s %7s  %s\n" "suite" "proved" "unknown on re-solve";
   List.iter
-    (fun (file, en, pr) -> Printf.printf "  %-16s %3d/%3d\n" file pr en)
+    (fun (file, en, pr, un) ->
+      Printf.printf "  %-16s %3d/%3d  %d\n" file pr en un)
     by_suite;
   Printf.printf
-    "static-report: %d/%d entries fully discharged by tier 0 in %.2fs -> %s\n%!"
-    !complete !total wall path;
-  exit (if !unsound > 0 then 1 else 0)
+    "static-report: %d/%d entries fully discharged by tier 0; %d proved \
+     queries re-solved (%d conflicts each): %d confirmed, %d refuted, %d \
+     unknown; %d entries crashed; %.2fs -> %s\n%!"
+    !complete !total
+    (!confirmed + !refuted + !unknown)
+    Alive.Refine.static_recheck_conflicts !confirmed !refuted !unknown
+    !crashed wall path;
+  exit (if !unsound > 0 || !refuted > 0 || !crashed > 0 then 1 else 0)
 
 (* --opt-parity: the compiled decision tree is only a pre-filter, so it must
    agree with the per-rule scan — same rule, same root, same bindings — at
@@ -766,11 +800,7 @@ let () =
   if !metrics || !metrics_json <> "" || !ledger_path <> "" then
     Alive_trace.Metrics.set_phase_timing true;
   if !no_cache then Alive_smt.Vc_cache.set_enabled false;
-  if !no_static then Alive_absint.Prover.set_enabled false;
-  if !no_incremental then Alive_smt.Solve.set_incremental false;
   if !no_aig then Alive_smt.Bitblast.set_simplify false;
-  if !no_cubes then Alive_smt.Solve.set_cubes false;
-  if !cube_threshold > 0 then Alive_smt.Solve.set_cube_threshold !cube_threshold;
   if !widths_spec <> "" then width_domain := Some (parse_widths !widths_spec);
   if !dump_cnf <> "" then begin
     (try Unix.mkdir !dump_cnf 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

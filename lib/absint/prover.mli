@@ -6,8 +6,10 @@
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Process-wide toggle consulted by [Core.Refine] — the [--no-static]
-    escape hatch. Defaults to enabled. *)
+(** Process-wide toggle consulted by [Core.Refine]. Defaults to enabled;
+    tests turn it off to send statically provable queries to the solver.
+    No command-line flag sets it: without tier 0 some corpus entries take
+    minutes. *)
 
 val prove_valid :
   ?exists:(string * Alive_smt.Term.sort) list -> Alive_smt.Term.t -> bool

@@ -474,7 +474,9 @@ type static_summary = {
   static_complete : bool;
 }
 
-let static_report ?widths ?max_typings ?share_memory_reads
+(* Run tier 0 over every query of every feasible typing, handing each
+   statically proved query to [on_proved]. *)
+let static_walk ?widths ?max_typings ?share_memory_reads ~on_proved
     (t : Ast.transform) =
   let exception Unsupported_here of string in
   match Typing.enumerate ?widths ?max_typings t with
@@ -490,7 +492,7 @@ let static_report ?widths ?max_typings ?share_memory_reads
                 incr typings_n;
                 let exists = vc.src.undefs in
                 List.iter
-                  (fun (_, _, formula) ->
+                  (fun (at, kind, formula) ->
                     incr queries;
                     let proved =
                       match
@@ -499,7 +501,11 @@ let static_report ?widths ?max_typings ?share_memory_reads
                       | r -> r
                       | exception _ -> false
                     in
-                    if proved then incr discharged else complete := false)
+                    if proved then begin
+                      incr discharged;
+                      on_proved typing at kind ~exists formula
+                    end
+                    else complete := false)
                   (typing_queries vc)
             | exception Vcgen.Unsupported msg ->
                 raise (Unsupported_here msg))
@@ -512,6 +518,46 @@ let static_report ?widths ?max_typings ?share_memory_reads
             static_complete = (!complete && !queries > 0);
           }
       with Unsupported_here msg -> Error msg)
+
+let static_report ?widths ?max_typings ?share_memory_reads t =
+  static_walk ?widths ?max_typings ?share_memory_reads
+    ~on_proved:(fun _ _ _ ~exists:_ _ -> ())
+    t
+
+type static_recheck = {
+  recheck_confirmed : int;
+  recheck_unknown : int;
+  recheck_refuted : string list;
+}
+
+let static_recheck_conflicts = 20_000
+
+let static_check ?widths ?max_typings ?share_memory_reads t =
+  let budget = Solve.budget ~conflict_limit:static_recheck_conflicts () in
+  let confirmed = ref 0 and unknown = ref 0 and refuted = ref [] in
+  (* Straight to the solver, past the verdict cache, counting into a
+     private record so the re-solve leaves the registry alone. *)
+  let on_proved typing at kind ~exists formula =
+    match
+      Solve.check_valid_ef ~budget ~telemetry:(Solve.telemetry ()) ~exists
+        formula
+    with
+    | `Valid -> incr confirmed
+    | `Unknown _ -> incr unknown
+    | `Invalid _ ->
+        refuted :=
+          Format.asprintf "typing [%a], %s (%s)" Typing.pp_env typing at
+            (kind_slug kind)
+          :: !refuted
+  in
+  static_walk ?widths ?max_typings ?share_memory_reads ~on_proved t
+  |> Result.map (fun summary ->
+         ( summary,
+           {
+             recheck_confirmed = !confirmed;
+             recheck_unknown = !unknown;
+             recheck_refuted = List.rev !refuted;
+           } ))
 
 let check_with_vc ?widths ?max_typings ?share_memory_reads ?budget t =
   let r = run ?widths ?max_typings ?share_memory_reads ?budget t in

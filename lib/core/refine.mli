@@ -199,9 +199,30 @@ val static_report :
   Ast.transform ->
   (static_summary, string) Stdlib.result
 (** Run only the tier-0 static prover over every refinement query of every
-    feasible typing — no SAT, no cache. Powers [corpus_check
-    --static-report] and the golden coverage test. [Error] on a type error
-    or an unsupported construct. *)
+    feasible typing — no SAT, no cache. Powers the golden coverage tests.
+    [Error] on a type error or an unsupported construct. *)
+
+type static_recheck = {
+  recheck_confirmed : int;  (** the solver proved the query too *)
+  recheck_unknown : int;  (** the solver ran out of its conflict budget *)
+  recheck_refuted : string list;
+      (** the typing and criterion of each query the solver refuted: a
+          soundness bug in the static prover *)
+}
+
+val static_recheck_conflicts : int
+(** The conflict budget of each re-solve in {!static_check}: 20,000. *)
+
+val static_check :
+  ?widths:int list ->
+  ?max_typings:int ->
+  ?share_memory_reads:bool ->
+  Ast.transform ->
+  (static_summary * static_recheck, string) Stdlib.result
+(** {!static_report}, and every query tier 0 proves re-solved by the SAT
+    solver under {!static_recheck_conflicts} conflicts, past the verdict
+    cache. This is how [corpus_check --static-report] checks that tier 0
+    never contradicts the solver. *)
 
 val check_with_vc :
   ?widths:int list ->

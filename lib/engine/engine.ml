@@ -224,43 +224,6 @@ module Pool = struct
     else Mutex.unlock pool.lock
 end
 
-(* --- Cube fan-out runner ---
-
-   [Pool.await] blocks its caller without helping to run queued work, so
-   cube tasks submitted back into the pool a verification task is itself
-   running on would deadlock once every worker waits on its own cubes.
-   The cube runner therefore uses a dedicated pool, created on the first
-   hard query, and is only installed when the machine has real
-   parallelism — on one core the sequential assumption-scan inside
-   [Solve] is strictly better (shared learnt clauses, no domain spawns). *)
-
-let cube_pool_lock = Mutex.create ()
-let cube_pool_cell = ref None
-
-let cube_pool () =
-  Mutex.lock cube_pool_lock;
-  let p =
-    match !cube_pool_cell with
-    | Some p -> p
-    | None ->
-        let p = Pool.create () in
-        cube_pool_cell := Some p;
-        p
-  in
-  Mutex.unlock cube_pool_lock;
-  p
-
-let install_cube_runner () =
-  Solve.set_cube_runner
-    (Some
-       (fun thunks ->
-         let pool = cube_pool () in
-         thunks
-         |> List.map (fun f -> Pool.submit pool f)
-         |> List.iter (fun fut -> ignore (Pool.await fut))))
-
-let () = if default_jobs () > 1 then install_cube_runner ()
-
 (* --- Per-typing fan-out inside one transformation --- *)
 
 (* Deterministic reduction replicating the sequential scan of [Refine.run]:

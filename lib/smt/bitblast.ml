@@ -2,41 +2,11 @@
    bit first. Constant bits reuse a single always-true variable, so the SAT
    layer's level-0 simplification absorbs them for free.
 
-   Formula-level gates use the Plaisted–Greenbaum polarity-tracked encoding:
-   a subformula that only ever occurs positively (it can only help satisfy
-   the assertion) gets just the output→definition clauses, a negative-only
-   one just the definition→output clauses, and only genuinely two-sided
-   occurrences (xor/iff children, ite conditions) pay for full Tseitin.
-   The encoding is satisfiability-preserving per asserted root, and any
-   model of the CNF restricted to the original variables is a model of the
-   asserted formulas, so counterexample extraction is unchanged.
-   Bit-level circuits (adders, multipliers, comparators' innards) keep the
-   two-sided encoding: their bits feed both phases structurally. *)
+   Every gate is encoded Tseitin style, with the clauses for both
+   directions of its definition, so any model of the CNF restricted to
+   the original variables is a model of the asserted formulas. *)
 
 module S = Alive_sat.Solver
-
-type polarity = Pos | Neg | Both
-
-let flip = function Pos -> Neg | Neg -> Pos | Both -> Both
-let pol_code = function Pos -> 1 | Neg -> 2 | Both -> 3
-
-(* Encoding selector. [`Plaisted_greenbaum] emits one-sided definitions for
-   one-sided subformulas — fewest clauses; [`Tseitin] forces every gate
-   two-sided — more clauses, stronger unit propagation. Which one wins is
-   an empirical, corpus-dependent question; the switch makes the comparison
-   a command-line flag instead of a rebuild. *)
-type encoding = Tseitin | Plaisted_greenbaum
-
-let encoding_flag = Atomic.make Tseitin
-
-let set_encoding e =
-  Atomic.set encoding_flag
-    (match e with `Tseitin -> Tseitin | `Plaisted_greenbaum -> Plaisted_greenbaum)
-
-let encoding () =
-  match Atomic.get encoding_flag with
-  | Tseitin -> `Tseitin
-  | Plaisted_greenbaum -> `Plaisted_greenbaum
 
 (* AIG simplification selector: route the circuit through a hash-consed
    AND-inverter graph with structural rewriting before CNF emission. The
@@ -45,9 +15,7 @@ let simplify_flag = Atomic.make true
 let set_simplify b = Atomic.set simplify_flag b
 let simplify () = Atomic.get simplify_flag
 
-(* AIG-mode state: the graph plus memo tables over graph literals. The
-   polarity dimension disappears here — the graph is polarity-free, and
-   one-sidedness is applied per cone at CNF emission time. *)
+(* AIG-mode state: the graph plus memo tables over graph literals. *)
 type aig_state = {
   g : Aig.t;
   abool_memo : (int, Aig.lit) Hashtbl.t;
@@ -60,33 +28,22 @@ type aig_state = {
 type t = {
   sat : S.t;
   true_lit : S.lit;
-  enc : encoding;
   aig : aig_state option;
-  bool_memo : (int * int, S.lit) Hashtbl.t; (* (term id, polarity) -> literal *)
+  bool_memo : (int, S.lit) Hashtbl.t; (* term id -> literal *)
   bv_memo : (int, S.lit array) Hashtbl.t; (* term id -> bit literals *)
   var_bits : (string, S.lit array) Hashtbl.t;
   var_bools : (string, S.lit) Hashtbl.t;
 }
 
-let create ?simplify ?encoding () =
+let create () =
   let sat = S.create () in
   let true_lit = S.mk_lit (S.new_var sat) true in
   S.add_clause sat [ true_lit ];
-  let enc =
-    match encoding with
-    | Some `Tseitin -> Tseitin
-    | Some `Plaisted_greenbaum -> Plaisted_greenbaum
-    | None -> Atomic.get encoding_flag
-  in
-  let simplify =
-    match simplify with Some b -> b | None -> Atomic.get simplify_flag
-  in
   {
     sat;
     true_lit;
-    enc;
     aig =
-      (if simplify then
+      (if Atomic.get simplify_flag then
          Some
            {
              g = Aig.create ();
@@ -111,11 +68,9 @@ let is_true t l = l = t.true_lit
 let is_false t l = l = lit_false t
 let is_const t l = is_true t l || is_false t l
 
-(* Gates. Each returns an output literal; constant inputs short-circuit.
-   [pol] is the polarity of the gate's output in the asserted formula:
-   [Pos] emits only the ¬o ∨ … direction, [Neg] only the o ∨ … direction. *)
+(* Gates. Each returns an output literal; constant inputs short-circuit. *)
 
-let and2 ?(pol = Both) t a b =
+let and2 t a b =
   if is_false t a || is_false t b then lit_false t
   else if is_true t a then b
   else if is_true t b then a
@@ -123,17 +78,15 @@ let and2 ?(pol = Both) t a b =
   else if a = S.neg b then lit_false t
   else begin
     let o = fresh t in
-    if pol <> Neg then begin
-      S.add_clause t.sat [ S.neg o; a ];
-      S.add_clause t.sat [ S.neg o; b ]
-    end;
-    if pol <> Pos then S.add_clause t.sat [ o; S.neg a; S.neg b ];
+    S.add_clause t.sat [ S.neg o; a ];
+    S.add_clause t.sat [ S.neg o; b ];
+    S.add_clause t.sat [ o; S.neg a; S.neg b ];
     o
   end
 
-let or2 ?(pol = Both) t a b = S.neg (and2 ~pol:(flip pol) t (S.neg a) (S.neg b))
+let or2 t a b = S.neg (and2 t (S.neg a) (S.neg b))
 
-let andn ?(pol = Both) t = function
+let andn t = function
   | [] -> t.true_lit
   | [ l ] -> l
   | ls ->
@@ -148,37 +101,31 @@ let andn ?(pol = Both) t = function
             if List.exists (fun l -> List.mem (S.neg l) ls) ls then lit_false t
             else begin
               let o = fresh t in
-              if pol <> Neg then
-                List.iter (fun l -> S.add_clause t.sat [ S.neg o; l ]) ls;
-              if pol <> Pos then
-                S.add_clause t.sat (o :: List.map S.neg ls);
+              List.iter (fun l -> S.add_clause t.sat [ S.neg o; l ]) ls;
+              S.add_clause t.sat (o :: List.map S.neg ls);
               o
             end
       end
 
-let orn ?(pol = Both) t ls = S.neg (andn ~pol:(flip pol) t (List.map S.neg ls))
+let orn t ls = S.neg (andn t (List.map S.neg ls))
 
-let xor2 ?(pol = Both) t a b =
+let xor2 t a b =
   if is_const t a then if is_true t a then S.neg b else b
   else if is_const t b then if is_true t b then S.neg a else a
   else if a = b then lit_false t
   else if a = S.neg b then t.true_lit
   else begin
     let o = fresh t in
-    if pol <> Neg then begin
-      S.add_clause t.sat [ S.neg o; a; b ];
-      S.add_clause t.sat [ S.neg o; S.neg a; S.neg b ]
-    end;
-    if pol <> Pos then begin
-      S.add_clause t.sat [ o; S.neg a; b ];
-      S.add_clause t.sat [ o; a; S.neg b ]
-    end;
+    S.add_clause t.sat [ S.neg o; a; b ];
+    S.add_clause t.sat [ S.neg o; S.neg a; S.neg b ];
+    S.add_clause t.sat [ o; S.neg a; b ];
+    S.add_clause t.sat [ o; a; S.neg b ];
     o
   end
 
-let iff2 ?(pol = Both) t a b = S.neg (xor2 ~pol:(flip pol) t a b)
+let iff2 t a b = S.neg (xor2 t a b)
 
-let ite_bool ?(pol = Both) t c a b =
+let ite_bool t c a b =
   if is_true t c then a
   else if is_false t c then b
   else if a = b then a
@@ -186,17 +133,13 @@ let ite_bool ?(pol = Both) t c a b =
   else if is_false t a && is_true t b then S.neg c
   else begin
     let o = fresh t in
-    if pol <> Neg then begin
-      S.add_clause t.sat [ S.neg o; S.neg c; a ];
-      S.add_clause t.sat [ S.neg o; c; b ];
-      (* Redundant but propagation-friendly. *)
-      S.add_clause t.sat [ S.neg o; a; b ]
-    end;
-    if pol <> Pos then begin
-      S.add_clause t.sat [ o; S.neg c; S.neg a ];
-      S.add_clause t.sat [ o; c; S.neg b ];
-      S.add_clause t.sat [ o; S.neg a; S.neg b ]
-    end;
+    S.add_clause t.sat [ S.neg o; S.neg c; a ];
+    S.add_clause t.sat [ S.neg o; c; b ];
+    (* Redundant but propagation-friendly. *)
+    S.add_clause t.sat [ S.neg o; a; b ];
+    S.add_clause t.sat [ o; S.neg c; S.neg a ];
+    S.add_clause t.sat [ o; c; S.neg b ];
+    S.add_clause t.sat [ o; S.neg a; S.neg b ];
     o
   end
 
@@ -231,21 +174,16 @@ let adder t a b cin =
   done;
   out
 
-(* Unsigned less-than: scan from LSB to MSB keeping a running verdict. The
-   running verdict and the final and-gate inherit the comparison's polarity;
-   the per-bit equalities condition the ite, so they stay two-sided. *)
-let ult_bits ?(pol = Both) t a b =
+(* Unsigned less-than: scan from LSB to MSB keeping a running verdict. *)
+let ult_bits t a b =
   let n = Array.length a in
   let lt = ref (lit_false t) in
   for i = 0 to n - 1 do
-    lt :=
-      ite_bool ~pol t (iff2 t a.(i) b.(i)) !lt
-        (and2 ~pol t (S.neg a.(i)) b.(i))
+    lt := ite_bool t (iff2 t a.(i) b.(i)) !lt (and2 t (S.neg a.(i)) b.(i))
   done;
   !lt
 
-let eq_bits ?(pol = Both) t a b =
-  andn ~pol t (Array.to_list (Array.map2 (iff2 ~pol t) a b))
+let eq_bits t a b = andn t (Array.to_list (Array.map2 (iff2 t) a b))
 
 (* Shift-and-add multiplier. *)
 let mul_bits t a b =
@@ -271,34 +209,15 @@ let shift_const_bits a k ~left ~fill =
 
 open Term
 
-(* Memo lookup: a Both entry is fully defined and serves any polarity; a
-   one-sided entry only serves its own side. A term first encoded one-sided
-   and later needed two-sided is re-encoded fresh under Both — sound (the
-   old output stays partially constrained) at the cost of a few variables,
-   and rare in practice. *)
-let rec blast_bool ?(pol = Both) t (term : Term.t) : S.lit =
-  let pol = if t.enc = Tseitin then Both else pol in
-  let hit =
-    match Hashtbl.find_opt t.bool_memo (term.id, 3) with
-    | Some _ as h -> h
-    | None ->
-        if pol = Both then None
-        else Hashtbl.find_opt t.bool_memo (term.id, pol_code pol)
-  in
-  match hit with
+let rec blast_bool t (term : Term.t) : S.lit =
+  match Hashtbl.find_opt t.bool_memo term.id with
   | Some l -> l
   | None ->
-      let store_pol = ref pol in
       let l =
         match term.node with
-        | True ->
-            store_pol := Both;
-            t.true_lit
-        | False ->
-            store_pol := Both;
-            lit_false t
+        | True -> t.true_lit
+        | False -> lit_false t
         | Var (name, Bool) -> (
-            store_pol := Both;
             match Hashtbl.find_opt t.var_bools name with
             | Some l -> l
             | None ->
@@ -306,14 +225,13 @@ let rec blast_bool ?(pol = Both) t (term : Term.t) : S.lit =
                 Hashtbl.add t.var_bools name l;
                 l)
         | Var (_, Bv _) -> assert false
-        | Not a -> S.neg (blast_bool ~pol:(flip pol) t a)
-        | And l -> andn ~pol t (List.map (blast_bool ~pol t) l)
-        | Or l -> orn ~pol t (List.map (blast_bool ~pol t) l)
+        | Not a -> S.neg (blast_bool t a)
+        | And l -> andn t (List.map (blast_bool t) l)
+        | Or l -> orn t (List.map (blast_bool t) l)
         | Eq (a, b) when equal_sort (Term.sort a) Bool ->
-            (* iff children occur in both phases of either direction. *)
-            iff2 ~pol t (blast_bool t a) (blast_bool t b)
-        | Eq (a, b) -> eq_bits ~pol t (blast_bv t a) (blast_bv t b)
-        | Ult (a, b) -> ult_bits ~pol t (blast_bv t a) (blast_bv t b)
+            iff2 t (blast_bool t a) (blast_bool t b)
+        | Eq (a, b) -> eq_bits t (blast_bv t a) (blast_bv t b)
+        | Ult (a, b) -> ult_bits t (blast_bv t a) (blast_bv t b)
         | Slt (a, b) ->
             (* Flip sign bits, then compare unsigned: literal negation is
                free at the SAT level. *)
@@ -323,7 +241,7 @@ let rec blast_bool ?(pol = Both) t (term : Term.t) : S.lit =
               bits.(n - 1) <- S.neg bits.(n - 1);
               bits
             in
-            ult_bits ~pol t (flip_sign (blast_bv t a)) (flip_sign (blast_bv t b))
+            ult_bits t (flip_sign (blast_bv t a)) (flip_sign (blast_bv t b))
         | Ite _ ->
             (* Boolean ite is normalized away by the Term smart constructor. *)
             assert false
@@ -331,7 +249,7 @@ let rec blast_bool ?(pol = Both) t (term : Term.t) : S.lit =
           ->
             assert false
       in
-      Hashtbl.replace t.bool_memo (term.id, pol_code !store_pol) l;
+      Hashtbl.replace t.bool_memo term.id l;
       l
 
 and blast_bv t (term : Term.t) : S.lit array =
@@ -351,7 +269,6 @@ and blast_bv t (term : Term.t) : S.lit array =
         | Var (_, Bool) -> assert false
         | Bnot a -> Array.map S.neg (blast_bv t a)
         | Ite (c, a, b) ->
-            (* Result bits are consumed in both phases downstream. *)
             let c = blast_bool t c in
             Array.map2 (ite_bool t c) (blast_bv t a) (blast_bv t b)
         | Bbin (op, a, b) -> blast_bvop t op a b
@@ -409,8 +326,7 @@ and blast_bvop t op a b =
 (* --- AIG-backed circuit layer ---
 
    Same circuits as the direct gates above, expressed over [Aig] literals.
-   Rewriting and structural hashing happen inside [Aig.and_]; polarity is
-   applied later, at CNF emission, so nothing here tracks it. *)
+   Rewriting and structural hashing happen inside [Aig.and_]. *)
 
 let axor3 g a b c = Aig.xor_ g (Aig.xor_ g a b) c
 
@@ -576,20 +492,20 @@ let aig_emit t st root =
   Aig.emit st.g ~false_lit:(lit_false t)
     ~fresh:(fun () -> fresh t)
     ~clause:(fun c -> S.add_clause t.sat c)
-    ~two_sided:(t.enc = Tseitin) root
+    root
 
 module Trace = Alive_trace.Trace
 
-(* [lower] rewrites to the core fragment, [bitblast] runs the polarity-aware
-   encoding; both are memoized per context, so re-asserting shared
-   subterms shows up as near-zero-duration spans. *)
+(* [lower] rewrites to the core fragment, [bitblast] runs the encoding;
+   both are memoized per context, so re-asserting shared subterms shows up
+   as near-zero-duration spans. *)
 let lower_traced term = Trace.with_span "lower" (fun () -> Lower.lower term)
 
 let blast_bool_traced t term =
   Trace.with_span "bitblast" (fun () ->
       match t.aig with
       | Some st -> aig_emit t st (ablast_bool st term)
-      | None -> blast_bool ~pol:Pos t term)
+      | None -> blast_bool t term)
 
 let assert_formula t term =
   if not (equal_sort (Term.sort term) Bool) then
@@ -597,12 +513,8 @@ let assert_formula t term =
   let l = blast_bool_traced t (lower_traced term) in
   S.add_clause t.sat [ l ]
 
-let check ?(assumptions = []) ?conflict_limit ?deadline t =
-  let lits =
-    List.map (fun f -> blast_bool_traced t (lower_traced f)) assumptions
-  in
-  if S.solve ~assumptions:lits ?conflict_limit ?deadline t.sat then `Sat
-  else `Unsat
+let check ?conflict_limit ?deadline t =
+  if S.solve ?conflict_limit ?deadline t.sat then `Sat else `Unsat
 
 let model_value t name sort =
   let bool_lit name =

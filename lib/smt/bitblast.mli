@@ -1,39 +1,22 @@
-(** Bit-blasting of lowered terms into a CDCL SAT solver, using the
-    Plaisted–Greenbaum polarity-tracked CNF encoding: subformulas that occur
-    under only one polarity get half the Tseitin clauses (positive-only
-    occurrences keep the output→definition direction, negative-only the
-    converse); xor/iff children and ite conditions are two-sided, as are all
-    bit-level arithmetic circuits. The encoding preserves satisfiability per
-    asserted root, and CNF models restricted to the original variables are
-    models of the asserted formulas, so counterexamples are extracted exactly
-    as under full Tseitin.
+(** Bit-blasting of lowered terms into a CDCL SAT solver, with the Tseitin
+    CNF encoding: every gate gets the clauses for both directions of its
+    definition, so CNF models restricted to the original variables are
+    models of the asserted formulas, and counterexamples are read off them
+    directly.
 
-    A context owns a SAT solver and memoization tables keyed by term id (and
-    requested polarity), so shared subterms are encoded once per polarity
-    regime. Formulas are asserted incrementally; [check] may be called
-    repeatedly, also under assumptions (used by the CEGAR loop and attribute
-    inference).
+    A context owns a SAT solver and memoization tables keyed by term id, so
+    shared subterms are encoded once. Formulas are asserted incrementally;
+    [check] may be called repeatedly (the CEGAR loop's outer context adds a
+    formula per round).
 
     Input terms must be in the bit-blaster's core fragment (see {!Lower});
-    [assert_formula] and [check] lower their arguments automatically. *)
+    [assert_formula] lowers its argument automatically. *)
 
 type t
 
-val create :
-  ?simplify:bool -> ?encoding:[ `Tseitin | `Plaisted_greenbaum ] -> unit -> t
-(** Both options default to the process-wide atomics ({!set_simplify},
-    {!set_encoding}); the per-context overrides exist so parallel racers
-    (the encoding portfolio, cube workers) can pick their own path without
-    touching global state. *)
-
-val set_encoding : [ `Tseitin | `Plaisted_greenbaum ] -> unit
-(** Select the CNF encoding for subsequent blasting (a process-wide atomic).
-    [`Plaisted_greenbaum] emits one-sided gate definitions for one-sided
-    subformulas — fewest clauses and variables; [`Tseitin] keeps every gate
-    two-sided — more clauses but stronger unit propagation. The default is
-    chosen by benchmark (see docs/PERFORMANCE.md). *)
-
-val encoding : unit -> [ `Tseitin | `Plaisted_greenbaum ]
+val create : unit -> t
+(** A fresh context, with the AIG pass on or off as {!set_simplify} says
+    when it is created. *)
 
 val set_simplify : bool -> unit
 (** Process-wide default for AIG structural simplification: when on (the
@@ -46,12 +29,7 @@ val simplify : unit -> bool
 val assert_formula : t -> Term.t -> unit
 (** Assert a Bool-sorted term. @raise Invalid_argument on bitvector sorts. *)
 
-val check :
-  ?assumptions:Term.t list ->
-  ?conflict_limit:int ->
-  ?deadline:float ->
-  t ->
-  [ `Sat | `Unsat ]
+val check : ?conflict_limit:int -> ?deadline:float -> t -> [ `Sat | `Unsat ]
 (** [deadline] is absolute wall-clock time; see {!Alive_sat.Solver.solve}.
     @raise Alive_sat.Solver.Budget_exceeded when a limit runs out. *)
 

@@ -107,62 +107,6 @@ let ashr_lowered a b =
 
 let is_const t = match t.node with BvConst _ -> true | _ -> false
 
-(* Cube-split metadata: rank the free bitvector variables of a (pre-lower)
-   term by how strongly they feed the circuits that blow up after lowering.
-   Divisor variables dominate — fixing a divisor's high bits collapses most
-   of the restoring-division cone — then multiplier operands, then variable
-   shift amounts. Returns (name, width, score), best first, deterministic. *)
-let split_candidates ts =
-  let scores : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let credit weight t =
-    List.iter
-      (fun (name, sort) ->
-        match sort with
-        | Term.Bv w ->
-            let _, old =
-              Option.value ~default:(w, 0) (Hashtbl.find_opt scores name)
-            in
-            Hashtbl.replace scores name (w, old + weight)
-        | Term.Bool -> ())
-      (Term.vars t)
-  in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let rec walk t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.add seen t.id ();
-      (match t.node with
-      | Bbin ((Udiv | Sdiv | Urem | Srem), a, b) ->
-          credit 4 b;
-          credit 1 a
-      | Bbin (Mul, a, b) ->
-          credit 2 a;
-          credit 2 b
-      | Bbin ((Shl | Lshr | Ashr), a, b) when not (is_const b) ->
-          credit 2 b;
-          credit 1 a
-      | _ -> ());
-      let children =
-        match t.node with
-        | True | False | Var _ | BvConst _ -> []
-        | Not a | Bnot a | Extract (_, _, a) | Zext (_, a) | Sext (_, a) ->
-            [ a ]
-        | And l | Or l -> l
-        | Eq (a, b) | Ult (a, b) | Slt (a, b) | Concat (a, b) | Bbin (_, a, b)
-          ->
-            [ a; b ]
-        | Ite (c, a, b) -> [ c; a; b ]
-      in
-      List.iter walk children
-    end
-  in
-  List.iter walk ts;
-  Hashtbl.fold (fun name (w, score) acc -> (name, w, score) :: acc) scores []
-  |> List.filter (fun (_, _, score) -> score > 0)
-  |> List.sort (fun (n1, w1, s1) (n2, w2, s2) ->
-         if s1 <> s2 then Stdlib.compare s2 s1
-         else if w1 <> w2 then Stdlib.compare w2 w1
-         else Stdlib.compare n1 n2)
-
 let lower t =
   let memo : (int, Term.t) Hashtbl.t = Hashtbl.create 64 in
   let rec go t =

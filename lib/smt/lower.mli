@@ -7,13 +7,3 @@
 val lower : Term.t -> Term.t
 (** Semantics-preserving: [eval env (lower t) = eval env t] for every
     valuation (property-tested). Memoized across the DAG within one call. *)
-
-val split_candidates : Term.t list -> (string * int * int) list
-(** Rank the free bitvector variables of the (pre-lowering) terms by how
-    strongly they feed circuits that dominate post-lowering search:
-    divisors of [Udiv]/[Sdiv]/[Urem]/[Srem] weigh most, then multiplier
-    operands, then non-constant shift amounts. Returns
-    [(name, width, score)] with positive scores only, best first;
-    deterministic (ties broken by width desc, then name). Used by the
-    cube-and-conquer splitter to pick the variable whose high bits to
-    fix. *)

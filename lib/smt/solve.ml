@@ -53,8 +53,7 @@ type telemetry = {
   mutable store_hits : int;
   mutable store_misses : int;
   mutable static_proved : int;
-  mutable cubes_spawned : int;
-  mutable cubes_pruned : int;
+  mutable cubes_spawned : int; (* always 0, in no row; perfbench reads it *)
   mutable aig_nodes_in : int;
   mutable aig_nodes_out : int;
 }
@@ -79,7 +78,6 @@ let telemetry () =
     store_misses = 0;
     static_proved = 0;
     cubes_spawned = 0;
-    cubes_pruned = 0;
     aig_nodes_in = 0;
     aig_nodes_out = 0;
   }
@@ -148,10 +146,6 @@ let table =
       (fun t -> t.store_misses) (fun t v -> t.store_misses <- v);
     row "static_proved" "refine.static_proved" Sum
       (fun t -> t.static_proved) (fun t v -> t.static_proved <- v);
-    row "cubes_spawned" "solve.cubes_spawned" Sum
-      (fun t -> t.cubes_spawned) (fun t v -> t.cubes_spawned <- v);
-    row "cubes_pruned" "solve.cubes_pruned" Sum
-      (fun t -> t.cubes_pruned) (fun t v -> t.cubes_pruned <- v);
     row "aig_nodes_in" "solve.aig_nodes_in" Sum
       (fun t -> t.aig_nodes_in) (fun t v -> t.aig_nodes_in <- v);
     row "aig_nodes_out" "solve.aig_nodes_out" Sum
@@ -239,32 +233,9 @@ let owned sink f =
 
 module Trace = Alive_trace.Trace
 
-(* --- Cube-and-conquer switches --- *)
-
-let cube_flag = Atomic.make true
-let set_cubes b = Atomic.set cube_flag b
-let cubes_enabled () = Atomic.get cube_flag
-
-(* Conflicts a query may burn whole before it is split into cubes. *)
-let cube_threshold_a = Atomic.make 2000
-let set_cube_threshold n = Atomic.set cube_threshold_a (max 1 n)
-let cube_threshold () = Atomic.get cube_threshold_a
-
-(* High-order bits fixed per cube: 2^cube_bits cubes partition the split
-   variable's range. *)
-let cube_bits = 2
-
-(* Parallel fan-out hook. [None] (the default, and always the case on a
-   single-core pool): cubes are scanned sequentially as assumption sets on
-   the original context. Installed by the engine when its pool has real
-   parallelism: receives one thunk per cube (plus the whole-query
-   portfolio racer) and must run every thunk to completion before
-   returning. *)
-let cube_runner_a : ((unit -> unit) list -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_cube_runner r = Atomic.set cube_runner_a r
-let cube_runner () = Atomic.get cube_runner_a
+(* perfbench (frozen with the benchmark) still calls this. There is one
+   solve path and nothing to install, so the hook ignores its argument. *)
+let set_cube_runner (_ : ((unit -> unit) list -> unit) option) = ()
 
 (* --- Optional per-query dumps: DIMACS (--dump-cnf), AIGER (--dump-aig) --- *)
 
@@ -312,15 +283,14 @@ let dump_query ctx result =
 
 (* One solver invocation under the meter, with stats deltas recorded.
    Returns [`Unknown] instead of letting [Budget_exceeded] escape. *)
-let metered_check ?assumptions m ctx :
+let metered_check m ctx :
     [ `Sat | `Unsat | `Unknown of reason ] =
   let sp = Trace.begin_span "sat_solve" in
   let s0 = Bitblast.stats ctx in
   let t0 = Unix.gettimeofday () in
   let result =
     match
-      Bitblast.check ?assumptions ?conflict_limit:m.conflicts_left
-        ?deadline:m.deadline ctx
+      Bitblast.check ?conflict_limit:m.conflicts_left ?deadline:m.deadline ctx
     with
     | `Sat -> `Sat
     | `Unsat -> `Unsat
@@ -387,163 +357,56 @@ let extract_model ctx vars =
            (fun (name, sort) -> (name, Bitblast.model_value ctx name sort))
            vars))
 
-(* --- Cube-and-conquer ---
+(* --- Model re-evaluation ---
 
-   A query that still has no answer after [cube_threshold] conflicts is
-   split on the high-order bits of the variable [Lower.split_candidates]
-   ranks best (divisors first, then multiplier operands, then variable
-   shift amounts): the 2^cube_bits values of those bits partition the
-   search space, and each cube is solved as its own subproblem. Any Sat
-   cube answers the query Sat; all cubes Unsat answers Unsat — the join is
-   exact because the cubes are exhaustive and mutually exclusive.
+   Every model is evaluated against the formulas asserted in its context
+   before it leaves this module. Those are the terms before [Lower], so a
+   model that falsifies them exposes a bug in lowering, the AIG or the
+   CNF, and is raised instead of becoming a counterexample. *)
 
-   Without a runner the cubes are scanned sequentially as assumption sets
-   on the original context, so clauses learnt refuting one cube prune its
-   siblings. With a runner installed (a pool with real parallelism) each
-   cube solves on a fresh context in its own task, raced against one
-   whole-query task that uses the Plaisted-Greenbaum encoding — the
-   portfolio leg: on one-sided-friendly queries the alternative encoding
-   often finishes before any cube. The first decisive task flips an atomic
-   flag; tasks that start after it are pruned. In parallel mode each task
-   gets its own copy of the remaining conflict allowance (wall clock stays
-   bounded by the shared absolute deadline), and per-task telemetry is
-   folded into the caller's sink single-threaded after the join. *)
+exception Model_mismatch of string
+
+let () =
+  Printexc.register_printer (function
+    | Model_mismatch q -> Some ("SAT model falsifies its formula: " ^ q)
+    | _ -> None)
+
+(* [Term.eval] computes on [Bitvec]s, which stop at [Bitvec.max_width]
+   bits and raise [Invalid_argument] past it. The overflow check of a
+   multiply compares at twice the width, so at widths above 32 a formula
+   can hold wider terms; models of those formulas are returned
+   unchecked. *)
+let checked ~query formulas model =
+  List.iter
+    (fun (f : Term.t) ->
+      let holds =
+        match Model.holds model f with
+        | exception Invalid_argument _ -> true
+        | b -> b
+      in
+      if not holds then
+        raise
+          (Model_mismatch
+             (Printf.sprintf "%s, formula %x (%d subterms)" query f.fp
+                (Term.size f))))
+    formulas;
+  model
+
+(* --- Queries: one context, one metered check --- *)
 
 let check_sat_into sink budget formulas =
   let ctx = Bitblast.create () in
   List.iter (Bitblast.assert_formula ctx) formulas;
   let m = start_meter sink budget in
-  let qvars =
-    List.sort_uniq Stdlib.compare (List.concat_map Term.vars formulas)
-  in
-  let finish c = Sat (extract_model c qvars) in
-  let plain () =
+  let result =
     match metered_check m ctx with
     | `Unsat -> Unsat
     | `Unknown r -> Unknown r
-    | `Sat -> finish ctx
-  in
-  let note_spawned n = m.sink.cubes_spawned <- m.sink.cubes_spawned + n in
-  (* Sequential fallback: each cube is an assumption set on the original
-     context, sharing its learnt clauses. The meter keeps drawing down the
-     query's single conflict allowance across cubes. *)
-  let scan_cubes cubes =
-    note_spawned (List.length cubes);
-    let rec go = function
-      | [] -> Unsat
-      | cube :: rest -> (
-          match metered_check ~assumptions:[ cube ] m ctx with
-          | `Sat -> finish ctx
-          | `Unknown r -> Unknown r
-          | `Unsat -> go rest)
-    in
-    go cubes
-  in
-  (* Parallel fan-out: fresh context per cube, plus slot [n] solving the
-     whole query under the Plaisted-Greenbaum encoding. *)
-  let race_cubes run cubes =
-    let n = List.length cubes in
-    note_spawned n;
-    let slots = Array.make (n + 1) `Pending in
-    let locals = Array.init (n + 1) (fun _ -> telemetry ()) in
-    let won = Atomic.make false in
-    let shared_left = m.conflicts_left in
-    let task i ~cube ~encoding () =
-      if Atomic.get won then slots.(i) <- `Pruned
-      else begin
-        let c = Bitblast.create ?encoding () in
-        List.iter (Bitblast.assert_formula c) formulas;
-        (match cube with
-        | Some f -> Bitblast.assert_formula c f
-        | None -> ());
-        let mi =
-          { deadline = m.deadline;
-            conflicts_left = shared_left;
-            sink = locals.(i) }
+    | `Sat ->
+        let vars =
+          List.sort_uniq Stdlib.compare (List.concat_map Term.vars formulas)
         in
-        let r =
-          match metered_check mi c with
-          | `Sat ->
-              Atomic.set won true;
-              `Sat (extract_model c qvars)
-          | `Unsat ->
-              (* A whole-query Unsat is decisive; a cube Unsat is not. *)
-              if cube = None then Atomic.set won true;
-              `Unsat
-          | `Unknown r -> `Unknown r
-        in
-        retire_ctx mi c;
-        slots.(i) <- r
-      end
-    in
-    let tasks =
-      List.mapi (fun i cube -> task i ~cube:(Some cube) ~encoding:None) cubes
-      @ [ task n ~cube:None ~encoding:(Some `Plaisted_greenbaum) ]
-    in
-    run tasks;
-    Array.iter (fun l -> add_telemetry ~into:m.sink l) locals;
-    let pruned = ref 0 in
-    let sat = ref None in
-    let unknown = ref None in
-    let portfolio_unsat = ref false in
-    let cubes_unsat = ref 0 in
-    Array.iteri
-      (fun i s ->
-        match s with
-        | `Pruned -> incr pruned
-        | `Pending -> ()
-        | `Sat model -> if !sat = None then sat := Some model
-        | `Unsat -> if i = n then portfolio_unsat := true else incr cubes_unsat
-        | `Unknown r -> if i < n && !unknown = None then unknown := Some r)
-      slots;
-    m.sink.cubes_pruned <- m.sink.cubes_pruned + !pruned;
-    match !sat with
-    | Some model -> Sat model
-    | None ->
-        if !portfolio_unsat || !cubes_unsat = n then Unsat
-        else Unknown (Option.value ~default:Conflict_limit !unknown)
-  in
-  let cubed () =
-    match Lower.split_candidates formulas with
-    | [] -> plain () (* nothing worth splitting on: finish the query whole *)
-    | (name, w, _) :: _ -> (
-        let k = min cube_bits w in
-        let cubes =
-          List.init (1 lsl k) (fun i ->
-              Term.eq
-                (Term.extract ~hi:(w - 1) ~lo:(w - k)
-                   (Term.var name (Term.Bv w)))
-                (Term.const (Bitvec.of_int ~width:k i)))
-        in
-        match Atomic.get cube_runner_a with
-        | Some run -> race_cubes run cubes
-        | None -> scan_cubes cubes)
-  in
-  let threshold = cube_threshold () in
-  let result =
-    if
-      (not (cubes_enabled ()))
-      || (match m.conflicts_left with
-         | Some l -> l <= threshold
-         | None -> false)
-    then plain ()
-    else begin
-      (* Probe: spend at most [threshold] conflicts on the whole query
-         before deciding to split. The probe draws on the real allowance. *)
-      let real_left = m.conflicts_left in
-      m.conflicts_left <- Some threshold;
-      let probe = metered_check m ctx in
-      let probe_spent =
-        threshold - Option.value ~default:0 m.conflicts_left
-      in
-      m.conflicts_left <-
-        Option.map (fun l -> max 0 (l - probe_spent)) real_left;
-      match probe with
-      | `Sat -> finish ctx
-      | `Unsat -> Unsat
-      | `Unknown Conflict_limit -> cubed ()
-      | `Unknown r -> Unknown r
-    end
+        Sat (checked ~query:"check_sat" formulas (extract_model ctx vars))
   in
   retire_ctx m ctx;
   result
@@ -564,15 +427,6 @@ let default_value = function
   | Term.Bool -> Term.Vbool false
   | Term.Bv n -> Term.Vbv (Bitvec.zero n)
 
-(* Incremental-CEGAR switch: keep one inner context alive across CEGAR
-   iterations, asserting each round's instantiation under a fresh guard
-   variable and solving with the guard assumed. Off, every round re-creates
-   and re-blasts the inner formula from scratch (the historical behavior,
-   kept for A/B comparison and differential testing). *)
-let incremental_flag = Atomic.make true
-let set_incremental b = Atomic.set incremental_flag b
-let incremental_enabled () = Atomic.get incremental_flag
-
 let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
   let max_iterations = Option.value max_iterations ~default:budget.max_cegar in
   owned telemetry @@ fun sink ->
@@ -588,48 +442,34 @@ let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
          growing candidate set. The outer solver is incremental: each new
          candidate adds one more conjunct ¬f[E:=cand]. *)
       let outer = Bitblast.create () in
+      let outer_formulas = ref [] in
       let add_candidate cand =
         let bindings =
           List.map (fun (n, _) -> (n, value_to_term (Model.find_exn cand n))) exists
         in
-        Bitblast.assert_formula outer (Term.not_ (Term.subst bindings f))
+        let g = Term.not_ (Term.subst bindings f) in
+        outer_formulas := g :: !outer_formulas;
+        Bitblast.assert_formula outer g
       in
       (* Seed with the all-zero candidate. *)
       add_candidate
         (Model.of_list (List.map (fun (n, s) -> (n, default_value s)) exists));
-      (* The inner ∃E check. Incremental mode keeps one context for the whole
-         query: round [i]'s instantiation f[O:=oᵢ] is asserted as
-         guardᵢ ⇒ f[O:=oᵢ] and solved assuming guardᵢ, so variable bits are
-         allocated once and learnt clauses carry across rounds. Earlier
-         guards are left unconstrained — the solver may simply set them
-         false — so each round sees exactly its own instantiation. *)
-      let use_incremental = incremental_enabled () in
-      let inner_ctx = ref None in
-      let inner_rounds = ref 0 in
+      (* The inner ∃E check: each round blasts its instantiation f[O:=oᵢ]
+         into a fresh context. *)
       let solve_inner f_inner =
-        if use_incremental then begin
-          let inner =
-            match !inner_ctx with
-            | Some c -> c
-            | None ->
-                let c = Bitblast.create () in
-                inner_ctx := Some c;
-                c
-          in
-          let guard =
-            Term.var (Printf.sprintf "!cegar.on%d" !inner_rounds) Term.Bool
-          in
-          incr inner_rounds;
-          Bitblast.assert_formula inner (Term.implies guard f_inner);
-          (inner, metered_check ~assumptions:[ guard ] m inner)
-        end
-        else begin
-          let inner = Bitblast.create () in
-          Bitblast.assert_formula inner f_inner;
-          let r = metered_check m inner in
-          retire_ctx m inner;
-          (inner, r)
-        end
+        let inner = Bitblast.create () in
+        Bitblast.assert_formula inner f_inner;
+        let r =
+          match metered_check m inner with
+          | `Sat ->
+              let vars = List.sort_uniq Stdlib.compare (Term.vars f_inner) in
+              `Sat
+                (checked ~query:"CEGAR inner" [ f_inner ]
+                   (extract_model inner vars))
+          | (`Unsat | `Unknown _) as r -> r
+        in
+        retire_ctx m inner;
+        r
       in
       (* One refinement round under its own span, so iterations render as
          sibling slices rather than one ever-deepening nest. The recursion
@@ -641,23 +481,20 @@ let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
             | `Unknown r -> `Stop (`Unknown r)
             | `Unsat -> `Stop `Valid
             | `Sat -> (
-                let o_model = extract_model outer outer_vars in
+                let o_model =
+                  checked ~query:"CEGAR outer" !outer_formulas
+                    (extract_model outer outer_vars)
+                in
                 (* Does some E satisfy f under this O? *)
                 let o_bindings =
                   List.map
                     (fun (n, _) -> (n, value_to_term (Model.find_exn o_model n)))
                     outer_vars
                 in
-                let f_inner = Term.subst o_bindings f in
-                let inner, inner_result = solve_inner f_inner in
-                match inner_result with
+                match solve_inner (Term.subst o_bindings f) with
                 | `Unknown r -> `Stop (`Unknown r)
                 | `Unsat -> `Stop (`Invalid o_model)
-                | `Sat ->
-                    let e_model =
-                      extract_model inner
-                        (List.sort_uniq Stdlib.compare (Term.vars f_inner))
-                    in
+                | `Sat e_model ->
                     let cand =
                       Model.of_list
                         (List.map
@@ -681,6 +518,5 @@ let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
         end
       in
       let result = loop 0 in
-      (match !inner_ctx with Some c -> retire_ctx m c | None -> ());
       retire_ctx m outer;
       result

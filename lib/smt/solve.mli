@@ -42,9 +42,9 @@ val budget :
     were passed it; create one per unit of reporting (per transformation,
     per run) and sum with {!add_telemetry}.
 
-    Each field is declared once more, as a row of the counter table in
-    [solve.ml]: its report name, its registry name, its accessor and its
-    merge rule. Summing, printing, JSON and publication into the
+    Each field but [cubes_spawned] is declared once more, as a row of the
+    counter table in [solve.ml]: its report name, its registry name, its
+    accessor and its merge rule. Summing, printing, JSON and publication into the
     {!Alive_trace.Metrics} registry are all derived from that table, so a
     new counter is a record field, its zero in {!telemetry} and one row. *)
 
@@ -75,9 +75,9 @@ type telemetry = {
       (** verification conditions discharged by the tier-0 static prover
           (see [Alive_absint.Prover]) without reaching the SAT solver *)
   mutable cubes_spawned : int;
-      (** cube subproblems created by the cube-and-conquer splitter *)
-  mutable cubes_pruned : int;
-      (** cube/portfolio tasks skipped because a sibling already won *)
+      (** always 0, and in no report: the field outlived the query
+          splitter it counted because perfbench, frozen with the
+          benchmark, still reads it *)
   mutable aig_nodes_in : int;
       (** AND-gate requests made to the AIG layer, before rewriting *)
   mutable aig_nodes_out : int;
@@ -120,7 +120,24 @@ val with_cost : telemetry -> (unit -> 'a) -> 'a * cost
 (** Run a solve that records into the given record, and return what it
     spent there. *)
 
-(** {1 Queries} *)
+(** {1 Queries}
+
+    Every query takes one path: {!Lower}, then the AIG (unless
+    {!Bitblast.set_simplify} turned it off), Tseitin CNF and one CDCL
+    call. The CEGAR loop of {!check_valid_ef} keeps one outer context and
+    blasts each round's inner instantiation into a fresh context.
+
+    Before a model is returned, it is evaluated against the formulas
+    asserted in its context, as they were before lowering. A model that
+    falsifies them raises {!Model_mismatch}. A formula whose evaluation
+    reaches a subterm wider than {!Bitvec.max_width} bits cannot be
+    evaluated; its model is returned unchecked. *)
+
+exception Model_mismatch of string
+(** A SAT model falsified the formula it was found for: a bug in
+    lowering, the AIG or the CNF encoding. The message names the context
+    (["check_sat"], ["CEGAR outer"] or ["CEGAR inner"]) and the formula's
+    content fingerprint. *)
 
 type answer = Sat of Model.t | Unsat | Unknown of reason
 
@@ -155,16 +172,7 @@ val check_valid_ef :
 
 val value_to_term : Term.value -> Term.t
 
-(** {1 Solve-path switches} *)
-
-val set_incremental : bool -> unit
-(** Toggle incremental CEGAR (default on): one inner context lives across
-    all CEGAR iterations of a query, each round's instantiation asserted
-    under a fresh guard variable and solved with that guard assumed, so
-    variable encodings and learnt clauses carry across rounds. Off, every
-    iteration builds a fresh inner context (the historical behavior). *)
-
-val incremental_enabled : unit -> bool
+(** {1 Dumps} *)
 
 val set_dump_dir : string option -> unit
 (** When set, every solver invocation writes its SAT instance to
@@ -179,31 +187,7 @@ val set_dump_aig_dir : string option -> unit
     format. Shares the query sequence numbers with {!set_dump_dir}, so the
     [.cnf] and [.aag] for one solve carry the same number. *)
 
-val set_cubes : bool -> unit
-(** Toggle cube-and-conquer (default on): a query still unanswered after
-    {!cube_threshold} conflicts is split into [2^k] cubes on the
-    high-order bits of the variable that feeds the heaviest circuits
-    (divisors first), and the cubes are solved separately — sequentially
-    as assumption sets sharing learnt clauses, or as parallel tasks when a
-    runner is installed. The cube join is exact, so verdicts are
-    unchanged; only models may differ (the Sat cube that answers first
-    provides the witness). *)
-
-val cubes_enabled : unit -> bool
-
-val set_cube_threshold : int -> unit
-(** Conflicts a query may burn whole before being split (default 2000;
-    clamped to at least 1). Lower it to force the cube path in tests. *)
-
-val cube_threshold : unit -> int
-
 val set_cube_runner : ((unit -> unit) list -> unit) option -> unit
-(** Install the parallel fan-out hook. The runner receives one thunk per
-    cube plus one whole-query portfolio racer (Plaisted-Greenbaum
-    encoding) and must run every thunk to completion — possibly
-    concurrently — before returning. [None] (the default) selects the
-    sequential scan. The engine installs a pool-backed runner when it has
-    more than one worker. *)
-
-val cube_runner : unit -> ((unit -> unit) list -> unit) option
-(** The installed fan-out hook, for save/restore around tests. *)
+(** Does nothing. Every query takes one path, so there is no fan-out hook
+    to install; the setter stays because perfbench, frozen with the
+    benchmark, calls it. *)

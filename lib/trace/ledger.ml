@@ -47,6 +47,19 @@ let git_rev () =
         if line = "" then "unknown" else line
       with _ -> "unknown")
 
+(* A record made on a tree whose tracked files differ from HEAD measured
+   no commit, so its stamp says so. Ledger files are left out of the
+   comparison: appending a record changes them. *)
+let tree_rev () =
+  let rev = git_rev () in
+  if Sys.getenv_opt "GITHUB_SHA" <> None || rev = "unknown" then rev
+  else
+    match
+      Sys.command "git diff --quiet HEAD -- ':(top,exclude)*.jsonl' 2>/dev/null"
+    with
+    | 1 -> rev ^ "-dirty"
+    | _ -> rev
+
 (* --- A run's registry change --- *)
 
 (* Totals and seconds by difference. A peak is a high-water mark, so the
@@ -93,7 +106,7 @@ let make ~label ~jobs ~tasks
   {
     schema = schema_version;
     timestamp = iso8601 (Unix.gettimeofday ());
-    git_rev = git_rev ();
+    git_rev = tree_rev ();
     label;
     jobs;
     tasks;

@@ -57,7 +57,8 @@ val make :
   Metrics.snapshot ->
   record
 (** [make ... before after] stamps a record with the current UTC time and
-    git revision; its counters are {!counters_since} [before after] plus
+    git revision, suffixed ["-dirty"] when tracked files other than
+    [*.jsonl] differ from HEAD (never under [GITHUB_SHA]); its counters are {!counters_since} [before after] plus
     [extras], its phases the histograms' change. A local run snapshots its
     own registry; a run through the daemon scrapes the daemon's. *)
 

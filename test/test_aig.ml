@@ -1,10 +1,10 @@
-(* Tests for the wide-width solve path: the AIG simplification pass, the
-   cube-and-conquer splitter, and the encoding portfolio. The pass and the
-   splitter are both meant to be invisible in verdicts — the differential
-   tests here run real corpus slices through both configurations and
+(* Tests for the wide-width solve path: the AIG simplification pass and
+   the CNF it emits. The pass is meant to be invisible in verdicts — the
+   differential tests here run real corpus slices with it on and off and
    demand identical answers — while the QCheck properties pin down the
-   structural-hashing algebra the AIG layer relies on. Every test saves
-   and restores the global switches it flips. *)
+   structural-hashing algebra the AIG layer relies on, and golden digests
+   pin the clauses both encoders emit. Every test saves and restores the
+   global switches it flips. *)
 
 module Solve = Alive_smt.Solve
 module Bitblast = Alive_smt.Bitblast
@@ -29,35 +29,12 @@ let with_aig on f =
       Alive_smt.Vc_cache.clear ())
     f
 
-let with_cubes ~on ~threshold ?runner f =
-  let on_was = Solve.cubes_enabled () in
-  let thr_was = Solve.cube_threshold () in
-  let runner_was = Solve.cube_runner () in
-  Solve.set_cubes on;
-  Solve.set_cube_threshold threshold;
-  (match runner with Some _ -> Solve.set_cube_runner runner | None -> ());
-  Alive_smt.Vc_cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Solve.set_cubes on_was;
-      Solve.set_cube_threshold thr_was;
-      Solve.set_cube_runner runner_was;
-      Alive_smt.Vc_cache.clear ())
-    f
-
 (* Fingerprint: verdict constructor, failing instruction/criterion, and
    unknown reason. Counterexample models are deliberately NOT compared:
    the AIG pass renumbers CNF variables, so the SAT solver may pick a
    different (equally genuine — Refine validates it against the concrete
    semantics) witness for the same Invalid verdict. *)
 let fingerprint v = Format.asprintf "%a" Refine.pp_verdict v
-
-(* Verdict-only fingerprint: the cube join is exact on verdicts, but a Sat
-   answer's witness may come from whichever cube answered, so cube
-   differentials must not compare models. *)
-let verdict_fingerprint = function
-  | Refine.Invalid _ -> "invalid"
-  | v -> Format.asprintf "%a" Refine.pp_verdict v
 
 let check_parity base off =
   List.iter2
@@ -246,86 +223,16 @@ let solver_soundness_props =
         | _ -> false);
   ]
 
-(* --- Cube-and-conquer differentials --- *)
+(* --- Telemetry --- *)
 
-(* Slices with division/shift structure so [Lower.split_candidates] finds
-   something to split on; a threshold of 1 conflict forces the splitter on
-   every non-trivial query. *)
-let cube_slice () =
-  List.filter
-    (fun (e : Entry.t) ->
-      String.equal e.file "MulDivRem" || String.equal e.file "Shifts")
-    Alive_suite.Registry.all
-
-let run_slice_verdicts entries =
-  List.map
-    (fun (e : Entry.t) ->
-      let v = Refine.check ?widths:e.widths (Entry.parse e) in
-      (e.name, verdict_fingerprint v))
-    entries
-
-let inline_runner thunks = List.iter (fun t -> t ()) thunks
-
-let cube_tests =
+let telemetry_tests =
   [
-    Alcotest.test_case "cube join parity: sequential scan vs no cubes" `Slow
-      (fun () ->
-        let slice = cube_slice () in
-        check_bool "slice has enough entries" true (List.length slice >= 50);
-        let cubed =
-          with_cubes ~on:true ~threshold:1 (fun () ->
-              run_slice_verdicts slice)
-        in
-        let plain =
-          with_cubes ~on:false ~threshold:1 (fun () ->
-              run_slice_verdicts slice)
-        in
-        check_parity cubed plain);
-    Alcotest.test_case
-      "cube join parity: parallel runner + portfolio vs no cubes" `Slow
-      (fun () ->
-        (* Installing an inline runner takes the [race_cubes] path — fresh
-           contexts per cube plus the whole-query Plaisted-Greenbaum
-           portfolio racer — even on a single-core host. *)
-        let slice = cube_slice () in
-        let raced =
-          with_cubes ~on:true ~threshold:1 ~runner:inline_runner
-            (fun () -> run_slice_verdicts slice)
-        in
-        let plain =
-          with_cubes ~on:false ~threshold:1 (fun () ->
-              run_slice_verdicts slice)
-        in
-        check_parity raced plain);
-    Alcotest.test_case "forced threshold actually spawns cubes" `Quick
-      (fun () ->
-        (* A variable-divisor query exceeds one conflict immediately; the
-           splitter must fire and record it in telemetry. *)
-        let t =
-          parse "%r = udiv %x, %x\n=>\n%r = 1\n"
-        in
-        Alive_absint.Prover.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Alive_absint.Prover.set_enabled true)
-          (fun () ->
-            with_cubes ~on:true ~threshold:1 (fun () ->
-                let r = Refine.run ~widths:[ 8 ] t in
-                check_bool "still valid" true
-                  (match r.verdict with Refine.Valid _ -> true | _ -> false);
-                check_bool "cubes were spawned" true
-                  (r.stats.Refine.telemetry.Solve.cubes_spawned > 0))));
-    Alcotest.test_case "telemetry folds cube and AIG counters" `Quick
-      (fun () ->
+    Alcotest.test_case "telemetry folds AIG counters" `Quick (fun () ->
         let a = Solve.telemetry () and b = Solve.telemetry () in
-        a.Solve.cubes_spawned <- 3;
-        a.Solve.cubes_pruned <- 1;
         a.Solve.aig_nodes_in <- 100;
         a.Solve.aig_nodes_out <- 40;
-        b.Solve.cubes_spawned <- 2;
         b.Solve.aig_nodes_in <- 10;
         Solve.add_telemetry ~into:b a;
-        check_int "cubes_spawned sums" 5 b.Solve.cubes_spawned;
-        check_int "cubes_pruned sums" 1 b.Solve.cubes_pruned;
         check_int "aig_nodes_in sums" 110 b.Solve.aig_nodes_in;
         check_int "aig_nodes_out sums" 40 b.Solve.aig_nodes_out);
   ]
@@ -384,9 +291,68 @@ let dump_tests =
         Unix.rmdir dir);
   ]
 
+(* --- Golden CNF ---
+
+   Conflict counts, the benchmark's exact-count checks and the committed
+   ledger baselines all depend on the exact clauses, and their order, that
+   the encoders emit. These digests of [Bitblast.export] for three i8
+   queries pin both the AIG path and the direct path. A deliberate
+   encoding change must update these values — and by doing so declares
+   every recorded count stale, so re-record the ledger baselines with it. *)
+
+let golden_cnf_tests =
+  let x = Term.var "x" (Term.Bv 8)
+  and y = Term.var "y" (Term.Bv 8)
+  and z = Term.var "z" (Term.Bv 8) in
+  let queries =
+    [
+      ( "mul",
+        Term.not_
+          (Term.eq
+             (Term.mul x (Term.add y z))
+             (Term.add (Term.mul x y) (Term.mul x z))) );
+      ("udiv", Term.not_ (Term.ule (Term.udiv x y) x));
+      ( "variable shift",
+        Term.not_
+          (Term.eq
+             (Term.lshr (Term.shl x y) y)
+             (Term.band x (Term.lshr (Term.all_ones 8) y))) );
+    ]
+  in
+  let golden =
+    [
+      (true, "mul", "aaaab5c73c97a52dec2b0845701e7cf0");
+      (true, "udiv", "a031812d5d14787aa6d8c43cc7fff7a8");
+      (true, "variable shift", "98a724e2cd47dfa6ce05904551cc8cdb");
+      (false, "mul", "5c377df585f11cb3d5594b4602de65c3");
+      (false, "udiv", "1ad3f472fe50accfc40b219479a475fa");
+      (false, "variable shift", "238dfd66f49e6ad2d50da8b22601bc7a");
+    ]
+  in
+  [
+    Alcotest.test_case "golden CNF digests, AIG and direct paths" `Quick
+      (fun () ->
+        List.iter
+          (fun (aig, name, expected) ->
+            let digest =
+              with_aig aig (fun () ->
+                  let ctx = Bitblast.create () in
+                  Bitblast.assert_formula ctx (List.assoc name queries);
+                  let nvars, clauses = Bitblast.export ctx in
+                  Digest.to_hex
+                    (Digest.string (Alive_sat.Dimacs.print ~nvars clauses)))
+            in
+            check_string
+              (Printf.sprintf "%s (%s)" name (if aig then "AIG" else "direct"))
+              expected digest)
+          golden);
+  ]
+
+(* The suite keeps the name it had when it also tested the query
+   splitter, so its cases keep their ids. *)
 let suite =
   ( "aig-cubes",
     aig_differential_tests
     @ List.map QCheck_alcotest.to_alcotest
         (strash_props @ solver_soundness_props)
-    @ cube_tests @ dump_tests )
+    @ telemetry_tests @ dump_tests @ golden_cnf_tests )

@@ -1,9 +1,8 @@
-(* Differential tests for the runtime solve-path switches: the canonical
-   verdict cache and incremental CEGAR must be invisible in results —
-   identical verdicts (including unknown reasons) and identical
-   counterexample models — and the DIMACS dump must emit well-formed
-   files. Each test saves and restores the global switches so the rest of
-   the suite runs under the default configuration. *)
+(* Differential tests for the canonical verdict cache, which must be
+   invisible in results — identical verdicts (including unknown reasons)
+   and identical counterexample models — golden verdicts for the CEGAR
+   loop, and the DIMACS dump. Each test saves and restores the switches it
+   flips so the rest of the suite runs under the default configuration. *)
 
 module Solve = Alive_smt.Solve
 module Vc_cache = Alive_smt.Vc_cache
@@ -14,16 +13,13 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let parse = Alive.Parser.parse_transform
 
-let with_solve_path ~cache ~incremental f =
+let with_cache cache f =
   let cache_was = Vc_cache.enabled () in
-  let incr_was = Solve.incremental_enabled () in
   Vc_cache.set_enabled cache;
-  Solve.set_incremental incremental;
   Vc_cache.clear ();
   Fun.protect
     ~finally:(fun () ->
       Vc_cache.set_enabled cache_was;
-      Solve.set_incremental incr_was;
       Vc_cache.clear ())
     f
 
@@ -50,13 +46,16 @@ let check_parity base off =
       check_string name f_on f_off)
     base off
 
+(* The two parity cases keep the names they had when incremental CEGAR
+   was a second switch, so their ids stay stable; the cache is the only
+   switch left. *)
 let differential_tests =
   [
     Alcotest.test_case "cache+incremental on/off: verdict parity" `Quick
       (fun () ->
-        (* A full InstCombine category, ≥ 40 entries, solved twice: all
-           switches on vs all switches off. Fingerprints — verdict, failing
-           instruction, counterexample model — must be identical. *)
+        (* A full InstCombine category, ≥ 40 entries, solved twice: cache
+           on vs off. Fingerprints — verdict, failing instruction,
+           counterexample model — must be identical. *)
         let slice =
           List.filter
             (fun (e : Entry.t) -> String.equal e.file "AddSub")
@@ -64,35 +63,23 @@ let differential_tests =
         in
         check_bool "slice has at least 40 entries" true
           (List.length slice >= 40);
-        let on =
-          with_solve_path ~cache:true ~incremental:true (fun () ->
-              run_slice slice)
-        in
-        let off =
-          with_solve_path ~cache:false ~incremental:false (fun () ->
-              run_slice slice)
-        in
+        let on = with_cache true (fun () -> run_slice slice) in
+        let off = with_cache false (fun () -> run_slice slice) in
         check_parity on off);
     Alcotest.test_case "cache+incremental on/off: unknown reasons agree"
       `Quick (fun () ->
         (* Under a tight per-query conflict budget some entries go Unknown;
            the reason (conflict limit, at which instruction) must not depend
-           on the cache or on incremental CEGAR. Unknown verdicts are never
-           cached, so both legs solve them for real. *)
+           on the cache. Unknown verdicts are never cached, so both legs
+           solve them for real. *)
         let slice =
           List.filter
             (fun (e : Entry.t) -> String.equal e.file "MulDivRem")
             Alive_suite.Registry.all
         in
         let budget = Solve.budget ~conflict_limit:20 () in
-        let on =
-          with_solve_path ~cache:true ~incremental:true (fun () ->
-              run_slice ~budget slice)
-        in
-        let off =
-          with_solve_path ~cache:false ~incremental:false (fun () ->
-              run_slice ~budget slice)
-        in
+        let on = with_cache true (fun () -> run_slice ~budget slice) in
+        let off = with_cache false (fun () -> run_slice ~budget slice) in
         check_parity on off;
         let is_unknown (_, f) =
           Astring.String.is_infix ~affix:"unknown" (String.lowercase_ascii f)
@@ -101,34 +88,44 @@ let differential_tests =
           (List.exists is_unknown on));
   ]
 
-(* The undef examples from the paper exercise the CEGAR exists-forall loop;
-   incremental mode reuses one SAT context across iterations with assumption
-   guards, which must decide exactly what fresh-context mode decides. Cache
-   off in both legs so every query is actually solved. *)
+(* The undef examples from the paper exercise the CEGAR exists-forall
+   loop. Their verdicts, and the one counterexample's model, are golden
+   values: a change to the loop must keep them. Cache off so every query
+   is actually solved. *)
 let cegar_tests =
   [
-    Alcotest.test_case "assumption CEGAR matches fresh contexts on undef"
+    Alcotest.test_case "undef CEGAR examples keep their golden verdicts"
       `Quick (fun () ->
-        let examples =
+        let golden =
           [
-            "%r = select undef, i4 -1, 0\n=>\n%r = ashr undef, 3\n";
-            "%r = select undef, i8 0, 1\n=>\n%r = or 1, undef\n";
-            "%r = xor i8 undef, undef\n=>\n%r = 7\n";
-            "%r = or i8 undef, %x\n=>\n%r = -1\n";
+            ("%r = select undef, i4 -1, 0\n=>\n%r = ashr undef, 3\n",
+             "valid (1 typings)");
+            ("%r = select undef, i8 0, 1\n=>\n%r = or 1, undef\n",
+             "INVALID: Mismatch in values at %r; model: %undef.tgt.0 = 0x80 \
+              (128, -128)");
+            ("%r = xor i8 undef, undef\n=>\n%r = 7\n", "valid (1 typings)");
+            ("%r = or i8 undef, %x\n=>\n%r = -1\n", "valid (1 typings)");
           ]
         in
         List.iter
-          (fun text ->
-            let inc =
-              with_solve_path ~cache:false ~incremental:true (fun () ->
-                  fingerprint (Refine.check (parse text)))
+          (fun (text, expected) ->
+            let r = with_cache false (fun () -> Refine.run (parse text)) in
+            let got =
+              match r.verdict with
+              | Refine.Invalid cex ->
+                  Format.asprintf "%a; model: %s" Refine.pp_verdict r.verdict
+                    (String.concat ", "
+                       (List.map
+                          (fun (n, v) ->
+                            Format.asprintf "%s = %a" n
+                              Alive_smt.Term.pp_value v)
+                          (Alive_smt.Model.bindings cex.model)))
+              | v -> Format.asprintf "%a" Refine.pp_verdict v
             in
-            let fresh =
-              with_solve_path ~cache:false ~incremental:false (fun () ->
-                  fingerprint (Refine.check (parse text)))
-            in
-            check_string text inc fresh)
-          examples);
+            check_string text expected got;
+            check_bool (text ^ " ran the CEGAR loop") true
+              (r.stats.Refine.telemetry.Solve.cegar_iterations > 0))
+          golden);
   ]
 
 let dump_tests =
@@ -151,7 +148,7 @@ let dump_tests =
             Solve.set_dump_dir None)
           (fun () ->
             ignore
-              (with_solve_path ~cache:false ~incremental:true (fun () ->
+              (with_cache false (fun () ->
                    Refine.check (parse "%r = add %x, %x\n=>\n%r = shl %x, 1\n"))));
         let dumped =
           Sys.readdir dir |> Array.to_list

@@ -290,15 +290,15 @@ let random_telemetry =
         | [ checks; conflicts; decisions; propagations; restarts; clauses;
             vars; peak_clauses; peak_vars; cegar_iterations; cache_hits;
             cache_misses; cache_evictions; store_hits; store_misses;
-            static_proved; cubes_spawned; cubes_pruned; aig_nodes_in;
-            aig_nodes_out ] ->
-            { Solve.checks; sat_time; conflicts; decisions; propagations;
+            static_proved; aig_nodes_in; aig_nodes_out ] ->
+            { (Solve.telemetry ()) with
+              Solve.checks; sat_time; conflicts; decisions; propagations;
               restarts; clauses; vars; peak_clauses; peak_vars;
               cegar_iterations; cache_hits; cache_misses; cache_evictions;
-              store_hits; store_misses; static_proved; cubes_spawned;
-              cubes_pruned; aig_nodes_in; aig_nodes_out }
+              store_hits; store_misses; static_proved; aig_nodes_in;
+              aig_nodes_out }
         | _ -> assert false)
-      (list_repeat 20 (int_bound 1_000_000))
+      (list_repeat 18 (int_bound 1_000_000))
       (float_bound_inclusive 100.0))
 
 let table_tests =
@@ -314,6 +314,7 @@ let table_tests =
            Solve.add_telemetry ~into b;
            into
            = {
+               a with
                Solve.checks = a.checks + b.checks;
                sat_time = a.sat_time +. b.sat_time;
                conflicts = a.conflicts + b.conflicts;
@@ -331,8 +332,6 @@ let table_tests =
                store_hits = a.store_hits + b.store_hits;
                store_misses = a.store_misses + b.store_misses;
                static_proved = a.static_proved + b.static_proved;
-               cubes_spawned = a.cubes_spawned + b.cubes_spawned;
-               cubes_pruned = a.cubes_pruned + b.cubes_pruned;
                aig_nodes_in = a.aig_nodes_in + b.aig_nodes_in;
                aig_nodes_out = a.aig_nodes_out + b.aig_nodes_out;
              }));

@@ -539,7 +539,26 @@ let vc_cache_tests =
                   t.cache_evictions)));
   ]
 
+(* [Solve] evaluates every model against its formula before returning it,
+   but [Term.eval] stops at 64 bits. The overflow check of an i33
+   multiply compares 66-bit products, so its model must come back
+   unchecked rather than failing inside the evaluator. *)
+let wide_model_unchecked =
+  Alcotest.test_case "models of formulas wider than 64 bits come back"
+    `Quick (fun () ->
+      let x = T.var "x" (T.Bv 33) and y = T.var "y" (T.Bv 33) in
+      match Solve.check_sat [ T.mul_overflows_unsigned x y ] with
+      | Solve.Sat m ->
+          check_bool "the model binds both operands" true
+            (Model.find m "x" <> None && Model.find m "y" <> None)
+      | _ -> Alcotest.fail "an i33 multiply can overflow")
+
 let suite =
   ( "smt",
     term_tests @ validity_tests @ ef_tests @ canon_tests @ vc_cache_tests
-    @ [ blast_agrees_with_eval; lower_preserves_eval; models_satisfy ] )
+    @ [
+        blast_agrees_with_eval;
+        lower_preserves_eval;
+        models_satisfy;
+        wide_model_unchecked;
+      ] )
