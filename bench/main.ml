@@ -69,8 +69,9 @@ let valid_rules =
 
 (* For each instruction shape, build the identity transform, extract the
    verifier's definedness/poison-freedom constraints, and compare them
-   exhaustively at i4 against the concrete interpreter — the two independent
-   implementations of Tables 1 and 2 must agree on every input. *)
+   exhaustively at i4 against the concrete interpreter. Both read Tables 1
+   and 2 from lib/ir/semantics.ml, over terms and over bit-vectors; this
+   checks the two algebras and the path from an Alive template to its VC. *)
 let semantics_crosscheck ~poison () =
   let cases =
     if poison then

@@ -506,7 +506,7 @@ let sneg d = Bitvec.slt d.smax (Bitvec.zero d.width)
 
 let binop op w a b =
   match is_singleton a, is_singleton b with
-  | Some x, Some y -> singleton (Analysis.concrete_binop op x y)
+  | Some x, Some y -> singleton (Semantics.Bitvec_algebra.binop op x y)
   | _ ->
       let kb = Analysis.transfer_binop op w a.kb b.kb in
       let u, s, c =

@@ -1,5 +1,6 @@
 (** The concrete-IR facade over the reduced product: one forward pass per
-    function assigns every value a {!Domain.t} — strictly at least as
+    function assigns every value a {!Domain.t}, the value of the
+    {!Semantics} instance over {!Domain_algebra.Full} — strictly at least as
     precise as the known-bits-only [Ir.Analysis], since known bits are one
     component of the product. [Opt.Concrete] reads the operands of
     conditionally-valid rewrites through it. *)
@@ -8,6 +9,3 @@ type env
 
 val analyze : Ir.func -> env
 val value_domain : env -> Ir.value -> Domain.t
-
-val tri_cond : Ir.cond -> Domain.t -> Domain.t -> Domain.tribool
-(** An [icmp] condition over two abstract operands. *)

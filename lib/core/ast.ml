@@ -172,6 +172,43 @@ let cond_name = function
   | Cslt -> "slt"
   | Csle -> "sle"
 
+(* The one map from template opcodes to the IR's, whose instructions
+   carry their meaning (lib/ir/semantics.ml). *)
+let ir_binop = function
+  | Add -> Ir.Add
+  | Sub -> Ir.Sub
+  | Mul -> Ir.Mul
+  | UDiv -> Ir.Udiv
+  | SDiv -> Ir.Sdiv
+  | URem -> Ir.Urem
+  | SRem -> Ir.Srem
+  | Shl -> Ir.Shl
+  | LShr -> Ir.Lshr
+  | AShr -> Ir.Ashr
+  | And -> Ir.And
+  | Or -> Ir.Or
+  | Xor -> Ir.Xor
+
+let ir_attr = function Nsw -> Ir.Nsw | Nuw -> Ir.Nuw | Exact -> Ir.Exact
+
+let ir_cond = function
+  | Ceq -> Ir.Eq
+  | Cne -> Ir.Ne
+  | Cugt -> Ir.Ugt
+  | Cuge -> Ir.Uge
+  | Cult -> Ir.Ult
+  | Cule -> Ir.Ule
+  | Csgt -> Ir.Sgt
+  | Csge -> Ir.Sge
+  | Cslt -> Ir.Slt
+  | Csle -> Ir.Sle
+
+let ir_conv = function
+  | Zext -> Some Ir.Zext
+  | Sext -> Some Ir.Sext
+  | Trunc -> Some Ir.Trunc
+  | Bitcast | Ptrtoint | Inttoptr -> None
+
 type operand = Var of string | ConstOp of cexpr | Undef
 
 type toperand = { op : operand; ty : typ option }

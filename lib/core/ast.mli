@@ -92,6 +92,18 @@ type cond = Ceq | Cne | Cugt | Cuge | Cult | Cule | Csgt | Csge | Cslt | Csle
 
 val cond_name : cond -> string
 
+(** {2 The IR's opcodes}
+
+    The integer instructions take their meaning from {!Semantics}, which
+    reads the IR's opcodes. *)
+
+val ir_binop : binop -> Ir.binop
+val ir_attr : attr -> Ir.attr
+val ir_cond : cond -> Ir.cond
+
+val ir_conv : conv -> Ir.conv option
+(** [None] for [bitcast], [ptrtoint] and [inttoptr], which the IR lacks. *)
+
 type operand = Var of string | ConstOp of cexpr | Undef
 
 (** An operand with its optional explicit type annotation. *)

@@ -7,31 +7,6 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-type overflow = [ `Add | `Sub | `Mul ]
-
-module type ALGEBRA = sig
-  type v
-  type b
-
-  val width : v -> int
-  val const : Bitvec.t -> v
-  val binop : cbinop -> v -> v -> v
-  val bnot : v -> v
-  val neg : v -> v
-  val extract : hi:int -> lo:int -> v -> v
-  val eq : v -> v -> b
-  val ult : v -> v -> b
-  val slt : v -> v -> b
-  val tru : b
-  val not_ : b -> b
-  val and_ : b -> b -> b
-  val or_ : b -> b -> b
-  val ite : b -> v -> v -> v
-  val is_power_of_two : v -> b
-  val is_power_of_two_or_zero : v -> b
-  val overflows : overflow -> signed:bool -> v -> v -> b
-end
-
 type ('v, 'b) leaves = {
   constant : string -> width:int -> 'v;
   value : string -> width:int -> 'v;
@@ -89,7 +64,25 @@ module type S = sig
     ?call:(string -> cexpr list -> b -> b) -> (v, b) leaves -> pred -> b
 end
 
-module Make (A : ALGEBRA) = struct
+(* The one map from the constant language's operators to the IR's. *)
+let ir_cbinop = function
+  | Cadd -> Ir.Add
+  | Csub -> Ir.Sub
+  | Cmul -> Ir.Mul
+  | Csdiv -> Ir.Sdiv
+  | Cudiv -> Ir.Udiv
+  | Csrem -> Ir.Srem
+  | Curem -> Ir.Urem
+  | Cshl -> Ir.Shl
+  | Clshr -> Ir.Lshr
+  | Cashr -> Ir.Ashr
+  | Cand -> Ir.And
+  | Cor -> Ir.Or
+  | Cxor -> Ir.Xor
+
+module Make (A : Semantics.ALGEBRA) = struct
+  module Sem = Semantics.Make (A)
+
   type v = A.v
   type b = A.b
 
@@ -131,7 +124,7 @@ module Make (A : ALGEBRA) = struct
     | Cbin (op, a, b) ->
         let a = recur a in
         let b = recur b in
-        A.binop op a b
+        A.binop (ir_cbinop op) a b
     | Cfun ("abs", [ a ]) -> abs (recur a)
     | Cfun ("log2", [ a ]) -> log2 (recur a)
     | Cfun (("umax" | "umin" | "smax" | "smin") as f, [ a; b ]) ->
@@ -147,18 +140,20 @@ module Make (A : ALGEBRA) = struct
         | None -> const_int ~width w)
     | Cfun (f, args) -> unsupported "constant function %s/%d" f (List.length args)
 
-  let compare op a b =
-    match op with
-    | Peq -> A.eq a b
-    | Pne -> A.not_ (A.eq a b)
-    | Pult -> A.ult a b
-    | Pule -> A.not_ (A.ult b a)
-    | Pugt -> A.ult b a
-    | Puge -> A.not_ (A.ult a b)
-    | Pslt -> A.slt a b
-    | Psle -> A.not_ (A.slt b a)
-    | Psgt -> A.slt b a
-    | Psge -> A.not_ (A.slt a b)
+  (* A precondition comparison reads as the [icmp] condition. *)
+  let compare op =
+    Sem.compare
+      (match op with
+      | Peq -> Ir.Eq
+      | Pne -> Ir.Ne
+      | Pult -> Ir.Ult
+      | Pule -> Ir.Ule
+      | Pugt -> Ir.Ugt
+      | Puge -> Ir.Uge
+      | Pslt -> Ir.Slt
+      | Psle -> Ir.Sle
+      | Psgt -> Ir.Sgt
+      | Psge -> Ir.Sge)
 
   (* The precise fact underlying each built-in predicate. The arguments of
      one call share a width (the typing unifies them), so
@@ -177,15 +172,15 @@ module Make (A : ALGEBRA) = struct
            at most one bit set. *)
         let x = arg a in
         let w = A.width x in
-        let filled = A.binop Cor x (A.binop Csub x (one w)) in
-        let succ = A.binop Cadd filled (one w) in
+        let filled = A.binop Ir.Or x (A.binop Ir.Sub x (one w)) in
+        let succ = A.binop Ir.Add filled (one w) in
         let run = A.is_power_of_two_or_zero succ in
         let nonzero = A.not_ (A.eq x (zero w)) in
-        A.and_ nonzero run
+        A.and_ [ nonzero; run ]
     | "MaskedValueIsZero", [ v; mask ] ->
         let v = arg v in
         let mask = cexpr l ~width:(A.width v) mask in
-        let masked = A.binop Cand v mask in
+        let masked = A.binop Ir.And v mask in
         A.eq masked (zero (A.width masked))
     | _ -> (
         match (overflow_predicate name, args) with
@@ -211,15 +206,15 @@ module Make (A : ALGEBRA) = struct
     | Pand (a, b) ->
         let b = pred ?call l b in
         let a = pred ?call l a in
-        A.and_ a b
+        A.and_ [ a; b ]
     | Por (a, b) ->
         let b = pred ?call l b in
         let a = pred ?call l a in
-        A.or_ a b
+        A.or_ [ a; b ]
     | Pnot a -> A.not_ (pred ?call l a)
 end
 
-(* --- The three algebras --- *)
+(* --- The term algebra and the three instances --- *)
 
 module Term_algebra = struct
   module T = Alive_smt.Term
@@ -231,30 +226,33 @@ module Term_algebra = struct
   let const = T.const
 
   let binop = function
-    | Cadd -> T.add
-    | Csub -> T.sub
-    | Cmul -> T.mul
-    | Csdiv -> T.sdiv
-    | Cudiv -> T.udiv
-    | Csrem -> T.srem
-    | Curem -> T.urem
-    | Cshl -> T.shl
-    | Clshr -> T.lshr
-    | Cashr -> T.ashr
-    | Cand -> T.band
-    | Cor -> T.bor
-    | Cxor -> T.bxor
+    | Ir.Add -> T.add
+    | Ir.Sub -> T.sub
+    | Ir.Mul -> T.mul
+    | Ir.Sdiv -> T.sdiv
+    | Ir.Udiv -> T.udiv
+    | Ir.Srem -> T.srem
+    | Ir.Urem -> T.urem
+    | Ir.Shl -> T.shl
+    | Ir.Lshr -> T.lshr
+    | Ir.Ashr -> T.ashr
+    | Ir.And -> T.band
+    | Ir.Or -> T.bor
+    | Ir.Xor -> T.bxor
 
   let bnot = T.bnot
   let neg = T.bneg
   let extract = T.extract
+  let zext = T.zext
+  let sext = T.sext
+  let trunc = T.trunc
   let eq = T.eq
   let ult = T.ult
   let slt = T.slt
   let tru = T.tru
   let not_ = T.not_
-  let and_ a b = T.and_ [ a; b ]
-  let or_ a b = T.or_ [ a; b ]
+  let and_ = T.and_
+  let or_ = T.or_
   let ite = T.ite
   let is_power_of_two = T.is_power_of_two
   let is_power_of_two_or_zero x = T.is_zero (T.band x (T.sub x (T.one (T.width x))))
@@ -269,104 +267,6 @@ module Term_algebra = struct
     | `Mul, false -> T.mul_overflows_unsigned
 end
 
-module Bitvec_algebra = struct
-  type v = Bitvec.t
-  type b = bool
-
-  let width = Bitvec.width
-  let const c = c
-
-  let binop = function
-    | Cadd -> Bitvec.add
-    | Csub -> Bitvec.sub
-    | Cmul -> Bitvec.mul
-    | Csdiv -> Bitvec.sdiv
-    | Cudiv -> Bitvec.udiv
-    | Csrem -> Bitvec.srem
-    | Curem -> Bitvec.urem
-    | Cshl -> Bitvec.shl
-    | Clshr -> Bitvec.lshr
-    | Cashr -> Bitvec.ashr
-    | Cand -> Bitvec.logand
-    | Cor -> Bitvec.logor
-    | Cxor -> Bitvec.logxor
-
-  let bnot = Bitvec.lognot
-  let neg = Bitvec.neg
-  let extract ~hi ~lo x = Bitvec.extract x ~hi ~lo
-  let eq = Bitvec.equal
-  let ult = Bitvec.ult
-  let slt = Bitvec.slt
-  let tru = true
-  let not_ = not
-  let and_ = ( && )
-  let or_ = ( || )
-  let ite c a b = if c then a else b
-  let is_power_of_two = Bitvec.is_power_of_two
-
-  let is_power_of_two_or_zero x =
-    Bitvec.is_zero (Bitvec.logand x (Bitvec.sub x (Bitvec.one (Bitvec.width x))))
-
-  let overflows = Bitvec.overflows
-end
-
-module Domain_algebra (Transfer : sig
-  val binop : Ir.binop -> int -> Alive_absint.Domain.t -> Alive_absint.Domain.t -> Alive_absint.Domain.t
-  val clamp : Alive_absint.Domain.t -> Alive_absint.Domain.t
-end) =
-struct
-  module D = Alive_absint.Domain
-
-  type v = D.t
-  type b = D.tribool
-
-  let width (d : v) = d.D.width
-  let const = D.singleton
-
-  let ir_binop = function
-    | Cadd -> Ir.Add
-    | Csub -> Ir.Sub
-    | Cmul -> Ir.Mul
-    | Csdiv -> Ir.Sdiv
-    | Cudiv -> Ir.Udiv
-    | Csrem -> Ir.Srem
-    | Curem -> Ir.Urem
-    | Cshl -> Ir.Shl
-    | Clshr -> Ir.Lshr
-    | Cashr -> Ir.Ashr
-    | Cand -> Ir.And
-    | Cor -> Ir.Or
-    | Cxor -> Ir.Xor
-
-  let binop op a b = Transfer.binop (ir_binop op) (width a) a b
-  let bnot d = Transfer.clamp (D.bnot d)
-  let neg d = Transfer.binop Ir.Sub (width d) (D.singleton (Bitvec.zero (width d))) d
-  let extract ~hi ~lo d = Transfer.clamp (D.extract ~hi ~lo d)
-  let eq = D.tri_eq
-  let ult = D.tri_ult
-  let slt = D.tri_slt
-  let tru = D.True
-  let not_ = D.tri_not
-  let and_ = D.tri_and
-  let or_ = D.tri_or
-
-  let ite c a b =
-    match c with
-    | D.True -> a
-    | D.False -> b
-    | D.Unknown -> Transfer.clamp (D.join a b)
-
-  let is_power_of_two = D.tri_is_power_of_two ~or_zero:false
-  let is_power_of_two_or_zero = D.tri_is_power_of_two ~or_zero:true
-
-  (* The dedicated transfer proves more than the term's expansion would. *)
-  let overflows op ~signed a b = D.tri_not (D.tri_will_not_overflow op ~signed a b)
-end
-
 module Term = Make (Term_algebra)
-module Concrete = Make (Bitvec_algebra)
-
-module Abstract = Make (Domain_algebra (struct
-  let binop = Alive_absint.Domain.binop
-  let clamp d = d
-end))
+module Concrete = Make (Semantics.Bitvec_algebra)
+module Abstract = Make (Alive_absint.Domain_algebra.Full)

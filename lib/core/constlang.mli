@@ -1,6 +1,7 @@
 (** One definition of Alive's constant expressions (§2.2), built-in
-    predicates (§2.3), comparisons and width rule, read over three value
-    algebras:
+    predicates (§2.3), comparisons and width rule, read over the value
+    algebras of {!Semantics} — the same primitives that give the
+    instructions their meaning:
 
     - {!Term}: SMT terms, for verification-condition generation;
     - {!Concrete}: bit-vectors and booleans, for inference's example labels
@@ -8,46 +9,17 @@
     - {!Abstract}: the reduced product of {!Alive_absint.Domain} with
       Kleene truth values, for lint and the optimizer's preconditions.
 
-    An algebra supplies only primitives every value type already has; the
-    rest ([abs], [log2], [umax]…, [width(...)], [isSignBit],
-    [isShiftedMask], [MaskedValueIsZero], the six derived comparisons) is
-    written once in {!Make}, following the SMT encoding. A caller supplies
-    its {!leaves}: what abstract constants and template values denote, which
-    widths it knows, and [hasOneUse]. *)
+    The rest ([abs], [log2], [umax]…, [width(...)], [isSignBit],
+    [isShiftedMask], [MaskedValueIsZero]) is written once in {!Make},
+    following the SMT encoding; a comparison reads as the [icmp] condition
+    of {!Semantics.S.compare}. A caller supplies its {!leaves}: what
+    abstract constants and template values denote, which widths it knows,
+    and [hasOneUse]. *)
 
 exception Unsupported of string
 (** A construct outside the language (unknown function or predicate, wrong
     arity), a fully literal expression whose width no leaf fixes, or a leaf
     the caller cannot resolve. *)
-
-type overflow = [ `Add | `Sub | `Mul ]
-
-(** The value algebra. [ite] on an undecided condition joins both arms. The
-    power-of-two tests and the overflow checks are primitives because the
-    domain's dedicated transfers prove more than their expansions. *)
-module type ALGEBRA = sig
-  type v  (** a fixed-width bit-vector value *)
-
-  type b  (** a truth value *)
-
-  val width : v -> int
-  val const : Bitvec.t -> v
-  val binop : Ast.cbinop -> v -> v -> v
-  val bnot : v -> v
-  val neg : v -> v
-  val extract : hi:int -> lo:int -> v -> v
-  val eq : v -> v -> b
-  val ult : v -> v -> b
-  val slt : v -> v -> b
-  val tru : b
-  val not_ : b -> b
-  val and_ : b -> b -> b
-  val or_ : b -> b -> b
-  val ite : b -> v -> v -> v
-  val is_power_of_two : v -> b
-  val is_power_of_two_or_zero : v -> b
-  val overflows : overflow -> signed:bool -> v -> v -> b
-end
 
 type ('v, 'b) leaves = {
   constant : string -> width:int -> 'v;
@@ -84,30 +56,10 @@ module type S = sig
       their right operand first. *)
 end
 
-module Make (A : ALGEBRA) : S with type v = A.v and type b = A.b
+module Make (A : Semantics.ALGEBRA) : S with type v = A.v and type b = A.b
 
 module Term_algebra :
-  ALGEBRA with type v = Alive_smt.Term.t and type b = Alive_smt.Term.t
-
-module Bitvec_algebra : ALGEBRA with type v = Bitvec.t and type b = bool
-
-(** The abstract algebra over a binop transfer; [clamp] is applied to
-    every other computed value. {!Alive_absint.Domain.binop} with the
-    identity is the full product; a known-bits-only transfer gives lint's
-    attribution mode. *)
-module Domain_algebra (_ : sig
-  val binop :
-    Ir.binop ->
-    int ->
-    Alive_absint.Domain.t ->
-    Alive_absint.Domain.t ->
-    Alive_absint.Domain.t
-
-  val clamp : Alive_absint.Domain.t -> Alive_absint.Domain.t
-end) :
-  ALGEBRA
-    with type v = Alive_absint.Domain.t
-     and type b = Alive_absint.Domain.tribool
+  Semantics.ALGEBRA with type v = Alive_smt.Term.t and type b = Alive_smt.Term.t
 
 module Term : S with type v = Alive_smt.Term.t and type b = Alive_smt.Term.t
 module Concrete : S with type v = Bitvec.t and type b = bool

@@ -3,7 +3,12 @@ module T = Alive_smt.Term
 
 exception Unsupported = Constlang.Unsupported
 
-type ival = { value : T.t; defined : T.t; poison_free : T.t }
+type ival = (T.t, T.t) Semantics.ival
+
+(* The integer instructions' meaning, read over terms. *)
+module Sem = Semantics.Make (Constlang.Term_algebra)
+
+let pure = Sem.Inst.of_value
 
 type side_vc = {
   defs : (string * ival) list;
@@ -167,8 +172,7 @@ let lookup_value b name =
   | Some iv -> iv
   | None ->
       (* An input: a fresh universally quantified variable. *)
-      let w = value_bits b.env name in
-      { value = input_var name w; defined = T.tru; poison_free = T.tru }
+      pure (input_var name (value_bits b.env name))
 
 let fresh_undef b width =
   let name = Printf.sprintf "%%undef.%s.%d" b.side_tag b.undef_counter in
@@ -180,14 +184,10 @@ let fresh_undef b width =
 let operand_ival b ~width { op; ty = _ } =
   match op with
   | Var name -> lookup_value b name
-  | Undef -> { value = fresh_undef b width; defined = T.tru; poison_free = T.tru }
+  | Undef -> pure (fresh_undef b width)
   | ConstOp e ->
       let lookup name = (lookup_value b name).value in
-      {
-        value = Constlang.Term.cexpr (leaves b.env ~lookup) ~width e;
-        defined = T.tru;
-        poison_free = T.tru;
-      }
+      pure (Constlang.Term.cexpr (leaves b.env ~lookup) ~width e)
 
 (* Width of an instruction's operands given the result width (equal for all
    implemented integer instructions except conversions and icmp/select). *)
@@ -212,84 +212,6 @@ let no_fallback what () =
     (Unsupported
        (Printf.sprintf "cannot infer the width of a %s operand; annotate it"
           what))
-
-(* Local definedness per Table 1. *)
-let local_defined op a b =
-  let w = T.width a.value in
-  match op with
-  | UDiv | URem -> T.not_ (T.is_zero b.value)
-  | SDiv | SRem ->
-      T.and_
-        [
-          T.not_ (T.is_zero b.value);
-          T.or_
-            [
-              T.distinct a.value (T.const (Bitvec.min_signed w));
-              T.distinct b.value (T.all_ones w);
-            ];
-        ]
-  | Shl | LShr | AShr -> T.ult b.value (T.const_int ~width:w w)
-  | Add | Sub | Mul | And | Or | Xor -> T.tru
-
-(* Local poison-freedom per Table 2, conditional on the attributes present. *)
-let local_poison op attrs a b =
-  let x = a.value and y = b.value in
-  let for_attr attr =
-    match (op, attr) with
-    | Add, Nsw -> T.not_ (T.add_overflows_signed x y)
-    | Add, Nuw -> T.not_ (T.add_overflows_unsigned x y)
-    | Sub, Nsw -> T.not_ (T.sub_overflows_signed x y)
-    | Sub, Nuw -> T.not_ (T.sub_overflows_unsigned x y)
-    | Mul, Nsw -> T.not_ (T.mul_overflows_signed x y)
-    | Mul, Nuw -> T.not_ (T.mul_overflows_unsigned x y)
-    | Shl, Nsw -> T.eq (T.ashr (T.shl x y) y) x
-    | Shl, Nuw -> T.eq (T.lshr (T.shl x y) y) x
-    | SDiv, Exact -> T.eq (T.mul (T.sdiv x y) y) x
-    | UDiv, Exact -> T.eq (T.mul (T.udiv x y) y) x
-    | AShr, Exact -> T.eq (T.shl (T.ashr x y) y) x
-    | LShr, Exact -> T.eq (T.shl (T.lshr x y) y) x
-    | _ ->
-        raise
-          (Unsupported
-             (Printf.sprintf "attribute %s on %s" (attr_name attr)
-                (binop_name op)))
-  in
-  T.and_ (List.map for_attr attrs)
-
-let binop_value op a b =
-  let f =
-    match op with
-    | Add -> T.add
-    | Sub -> T.sub
-    | Mul -> T.mul
-    | UDiv -> T.udiv
-    | SDiv -> T.sdiv
-    | URem -> T.urem
-    | SRem -> T.srem
-    | Shl -> T.shl
-    | LShr -> T.lshr
-    | AShr -> T.ashr
-    | And -> T.band
-    | Or -> T.bor
-    | Xor -> T.bxor
-  in
-  f a b
-
-let icmp_value cond a b =
-  let p =
-    match cond with
-    | Ceq -> T.eq a b
-    | Cne -> T.distinct a b
-    | Cugt -> T.ugt a b
-    | Cuge -> T.uge a b
-    | Cult -> T.ult a b
-    | Cule -> T.ule a b
-    | Csgt -> T.sgt a b
-    | Csge -> T.sge a b
-    | Cslt -> T.slt a b
-    | Csle -> T.sle a b
-  in
-  T.ite p (T.one 1) (T.zero 1)
 
 (* Read one byte through this side's store chain, eagerly Ackermannized:
    nested ite over guarded stores, bottoming out in the shared initial
@@ -340,51 +262,44 @@ let build_inst b name inst =
   let result_width = value_bits b.env name in
   match inst with
   | Binop (op, attrs, ta, tb) ->
+      let op = ir_binop op and attrs = List.map ir_attr attrs in
+      List.iter
+        (fun attr ->
+          if not (Ir.takes_attr op attr) then
+            raise
+              (Unsupported
+                 (Printf.sprintf "attribute %s on %s" (Ir.attr_name attr)
+                    (Ir.binop_name op))))
+        attrs;
       let a = operand_ival b ~width:result_width ta in
       let bb = operand_ival b ~width:result_width tb in
-      {
-        value = binop_value op a.value bb.value;
-        defined = T.and_ [ local_defined op a bb; a.defined; bb.defined ];
-        poison_free =
-          T.and_ [ local_poison op attrs a bb; a.poison_free; bb.poison_free ];
-      }
+      Sem.Inst.binop op attrs a bb
   | Icmp (cond, ta, tb) ->
       let w =
         operand_width b ta ~fallback:(fun () ->
             operand_width b tb ~fallback:(no_fallback "icmp"))
       in
       let a = operand_ival b ~width:w ta and bb = operand_ival b ~width:w tb in
-      {
-        value = icmp_value cond a.value bb.value;
-        defined = T.and_ [ a.defined; bb.defined ];
-        poison_free = T.and_ [ a.poison_free; bb.poison_free ];
-      }
+      Sem.Inst.icmp (ir_cond cond) a bb
   | Select (tc, ta, tb) ->
       let c = operand_ival b ~width:1 tc in
       let a = operand_ival b ~width:result_width ta in
       let bb = operand_ival b ~width:result_width tb in
-      {
-        value = T.ite (T.eq c.value (T.one 1)) a.value bb.value;
-        defined = T.and_ [ c.defined; a.defined; bb.defined ];
-        poison_free = T.and_ [ c.poison_free; a.poison_free; bb.poison_free ];
-      }
-  | Conv (conv, ta, _) ->
+      Sem.Inst.select c a bb
+  | Conv (conv, ta, _) -> (
       let aw = operand_width b ta ~fallback:(no_fallback "conversion") in
       let a = operand_ival b ~width:aw ta in
-      let value =
-        match conv with
-        | Zext -> T.zext a.value result_width
-        | Sext -> T.sext a.value result_width
-        | Trunc -> T.trunc a.value result_width
-        | Bitcast -> a.value
-        | Ptrtoint ->
-            if result_width <= pointer_bits then T.trunc a.value result_width
-            else T.zext a.value result_width
-        | Inttoptr ->
-            if aw <= pointer_bits then T.zext a.value pointer_bits
-            else T.trunc a.value pointer_bits
-      in
-      { value; defined = a.defined; poison_free = a.poison_free }
+      match (ir_conv conv, conv) with
+      | Some conv, _ -> Sem.Inst.conv conv a result_width
+      | None, Ptrtoint ->
+          let resize =
+            if result_width <= pointer_bits then T.trunc else T.zext
+          in
+          { a with value = resize a.value result_width }
+      | None, Inttoptr ->
+          let resize = if aw <= pointer_bits then T.zext else T.trunc in
+          { a with value = resize a.value pointer_bits }
+      | None, _ -> (* bitcast *) a)
   | Copy ta -> operand_ival b ~width:result_width ta
   | Alloca (_, count) ->
       let elems =
@@ -407,11 +322,11 @@ let build_inst b name inst =
       for k = 0 to bytes - 1 do
         b.stores <- (T.tru, offset_addr ptr k, fresh_undef b 8) :: b.stores
       done;
-      { value = ptr; defined = T.tru; poison_free = T.tru }
+      pure ptr
   | Load tp ->
       let p = operand_ival b ~width:pointer_bits tp in
       {
-        value = load_bytes b p.value ~width:result_width;
+        Semantics.value = load_bytes b p.value ~width:result_width;
         defined = T.and_ [ not_null p.value; p.defined ];
         poison_free = p.poison_free;
       }
@@ -435,7 +350,7 @@ let build_inst b name inst =
       in
       let addr =
         List.fold_left
-          (fun acc idx ->
+          (fun acc (idx : ival) ->
             let wide =
               if T.width idx.value <= pointer_bits then
                 T.sext idx.value pointer_bits
@@ -445,10 +360,13 @@ let build_inst b name inst =
           base.value idxs
       in
       {
-        value = addr;
-        defined = T.and_ (base.defined :: List.map (fun i -> i.defined) idxs);
+        Semantics.value = addr;
+        defined =
+          T.and_ (base.defined :: List.map (fun (i : ival) -> i.defined) idxs);
         poison_free =
-          T.and_ (base.poison_free :: List.map (fun i -> i.poison_free) idxs);
+          T.and_
+            (base.poison_free
+            :: List.map (fun (i : ival) -> i.poison_free) idxs);
       }
 
 let build_store b tv tp =

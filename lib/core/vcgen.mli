@@ -13,11 +13,9 @@
     constraints ([p ⇒ fact]); predicates applied to compile-time constants
     are encoded precisely (§3.1.1). *)
 
-type ival = {
-  value : Alive_smt.Term.t;
-  defined : Alive_smt.Term.t;  (** δ, aggregated over the def-use chain *)
-  poison_free : Alive_smt.Term.t;  (** ρ, aggregated likewise *)
-}
+type ival = (Alive_smt.Term.t, Alive_smt.Term.t) Semantics.ival
+(** The value, δ and ρ, each aggregated over the def-use chain. The
+    integer instructions' are {!Semantics.Make} over terms. *)
 
 type side_vc = {
   defs : (string * ival) list;  (** template definitions, in order *)

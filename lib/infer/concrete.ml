@@ -41,42 +41,6 @@ let eval_pred env ~binds p =
 
 (* --- Template lowering --- *)
 
-let ir_binop = function
-  | Add -> Ir.Add
-  | Sub -> Ir.Sub
-  | Mul -> Ir.Mul
-  | UDiv -> Ir.Udiv
-  | SDiv -> Ir.Sdiv
-  | URem -> Ir.Urem
-  | SRem -> Ir.Srem
-  | Shl -> Ir.Shl
-  | LShr -> Ir.Lshr
-  | AShr -> Ir.Ashr
-  | And -> Ir.And
-  | Or -> Ir.Or
-  | Xor -> Ir.Xor
-
-let ir_attr = function Nsw -> Ir.Nsw | Nuw -> Ir.Nuw | Exact -> Ir.Exact
-
-let ir_conv = function
-  | Zext -> Ir.Zext
-  | Sext -> Ir.Sext
-  | Trunc -> Ir.Trunc
-  | (Bitcast | Ptrtoint | Inttoptr) as c ->
-      fail "conversion %s is outside the executable fragment" (conv_name c)
-
-let ir_cond = function
-  | Ceq -> Ir.Eq
-  | Cne -> Ir.Ne
-  | Cugt -> Ir.Ugt
-  | Cuge -> Ir.Uge
-  | Cult -> Ir.Ult
-  | Cule -> Ir.Ule
-  | Csgt -> Ir.Sgt
-  | Csge -> Ir.Sge
-  | Cslt -> Ir.Slt
-  | Csle -> Ir.Sle
-
 let value_width env = Typing.width_of_value env
 
 let lower env ~binds (info : Scoping.info) (t : transform) =
@@ -131,9 +95,12 @@ let lower env ~binds (info : Scoping.info) (t : transform) =
                 value_of sigma ~width:w a,
                 value_of sigma ~width:w b )
         | Conv (cv, a, _) -> (
-            match op_width a with
-            | Some ow -> Ir.Conv (ir_conv cv, value_of sigma ~width:ow a)
-            | None -> fail "conversion of a bare literal operand")
+            match (op_width a, ir_conv cv) with
+            | Some ow, Some c -> Ir.Conv (c, value_of sigma ~width:ow a)
+            | Some _, None ->
+                fail "conversion %s is outside the executable fragment"
+                  (conv_name cv)
+            | None, _ -> fail "conversion of a bare literal operand")
         | Copy a ->
             (* [x | 0]: preserves value and poison, executable in Ir. *)
             Ir.Binop (Ir.Or, [], value_of sigma ~width:w a, Ir.Const (Bitvec.zero w))
@@ -176,10 +143,7 @@ let lower env ~binds (info : Scoping.info) (t : transform) =
               (function
                 | Ir.Var v -> Hashtbl.replace needed v ()
                 | Ir.Const _ | Ir.Undef _ -> ())
-              (match d.Ir.inst with
-              | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) -> [ a; b ]
-              | Ir.Select (a, b, c) -> [ a; b; c ]
-              | Ir.Conv (_, a) | Ir.Freeze a -> [ a ]))
+              (Ir.operands_of d.Ir.inst))
         (List.rev defs);
       List.filter (fun (d : Ir.def) -> Hashtbl.mem needed d.Ir.name) defs
     in
@@ -219,10 +183,7 @@ let lower env ~binds (info : Scoping.info) (t : transform) =
         (fun (d : Ir.def) ->
           List.filter_map
             (function Ir.Var v -> Some v | _ -> None)
-            (match d.Ir.inst with
-            | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) -> [ a; b ]
-            | Ir.Select (a, b, c) -> [ a; b; c ]
-            | Ir.Conv (_, a) | Ir.Freeze a -> [ a ]))
+            (Ir.operands_of d.Ir.inst))
         tgt_defs
     in
     let needed_src =
@@ -254,12 +215,7 @@ let func_mentions_undef (f : Ir.func) =
   let is_undef = function Ir.Undef _ -> true | _ -> false in
   is_undef f.Ir.ret
   || List.exists
-       (fun (d : Ir.def) ->
-         List.exists is_undef
-           (match d.Ir.inst with
-           | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) -> [ a; b ]
-           | Ir.Select (a, b, c) -> [ a; b; c ]
-           | Ir.Conv (_, a) | Ir.Freeze a -> [ a ]))
+       (fun (d : Ir.def) -> List.exists is_undef (Ir.operands_of d.Ir.inst))
        f.Ir.body
 
 let classify ~src ~tgt args =

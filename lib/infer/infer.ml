@@ -455,7 +455,7 @@ let compare_preds ?widths ?max_typings ?budget (t : transform) hand inferred =
               let vc = Vcgen.run env t in
               let lookup name =
                 match List.assoc_opt name vc.Vcgen.src.Vcgen.defs with
-                | Some iv -> iv.Vcgen.value
+                | Some iv -> iv.Semantics.value
                 | None ->
                     Vcgen.input_var name (Typing.width_of_value env name)
               in

@@ -52,32 +52,12 @@ let leading_known_zeros k = Bitvec.clz (Bitvec.lognot k.zeros)
 
 let sign_known_zero w k = Bitvec.bit k.zeros (w - 1)
 
-(* Exact concrete fold on Bitvec (SMT-LIB total) semantics. Inputs on which
-   the IR operation is UB (division by zero, over-shift) have no defined
-   execution, so any answer is vacuously sound there; everywhere else the
-   two semantics agree. *)
-let concrete_binop op =
-  match op with
-  | And -> Bitvec.logand
-  | Or -> Bitvec.logor
-  | Xor -> Bitvec.logxor
-  | Add -> Bitvec.add
-  | Sub -> Bitvec.sub
-  | Mul -> Bitvec.mul
-  | Udiv -> Bitvec.udiv
-  | Sdiv -> Bitvec.sdiv
-  | Urem -> Bitvec.urem
-  | Srem -> Bitvec.srem
-  | Shl -> Bitvec.shl
-  | Lshr -> Bitvec.lshr
-  | Ashr -> Bitvec.ashr
-
 (* Known bits of a binary operation from the operands' known bits. Only the
    cheap, obviously sound transfer functions are implemented; everything
    else degrades to unknown, as a must-analysis may. *)
 let rec transfer_binop op w a b =
   match (known_value a, known_value b) with
-  | Some va, Some vb -> of_const (concrete_binop op va vb)
+  | Some va, Some vb -> of_const (Semantics.Bitvec_algebra.binop op va vb)
   | _ -> transfer_binop_partial op w a b
 
 and transfer_binop_partial op w a b =
@@ -266,89 +246,3 @@ let known_bits f v =
             kb)
   in
   go v
-
-let masked_value_is_zero f v mask =
-  let kb = known_bits f v in
-  Bitvec.is_zero (Bitvec.logand (Bitvec.lognot kb.zeros) mask)
-
-let rec is_known_power_of_two f v =
-  match v with
-  | Const c -> Bitvec.is_power_of_two c
-  | Undef _ -> false
-  | Var name -> (
-      match def_of f name with
-      | None -> false
-      | Some d -> (
-          match d.inst with
-          | Binop (Shl, _, Const one, _) when Bitvec.equal one (Bitvec.one d.width)
-            ->
-              (* 1 << x is a power of two whenever it is defined, and UB
-                 otherwise — InstCombine's isKnownToBeAPowerOfTwo makes the
-                 same assumption. *)
-              true
-          | Binop (Shl, attrs, a, _) when List.mem Nuw attrs ->
-              is_known_power_of_two f a
-          | _ -> false))
-
-let is_known_non_negative f v =
-  let w = value_width f v in
-  let kb = known_bits f v in
-  Bitvec.bit kb.zeros (w - 1)
-
-(* Signed bounds of a known-bits concretization set: when the sign bit is
-   known the extremal patterns are the unsigned ones; otherwise widen the
-   unknown sign bit in each direction. *)
-let smin_of w k =
-  if Bitvec.bit k.zeros (w - 1) then k.ones
-  else Bitvec.logor k.ones (Bitvec.min_signed w)
-
-let smax_of w k =
-  if Bitvec.bit k.ones (w - 1) then Bitvec.lognot k.zeros
-  else Bitvec.logand (Bitvec.lognot k.zeros) (Bitvec.max_signed w)
-
-let will_not_overflow f op ~signed a b =
-  (* Decide via the extremal values compatible with the known bits. *)
-  let w = value_width f a in
-  let ka = known_bits f a and kb = known_bits f b in
-  let min_of k = k.ones in
-  let max_of k = Bitvec.lognot k.zeros in
-  if signed then
-    let int_min = Int64.neg (Int64.shift_left 1L (w - 1))
-    and int_max = Int64.sub (Int64.shift_left 1L (w - 1)) 1L in
-    let lo k = Bitvec.to_signed_int64 (smin_of w k)
-    and hi k = Bitvec.to_signed_int64 (smax_of w k) in
-    match op with
-    | `Add ->
-        (* Monotone in both operands, so the extreme corners bound every
-           pair; int64 holds them exactly for w <= 63. *)
-        w <= 63
-        && Int64.add (lo ka) (lo kb) >= int_min
-        && Int64.add (hi ka) (hi kb) <= int_max
-    | `Sub ->
-        (* The difference is monotone in both bounds, so the two extreme
-           corners bound every pair; int64 holds them exactly for w <= 63
-           (each operand magnitude is below 2^62... really 2^(w-1) <= 2^62,
-           so the difference needs at most w+1 <= 64 bits). *)
-        w <= 63
-        && Int64.sub (lo ka) (hi kb) >= int_min
-        && Int64.sub (hi ka) (lo kb) <= int_max
-    | `Mul ->
-        (* Small-operand case: for w <= 32 every corner product fits in 64
-           bits (magnitudes at most 2^31, products at most 2^62), and the
-           extreme products over a box are attained at its corners. *)
-        w <= 32
-        &&
-        let corners =
-          [
-            Int64.mul (lo ka) (lo kb);
-            Int64.mul (lo ka) (hi kb);
-            Int64.mul (hi ka) (lo kb);
-            Int64.mul (hi ka) (hi kb);
-          ]
-        in
-        List.for_all (fun p -> p >= int_min && p <= int_max) corners
-  else
-    match op with
-    | `Add -> not (Bitvec.add_overflows_unsigned (max_of ka) (max_of kb))
-    | `Sub -> Bitvec.ule (max_of kb) (min_of ka)
-    | `Mul -> not (Bitvec.mul_overflows_unsigned (max_of ka) (max_of kb))

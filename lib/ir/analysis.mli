@@ -1,9 +1,7 @@
-(** Dataflow analyses over IR functions — the "trusted analyses" whose
-    results Alive's built-in predicates consume (§2.3). The optimizer uses
-    them to evaluate preconditions like [MaskedValueIsZero] and
-    [isPowerOf2] on concrete code, exactly as InstCombine queries
-    [computeKnownBits]. All analyses are must-analyses: they may return
-    "don't know" but never a wrong fact. *)
+(** Known-bits analysis over IR functions (LLVM's [computeKnownBits]): the
+    known-bits component of the reduced product in [Alive_absint.Domain],
+    whose built-in predicates (§2.3) the optimizer and lint evaluate. It is
+    a must-analysis: it may return "don't know" but never a wrong fact. *)
 
 (** Bits proven zero / proven one. Invariant: [zeros land ones = 0]. *)
 type known_bits = { zeros : Bitvec.t; ones : Bitvec.t }
@@ -13,11 +11,6 @@ val unknown : int -> known_bits
 
 val of_const : Bitvec.t -> known_bits
 (** Every bit known. *)
-
-val concrete_binop : Ir.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
-(** Exact concrete fold under SMT-LIB total semantics (division by zero
-    and over-shift get their total-function results; UB inputs are
-    vacuous for must-claims). Shared with the abstract domains. *)
 
 val transfer_binop : Ir.binop -> int -> known_bits -> known_bits -> known_bits
 (** The per-instruction transfer function at width [w]. Fully-known
@@ -33,17 +26,3 @@ val transfer_binop : Ir.binop -> int -> known_bits -> known_bits -> known_bits
 val known_bits : Ir.func -> Ir.value -> known_bits
 (** Forward propagation through the def-use graph. Constants are fully
     known; parameters and [undef] are unknown. *)
-
-val masked_value_is_zero : Ir.func -> Ir.value -> Bitvec.t -> bool
-(** [masked_value_is_zero f v mask]: is [v land mask] provably zero? *)
-
-val is_known_power_of_two : Ir.func -> Ir.value -> bool
-(** Conservative: true only when provable (e.g. [1 shl x], or a constant
-    power of two, or [and] with a single possible set bit pattern). *)
-
-val is_known_non_negative : Ir.func -> Ir.value -> bool
-
-val will_not_overflow :
-  Ir.func -> [ `Add | `Sub | `Mul ] -> signed:bool -> Ir.value -> Ir.value -> bool
-(** Overflow impossibility from known bits (used by the
-    [WillNotOverflow*] predicates). *)

@@ -6,6 +6,8 @@ type undef_policy = Zero | Random of Random.State.t
 
 exception Hit_ub
 
+module S = Semantics.Make (Semantics.Bitvec_algebra)
+
 let resolve_undef policy w =
   match policy with
   | Zero -> Bitvec.zero w
@@ -22,131 +24,42 @@ let run ?(policy = Zero) f args =
     match validate f with
     | Error e -> Error e
     | Ok () ->
-        (* Internally every SSA value is a concrete carrier bit pattern
-           plus a poison flag, mirroring the SMT encoding's value /
-           poison_free pair (vcgen): Table-1 definedness is a property
-           of the carrier values alone, so e.g. division by a zero
-           divisor is UB no matter how poisoned the dividend is. A
-           Poison | Val sum (checking UB only on non-poison operands)
-           under-reports source UB and manufactures false refinement
-           counterexamples against the verifier. *)
-        let env : (string, Bitvec.t * bool) Hashtbl.t = Hashtbl.create 16 in
+        (* Every SSA value is a concrete carrier bit pattern with its
+           definedness and poison-freedom, the SMT encoding's triple read
+           over bit-vectors. Table-1 definedness is a property of the
+           carrier values alone, so e.g. division by a zero divisor is UB
+           no matter how poisoned the dividend is. *)
+        let env : (string, (Bitvec.t, bool) Semantics.ival) Hashtbl.t =
+          Hashtbl.create 16
+        in
         List.iter2
-          (fun (n, _) a -> Hashtbl.replace env n (a, false))
+          (fun (n, _) a -> Hashtbl.replace env n (S.Inst.of_value a))
           f.params args;
         let value v =
           match v with
-          | Const c -> (c, false)
-          | Undef w -> (resolve_undef policy w, false)
+          | Const c -> S.Inst.of_value c
+          | Undef w -> S.Inst.of_value (resolve_undef policy w)
           | Var n -> Hashtbl.find env n
         in
         let eval_def d =
           match d.inst with
-          | Binop (op, attrs, a, b) ->
-              let x, px = value a and y, py = value b in
-              let w = d.width in
-              (* True UB per Table 1, on carrier values. *)
-              (match op with
-              | Udiv | Urem -> if Bitvec.is_zero y then raise Hit_ub
-              | Sdiv | Srem ->
-                  if
-                    Bitvec.is_zero y
-                    || Bitvec.equal x (Bitvec.min_signed w)
-                       && Bitvec.is_all_ones y
-                  then raise Hit_ub
-              | Shl | Lshr | Ashr ->
-                  if not (Bitvec.ult y (Bitvec.of_int ~width:w w)) then
-                    raise Hit_ub
-              | Add | Sub | Mul | And | Or | Xor -> ());
-              (* Poison per Table 2. *)
-              let poisoned =
-                px || py
-                || List.exists
-                     (fun attr ->
-                       match (op, attr) with
-                       | Add, Nsw -> Bitvec.add_overflows_signed x y
-                       | Add, Nuw -> Bitvec.add_overflows_unsigned x y
-                       | Sub, Nsw -> Bitvec.sub_overflows_signed x y
-                       | Sub, Nuw -> Bitvec.sub_overflows_unsigned x y
-                       | Mul, Nsw -> Bitvec.mul_overflows_signed x y
-                       | Mul, Nuw -> Bitvec.mul_overflows_unsigned x y
-                       | Shl, Nsw ->
-                           not
-                             (Bitvec.equal (Bitvec.ashr (Bitvec.shl x y) y) x)
-                       | Shl, Nuw ->
-                           not
-                             (Bitvec.equal (Bitvec.lshr (Bitvec.shl x y) y) x)
-                       | (Sdiv | Udiv), Exact ->
-                           let q =
-                             if op = Sdiv then Bitvec.sdiv x y
-                             else Bitvec.udiv x y
-                           in
-                           not (Bitvec.equal (Bitvec.mul q y) x)
-                       | Ashr, Exact ->
-                           not
-                             (Bitvec.equal (Bitvec.shl (Bitvec.ashr x y) y) x)
-                       | Lshr, Exact ->
-                           not
-                             (Bitvec.equal (Bitvec.shl (Bitvec.lshr x y) y) x)
-                       | _ -> false)
-                     attrs
-              in
-              let op_fn =
-                match op with
-                | Add -> Bitvec.add
-                | Sub -> Bitvec.sub
-                | Mul -> Bitvec.mul
-                | Udiv -> Bitvec.udiv
-                | Sdiv -> Bitvec.sdiv
-                | Urem -> Bitvec.urem
-                | Srem -> Bitvec.srem
-                | Shl -> Bitvec.shl
-                | Lshr -> Bitvec.lshr
-                | Ashr -> Bitvec.ashr
-                | And -> Bitvec.logand
-                | Or -> Bitvec.logor
-                | Xor -> Bitvec.logxor
-              in
-              (op_fn x y, poisoned)
-          | Icmp (c, a, b) ->
-              let x, px = value a and y, py = value b in
-              let r =
-                match c with
-                | Eq -> Bitvec.equal x y
-                | Ne -> not (Bitvec.equal x y)
-                | Ugt -> Bitvec.ult y x
-                | Uge -> Bitvec.ule y x
-                | Ult -> Bitvec.ult x y
-                | Ule -> Bitvec.ule x y
-                | Sgt -> Bitvec.slt y x
-                | Sge -> Bitvec.sle y x
-                | Slt -> Bitvec.slt x y
-                | Sle -> Bitvec.sle x y
-              in
-              (Bitvec.of_bool r, px || py)
-          | Select (c, a, b) ->
-              (* Only the chosen arm's poison flows through; a poison
-                 condition poisons the result but still selects by the
-                 condition's carrier. *)
-              let cv, pc = value c in
-              let chosen = if Bitvec.is_true cv then a else b in
-              let v, pv = value chosen in
-              (v, pc || pv)
-          | Conv (conv, a) ->
-              let x, p = value a in
-              ( (match conv with
-                | Zext -> Bitvec.zext x d.width
-                | Sext -> Bitvec.sext x d.width
-                | Trunc -> Bitvec.trunc x d.width),
-                p )
+          | Binop (op, attrs, a, b) -> S.Inst.binop op attrs (value a) (value b)
+          | Icmp (c, a, b) -> S.Inst.icmp c (value a) (value b)
+          | Select (c, a, b) -> S.Inst.select (value c) (value a) (value b)
+          | Conv (conv, a) -> S.Inst.conv conv (value a) d.width
           | Freeze a ->
-              let v, p = value a in
-              if p then (Bitvec.zero d.width, false) else (v, false)
+              let v = value a in
+              if v.poison_free then v else S.Inst.of_value (Bitvec.zero d.width)
         in
         (try
-           List.iter (fun d -> Hashtbl.replace env d.name (eval_def d)) f.body;
-           let v, p = value f.ret in
-           Ok (Ret (if p then Poison else Val v))
+           List.iter
+             (fun d ->
+               let v = eval_def d in
+               if not v.defined then raise Hit_ub;
+               Hashtbl.replace env d.name v)
+             f.body;
+           let r = value f.ret in
+           Ok (Ret (if r.poison_free then Val r.value else Poison))
          with Hit_ub -> Ok Ub)
 
 let refines src tgt =

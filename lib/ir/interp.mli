@@ -1,13 +1,18 @@
 (** Concrete interpreter for the IR with the paper's §2.4 semantics of
-    undefined behavior:
+    undefined behavior, read from {!Semantics} over bit-vectors — the same
+    definition the VC generator reads over terms:
 
-    - true UB (division by zero, over-shift, §2.4 Table 1) aborts execution;
-    - [poison] taints every dependent computation (Table 2 attributes);
+    - true UB (division by zero, [INT_MIN / -1], over-shift, §2.4 Table 1)
+      aborts execution;
+    - [poison] taints every dependent computation (Table 2 attributes); a
+      [select] is poison when its condition or either arm is;
     - [undef] denotes a set of bit patterns; each {e use} may see a
-      different value, chosen by the policy below.
+      different value, chosen by the policy below;
+    - [freeze] (not in the 2015 paper) pins poison to zero.
 
     Used for differential testing of the optimizer (a rewritten function
-    must refine the original) and for the §6.4 run-time experiment. *)
+    must refine the original), for inference's example labels, and for the
+    §6.4 run-time experiment. *)
 
 type scalar = Poison | Val of Bitvec.t
 

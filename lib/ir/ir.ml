@@ -122,6 +122,13 @@ let value_width f = function
           | Some d -> d.width
           | None -> raise Not_found))
 
+(* The attributes each opcode takes (docs/LANGUAGE.md). *)
+let takes_attr op attr =
+  match (attr, op) with
+  | (Nsw | Nuw), (Add | Sub | Mul | Shl) -> true
+  | Exact, (Udiv | Sdiv | Lshr | Ashr) -> true
+  | _ -> false
+
 let operands_of = function
   | Binop (_, _, a, b) | Icmp (_, a, b) -> [ a; b ]
   | Select (c, a, b) -> [ c; a; b ]
@@ -146,7 +153,15 @@ let validate f =
               | None -> raise (Bad (Printf.sprintf "%%%s used before def" n)))
         in
         (match d.inst with
-        | Binop (_, _, a, b) ->
+        | Binop (op, attrs, a, b) ->
+            List.iter
+              (fun attr ->
+                if not (takes_attr op attr) then
+                  raise
+                    (Bad
+                       (Printf.sprintf "%s does not take %s in %%%s"
+                          (binop_name op) (attr_name attr) d.name)))
+              attrs;
             if operand_width a <> d.width || operand_width b <> d.width then
               raise (Bad (Printf.sprintf "width mismatch in %%%s" d.name))
         | Icmp (_, a, b) ->

@@ -59,6 +59,13 @@ val pp_value : Format.formatter -> value -> unit
 val pp_def : Format.formatter -> def -> unit
 val pp_func : Format.formatter -> func -> unit
 
+val takes_attr : binop -> attr -> bool
+(** [nsw]/[nuw] on [add], [sub], [mul] and [shl]; [exact] on [udiv],
+    [sdiv], [lshr] and [ashr]. *)
+
+val operands_of : inst -> value list
+(** An instruction's operands, left to right. *)
+
 val value_width : func -> value -> int
 (** Width of a value in the context of a function.
     @raise Not_found for unknown variables. *)
@@ -67,7 +74,8 @@ val def_of : func -> string -> def option
 
 val validate : func -> (unit, string) result
 (** SSA well-formedness: parameters and defs named once, uses after defs,
-    operand widths consistent, [ret] well formed. *)
+    operand widths consistent, attributes only where {!takes_attr} allows
+    them, [ret] well formed. *)
 
 val map_body : (def list -> def list) -> func -> func
 

@@ -13,8 +13,9 @@
    [~kb_only:true] collapses every computed value to its known-bits
    component, reproducing the pre-range precision; the rules compare the
    two modes to attribute a finding to the range/congruence domains.
-   Constant expressions and preconditions are [Constlang]'s, read over the
-   abstract algebra of either mode; this module supplies the leaves. *)
+   Instructions are [Semantics]' and constant expressions and
+   preconditions [Constlang]'s, both read over the abstract algebra of
+   either mode; this module supplies the leaves and the template widths. *)
 
 open Alive.Ast
 module Dom = Alive_absint.Domain
@@ -25,13 +26,7 @@ type av = Dom.t
 
 type tribool = Dom.tribool = True | False | Unknown
 
-let tri_not = Dom.tri_not
-
-let known_value (d : av) = Dom.is_singleton d
-
-(* ---- Environment: template value name → abstract value ---- *)
-
-type env = { width : int; kb_only : bool; vals : (string, av) Hashtbl.t }
+(* ---- Two precision modes ---- *)
 
 (* The known-bits-only transfer. It must be the raw known-bits one:
    collapsing the product transfer's result would smuggle range facts back
@@ -47,12 +42,25 @@ module Kb_transfer = struct
   let clamp (d : av) = Dom.of_kb d.Dom.width d.Dom.kb
 end
 
-module Kb = Alive.Constlang.Make (Alive.Constlang.Domain_algebra (Kb_transfer))
+(* One precision mode: the constant language and the instructions read
+   over one abstract algebra. *)
+module type MODE = sig
+  module C : Alive.Constlang.S with type v = av and type b = tribool
+  module S : Semantics.S with type v = av and type b = tribool
+end
 
-let clamp env (d : av) = if env.kb_only then Kb_transfer.clamp d else d
+module Mode (A : Semantics.ALGEBRA with type v = av and type b = tribool) =
+struct
+  module C = Alive.Constlang.Make (A)
+  module S = Semantics.Make (A)
+end
 
-let dom_binop env op w (da : av) (db : av) =
-  if env.kb_only then Kb_transfer.binop op w da db else Dom.binop op w da db
+module Full = Mode (Alive_absint.Domain_algebra.Full)
+module Kb_only = Mode (Alive_absint.Domain_algebra.Make (Kb_transfer))
+
+(* ---- Environment: template value name → abstract value ---- *)
+
+type env = { width : int; mode : (module MODE); vals : (string, av) Hashtbl.t }
 
 let lookup env ~w name =
   match Hashtbl.find_opt env.vals name with
@@ -76,9 +84,8 @@ let leaves env : (av, tribool) Alive.Constlang.leaves =
   }
 
 let eval_cexpr env ~w e =
-  try
-    if env.kb_only then Kb.cexpr (leaves env) ~width:w e
-    else Alive.Constlang.Abstract.cexpr (leaves env) ~width:w e
+  let (module M) = env.mode in
+  try M.C.cexpr (leaves env) ~width:w e
   with Alive.Constlang.Unsupported _ -> Dom.top w
 
 (* ---- Source-pattern abstract interpretation ---- *)
@@ -108,35 +115,24 @@ let eval_operand env ~w (t : toperand) =
   | Undef -> Dom.top w
   | ConstOp e -> eval_cexpr env ~w e
 
-let eval_icmp env cond a b =
-  let w =
-    match (operand_width a, operand_width b) with
-    | Some w, _ | None, Some w -> w
-    | None, None -> env.width
-  in
-  let da = eval_operand env ~w a and db = eval_operand env ~w b in
-  Alive_absint.Query.tri_cond (Alive_opt.Matcher.ir_cond cond) da db
-
 (* The abstract value of one instruction, given an environment holding its
    operands. Shared by the source interpretation below and the
    target-statically-poison lint rule. *)
 let eval_inst env ~w inst : av =
+  let (module M) = env.mode in
   match inst with
   | Binop (op, _, a, b) ->
-      let da = eval_operand env ~w a and db = eval_operand env ~w b in
-      dom_binop env (Alive_opt.Matcher.ir_binop op) w da db
-  | Icmp (cond, a, b) -> (
-      match eval_icmp env cond a b with
-      | True -> Dom.singleton (Bitvec.one 1)
-      | False -> Dom.singleton (Bitvec.zero 1)
-      | Unknown -> Dom.top 1)
-  | Select (c, a, b) -> (
-      let dc = eval_operand env ~w:1 c in
-      let da = eval_operand env ~w a and db = eval_operand env ~w b in
-      match known_value dc with
-      | Some v when Bitvec.is_true v -> da
-      | Some _ -> db
-      | None -> Dom.join da db)
+      M.S.binop (ir_binop op) (eval_operand env ~w a) (eval_operand env ~w b)
+  | Icmp (cond, a, b) ->
+      let w =
+        match (operand_width a, operand_width b) with
+        | Some w, _ | None, Some w -> w
+        | None, None -> env.width
+      in
+      M.S.icmp (ir_cond cond) (eval_operand env ~w a) (eval_operand env ~w b)
+  | Select (c, a, b) ->
+      M.S.select (eval_operand env ~w:1 c) (eval_operand env ~w a)
+        (eval_operand env ~w b)
   | Conv (cv, a, _) -> (
       let ws =
         match operand_width a with
@@ -149,12 +145,11 @@ let eval_inst env ~w inst : av =
                 | None -> env.width)
             | _ -> env.width)
       in
-      let da = eval_operand env ~w:ws a in
-      match cv with
-      | Zext -> if ws > w then Dom.top w else clamp env (Dom.zext da w)
-      | Sext -> if ws > w then Dom.top w else clamp env (Dom.sext da w)
-      | Trunc -> if w > ws then Dom.top w else clamp env (Dom.trunc da w)
-      | Bitcast | Ptrtoint | Inttoptr -> Dom.top w)
+      (* An analysis width can contradict the template's conversion. *)
+      let fits = match cv with Zext | Sext -> ws <= w | _ -> w <= ws in
+      match ir_conv cv with
+      | Some c when fits -> M.S.conv c (eval_operand env ~w:ws a) w
+      | _ -> Dom.top w)
   | Copy a -> eval_operand env ~w a
   | Alloca _ | Load _ | Gep _ -> Dom.top w
 
@@ -162,7 +157,8 @@ let eval_inst env ~w inst : av =
    and abstract constants are ⊤, each definition gets the transfer of its
    instruction. Statements are processed in order (templates are SSA). *)
 let env_of_source ?(kb_only = false) ~width (stmts : stmt list) =
-  let env = { width; kb_only; vals = Hashtbl.create 16 } in
+  let mode = if kb_only then (module Kb_only : MODE) else (module Full) in
+  let env = { width; mode; vals = Hashtbl.create 16 } in
   List.iter
     (fun st ->
       match st with
@@ -176,21 +172,15 @@ let env_of_source ?(kb_only = false) ~width (stmts : stmt list) =
 (* ---- Statically poisonous instructions (for the target lint rule) ---- *)
 
 (* [True] when every concretization of the instruction's operands makes it
-   immediately undefined or poison under the LLVM semantics: division or
-   remainder by zero, or a shift by at least the bit width. Evaluated over
-   the source environment, so a target instruction feeding on matched
-   values inherits their constraints. *)
+   undefined: the negation of its Table 1 definedness. Evaluated over the
+   source environment, so a target instruction feeding on matched values
+   inherits their constraints. *)
 let inst_always_poison env ~w inst : tribool =
   match inst with
-  | Binop (op, _, _, b) -> (
-      let db = eval_operand env ~w b in
-      match op with
-      | UDiv | SDiv | URem | SRem ->
-          Dom.tri_eq db (Dom.singleton (Bitvec.zero w))
-      | Shl | LShr | AShr ->
-          (* poison iff shift amount ≥ w *)
-          tri_not (Dom.tri_ult db (Dom.singleton (Bitvec.of_int ~width:w w)))
-      | Add | Sub | Mul | And | Or | Xor -> False)
+  | Binop (op, _, a, b) ->
+      let (module M) = env.mode in
+      let da = eval_operand env ~w a and db = eval_operand env ~w b in
+      Dom.tri_not (M.S.defined (ir_binop op) da db)
   | Icmp _ | Select _ | Conv _ | Copy _ | Alloca _ | Load _ | Gep _ -> False
 
 (* Per-target-statement poison verdicts: interpret the source pattern, then
@@ -213,7 +203,5 @@ let target_poison ~width src tgt =
 (* ---- Predicates ---- *)
 
 let eval_pred env p =
-  try
-    if env.kb_only then Kb.pred (leaves env) p
-    else Alive.Constlang.Abstract.pred (leaves env) p
-  with Alive.Constlang.Unsupported _ -> Unknown
+  let (module M) = env.mode in
+  try M.C.pred (leaves env) p with Alive.Constlang.Unsupported _ -> Unknown

@@ -2,8 +2,9 @@
     does the same over concrete IR). Inputs and abstract constants are ⊤;
     evaluation happens at a caller-chosen analysis width over the reduced
     product of known bits × ranges × congruence ({!Alive_absint.Domain}).
-    Constant expressions and preconditions are read by
-    {!Alive.Constlang.Abstract} (or its known-bits-only instance), with
+    Instructions are read by {!Semantics} and constant expressions and
+    preconditions by {!Alive.Constlang}, both over
+    {!Alive_absint.Domain_algebra} (or its known-bits-only instance), with
     abstract constants, [width(...)] and [hasOneUse] unknown. The DSL is
     width-polymorphic, so sound conclusions require agreement across
     several analysis widths — see {!Rules.analysis_widths}. *)
@@ -27,8 +28,9 @@ val eval_inst : env -> w:int -> Alive.Ast.inst -> av
 
 val inst_always_poison : env -> w:int -> Alive.Ast.inst -> tribool
 (** [True] when every concretization of the operands makes the instruction
-    immediately undefined or poison (division/remainder by zero, shift by
-    at least the width). Powers the [static-poison.target] lint rule. *)
+    undefined: the negation of its {!Semantics} Table 1 definedness (a
+    zero divisor, [INT_MIN / -1], a shift by at least the width). Powers
+    the [static-poison.target] lint rule. *)
 
 val target_poison :
   width:int ->

@@ -1,72 +1,28 @@
-(* Constant folding over the straight-line IR. Folds only cases that are
-   defined and poison-free for the given constants, so the fold itself is a
-   refinement. *)
+(* Constant folding over the straight-line IR. A fold on constant operands
+   is the instruction's value over bit-vectors, taken only where Table 1
+   says it is defined, so the fold itself is a refinement; poison needs no
+   check, since a constant refines it. *)
 
-let fold_def (_f : Ir.func) (d : Ir.def) : Ir.value option =
+module S = Semantics.Make (Semantics.Bitvec_algebra)
+
+let fold_def (d : Ir.def) : Ir.value option =
   let const v = match v with Ir.Const c -> Some c | Ir.Var _ | Ir.Undef _ -> None in
   match d.inst with
   | Ir.Binop (op, _, a, b) -> (
-      match (const a, const b) with
-      | Some x, Some y -> (
-          let w = d.width in
-          let defined =
-            match op with
-            | Ir.Udiv | Ir.Urem -> not (Bitvec.is_zero y)
-            | Ir.Sdiv | Ir.Srem ->
-                (not (Bitvec.is_zero y))
-                && not
-                     (Bitvec.equal x (Bitvec.min_signed w)
-                     && Bitvec.is_all_ones y)
-            | Ir.Shl | Ir.Lshr | Ir.Ashr ->
-                Bitvec.ult y (Bitvec.of_int ~width:w w)
-            | _ -> true
-          in
-          if not defined then None
-          else
-            let fn =
-              match op with
-              | Ir.Add -> Bitvec.add
-              | Ir.Sub -> Bitvec.sub
-              | Ir.Mul -> Bitvec.mul
-              | Ir.Udiv -> Bitvec.udiv
-              | Ir.Sdiv -> Bitvec.sdiv
-              | Ir.Urem -> Bitvec.urem
-              | Ir.Srem -> Bitvec.srem
-              | Ir.Shl -> Bitvec.shl
-              | Ir.Lshr -> Bitvec.lshr
-              | Ir.Ashr -> Bitvec.ashr
-              | Ir.And -> Bitvec.logand
-              | Ir.Or -> Bitvec.logor
-              | Ir.Xor -> Bitvec.logxor
-            in
-            Some (Ir.Const (fn x y)))
-      | _ -> (
-          (* A few InstSimplify-style identities on one constant operand,
-             beyond what the Alive corpus covers (commuted positions). *)
-          match (op, const a, const b) with
-          | Ir.Add, Some z, _ when Bitvec.is_zero z -> Some b
-          | Ir.Mul, Some o, _ when Bitvec.equal o (Bitvec.one d.width) -> Some b
-          | Ir.And, Some m, _ when Bitvec.is_all_ones m -> Some b
-          | Ir.Or, Some z, _ when Bitvec.is_zero z -> Some b
-          | Ir.Xor, Some z, _ when Bitvec.is_zero z -> Some b
-          | _ -> None))
+      match (op, const a, const b) with
+      | _, Some x, Some y ->
+          if S.defined op x y then Some (Ir.Const (S.binop op x y)) else None
+      (* A few InstSimplify-style identities on one constant operand,
+         beyond what the Alive corpus covers (commuted positions). *)
+      | Ir.Add, Some z, _ when Bitvec.is_zero z -> Some b
+      | Ir.Mul, Some o, _ when Bitvec.equal o (Bitvec.one d.width) -> Some b
+      | Ir.And, Some m, _ when Bitvec.is_all_ones m -> Some b
+      | Ir.Or, Some z, _ when Bitvec.is_zero z -> Some b
+      | Ir.Xor, Some z, _ when Bitvec.is_zero z -> Some b
+      | _ -> None)
   | Ir.Icmp (c, a, b) -> (
       match (const a, const b) with
-      | Some x, Some y ->
-          let r =
-            match c with
-            | Ir.Eq -> Bitvec.equal x y
-            | Ir.Ne -> not (Bitvec.equal x y)
-            | Ir.Ugt -> Bitvec.ult y x
-            | Ir.Uge -> Bitvec.ule y x
-            | Ir.Ult -> Bitvec.ult x y
-            | Ir.Ule -> Bitvec.ule x y
-            | Ir.Sgt -> Bitvec.slt y x
-            | Ir.Sge -> Bitvec.sle y x
-            | Ir.Slt -> Bitvec.slt x y
-            | Ir.Sle -> Bitvec.sle x y
-          in
-          Some (Ir.Const (Bitvec.of_bool r))
+      | Some x, Some y -> Some (Ir.Const (S.icmp c x y))
       | _ ->
           if a = b && const a = None then
             (* icmp eq %x, %x and friends; x may be poison, and folding to a
@@ -81,16 +37,8 @@ let fold_def (_f : Ir.func) (d : Ir.def) : Ir.value option =
       match const c with
       | Some cv -> Some (if Bitvec.is_true cv then a else b)
       | None -> if a = b then Some a else None)
-  | Ir.Conv (conv, a) -> (
-      match const a with
-      | Some x ->
-          Some
-            (Ir.Const
-               (match conv with
-               | Ir.Zext -> Bitvec.zext x d.width
-               | Ir.Sext -> Bitvec.sext x d.width
-               | Ir.Trunc -> Bitvec.trunc x d.width))
-      | None -> None)
+  | Ir.Conv (conv, a) ->
+      Option.map (fun x -> Ir.Const (S.conv conv x d.width)) (const a)
   | Ir.Freeze a -> ( match const a with Some _ -> Some a | None -> None)
 
 let substitute (f : Ir.func) name v =
@@ -118,7 +66,7 @@ let fold_constants f =
     match
       List.find_map
         (fun (d : Ir.def) ->
-          match fold_def f d with Some v -> Some (d.Ir.name, v) | None -> None)
+          match fold_def d with Some v -> Some (d.Ir.name, v) | None -> None)
         f.Ir.body
     with
     | Some (name, v) -> go (substitute f name v) (count + 1)

@@ -8,8 +8,9 @@
     hand-coded directly on the IR. *)
 
 val fold_constants : Ir.func -> Ir.func * int
-(** One pass of constant folding (defined, poison-free cases only) plus
-    trivial simplifications; returns the rewrite count. *)
+(** One pass of constant folding plus trivial simplifications; returns the
+    rewrite count. A fold is the instruction's {!Semantics} value, taken
+    only where Table 1 says it is defined (a constant refines poison). *)
 
 val run : rules:Matcher.rule list -> Ir.func -> Ir.func * Pass.stats
 (** The "full" pass: alternates the Alive rule pass with constant folding

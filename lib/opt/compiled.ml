@@ -53,23 +53,12 @@ exception Unsupported
 
 let ast_kind (i : Alive.Ast.inst) =
   match i with
-  | Binop (op, _, _, _) -> KBinop (Matcher.ir_binop op)
-  | Icmp (c, _, _) -> KIcmp (Matcher.ir_cond c)
+  | Binop (op, _, _, _) -> KBinop (ir_binop op)
+  | Icmp (c, _, _) -> KIcmp (ir_cond c)
   | Select _ -> KSelect
-  | Conv (Zext, _, _) -> KConv Ir.Zext
-  | Conv (Sext, _, _) -> KConv Ir.Sext
-  | Conv (Trunc, _, _) -> KConv Ir.Trunc
-  | Conv ((Bitcast | Ptrtoint | Inttoptr), _, _) | Copy _ | Alloca _ | Load _
-  | Gep _ ->
-      raise Unsupported
-
-let ast_operands (i : Alive.Ast.inst) =
-  match i with
-  | Binop (_, _, a, b) | Icmp (_, a, b) -> [ a; b ]
-  | Select (c, a, b) -> [ c; a; b ]
-  | Conv (_, a, _) -> [ a ]
-  | Copy a -> [ a ]
-  | Alloca _ | Load _ | Gep _ -> raise Unsupported
+  | Conv (c, _, _) -> (
+      match ir_conv c with Some c -> KConv c | None -> raise Unsupported)
+  | Copy _ | Alloca _ | Load _ | Gep _ -> raise Unsupported
 
 let def_insts stmts =
   List.filter_map
@@ -92,7 +81,7 @@ let flatten_pattern (rule : Matcher.rule) =
     let inst = List.assoc name defs in
     let k = ast_kind inst in
     emit (PInst k);
-    List.iter (operand (level + 1)) (ast_operands inst)
+    List.iter (operand (level + 1)) (operands_of_inst inst)
   and operand level (top : toperand) =
     if level > !depth then depth := level;
     match top.op with
@@ -250,12 +239,6 @@ let ir_kind (i : Ir.inst) =
   | Ir.Conv (c, _) -> Some (KConv c)
   | Ir.Freeze _ -> None
 
-let ir_operands (i : Ir.inst) =
-  match i with
-  | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) -> [ a; b ]
-  | Ir.Select (c, a, b) -> [ c; a; b ]
-  | Ir.Conv (_, a) | Ir.Freeze a -> [ a ]
-
 (* Flatten the subject DAG below [root] into ctx.buf, truncating operand
    recursion at the compiled max pattern level: tokens deeper than any
    pattern token can only ever be skipped by a [PAny] subtree skip, so an
@@ -283,7 +266,7 @@ let flatten_subject ctx (root : Ir.def) =
     | None -> emit SLeaf
     | Some k ->
         emit (SInst k);
-        List.iter (operand (level + 1)) (ir_operands d.Ir.inst)
+        List.iter (operand (level + 1)) (Ir.operands_of d.Ir.inst)
   and operand level (v : Ir.value) =
     match v with
     | Ir.Const _ -> emit SConst

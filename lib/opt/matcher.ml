@@ -4,37 +4,6 @@ type rule = { rule_name : string; transform : Alive.Ast.transform }
 
 type match_result = { bindings : Concrete.env; root : string }
 
-(* --- Enum translation between the Alive AST and the IR --- *)
-
-let ir_binop = function
-  | Add -> Ir.Add
-  | Sub -> Ir.Sub
-  | Mul -> Ir.Mul
-  | UDiv -> Ir.Udiv
-  | SDiv -> Ir.Sdiv
-  | URem -> Ir.Urem
-  | SRem -> Ir.Srem
-  | Shl -> Ir.Shl
-  | LShr -> Ir.Lshr
-  | AShr -> Ir.Ashr
-  | And -> Ir.And
-  | Or -> Ir.Or
-  | Xor -> Ir.Xor
-
-let ir_attr = function Nsw -> Ir.Nsw | Nuw -> Ir.Nuw | Exact -> Ir.Exact
-
-let ir_cond = function
-  | Ceq -> Ir.Eq
-  | Cne -> Ir.Ne
-  | Cugt -> Ir.Ugt
-  | Cuge -> Ir.Uge
-  | Cult -> Ir.Ult
-  | Cule -> Ir.Ule
-  | Csgt -> Ir.Sgt
-  | Csge -> Ir.Sge
-  | Cslt -> Ir.Slt
-  | Csle -> Ir.Sle
-
 let rule_of_transform (t : Alive.Ast.transform) =
   match Alive.Scoping.check t with
   | Error e -> Error e
@@ -42,8 +11,7 @@ let rule_of_transform (t : Alive.Ast.transform) =
       let executable =
         let inst_ok = function
           | Binop _ | Icmp _ | Select _ | Copy _ -> true
-          | Conv ((Zext | Sext | Trunc), _, _) -> true
-          | Conv ((Bitcast | Ptrtoint | Inttoptr), _, _) -> false
+          | Conv (c, _, _) -> Option.is_some (ir_conv c)
           | Alloca _ | Load _ | Gep _ -> false
         in
         let stmt_ok = function
@@ -325,10 +293,9 @@ and match_def st template_name (d : Ir.def) =
               match_operand st c cx ~width:1
               && match_operand st a x ~width:d.width
               && match_operand st b y ~width:d.width
-          | Conv (Zext, a, _), Ir.Conv (Ir.Zext, x)
-          | Conv (Sext, a, _), Ir.Conv (Ir.Sext, x)
-          | Conv (Trunc, a, _), Ir.Conv (Ir.Trunc, x) ->
-              match_operand st a x ~width:(Ir.value_width st.func x)
+          | Conv (cv, a, _), Ir.Conv (cv', x) ->
+              ir_conv cv = Some cv'
+              && match_operand st a x ~width:(Ir.value_width st.func x)
           | _ -> false))
 
 let src_def_insts stmts =
@@ -478,22 +445,15 @@ let rewrite rule func (m : match_result) =
               let* x = operand_value a ~width in
               let* y = operand_value b ~width in
               Some (`Inst (Ir.Select (cx, x, y)))
-          | Conv (Zext, a, _) | Conv (Sext, a, _) | Conv (Trunc, a, _) ->
+          | Conv (cv, a, _) ->
+              let* conv = ir_conv cv in
               let* aw = operand_width a in
               let* x = operand_value a ~width:aw in
-              let conv =
-                match inst with
-                | Conv (Zext, _, _) -> Ir.Zext
-                | Conv (Sext, _, _) -> Ir.Sext
-                | _ -> Ir.Trunc
-              in
               Some (`Inst (Ir.Conv (conv, x)))
           | Copy a ->
               let* v = operand_value a ~width in
               Some (`Copy v)
-          | Conv ((Bitcast | Ptrtoint | Inttoptr), _, _) | Alloca _ | Load _
-          | Gep _ ->
-              None
+          | Alloca _ | Load _ | Gep _ -> None
         in
         let ir_name = if is_root then root_def.Ir.name else fresh_name () in
         (match ir_inst with

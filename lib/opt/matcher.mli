@@ -45,10 +45,3 @@ val rewrite : rule -> Ir.func -> match_result -> Ir.func option
     (new definitions inserted just before the root, root redefined in
     place). Dead source instructions are left for DCE. [None] if a target
     constant expression cannot be evaluated. *)
-
-(** Enum translation between the Alive AST and the IR (shared with the
-    workload generator's template instantiation). *)
-
-val ir_binop : Alive.Ast.binop -> Ir.binop
-val ir_attr : Alive.Ast.attr -> Ir.attr
-val ir_cond : Alive.Ast.cond -> Ir.cond

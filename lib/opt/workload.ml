@@ -183,8 +183,8 @@ let instantiate g (rule : Matcher.rule) w =
               match inst with
               | Binop (op, attrs, a, b) ->
                   Ir.Binop
-                    ( Matcher.ir_binop op,
-                      List.map Matcher.ir_attr attrs,
+                    ( ir_binop op,
+                      List.map ir_attr attrs,
                       operand a ~width:dw,
                       operand b ~width:dw )
               | Icmp (c, a, b) ->
@@ -195,7 +195,7 @@ let instantiate g (rule : Matcher.rule) w =
                     | Var n, _ | _, Var n -> width_of n
                     | _ -> w
                   in
-                  Ir.Icmp (Matcher.ir_cond c, operand a ~width:ow, operand b ~width:ow)
+                  Ir.Icmp (ir_cond c, operand a ~width:ow, operand b ~width:ow)
               | Select (c, a, b) ->
                   Ir.Select
                     (operand c ~width:1, operand a ~width:dw, operand b ~width:dw)

@@ -5,7 +5,6 @@
    - Analysis.transfer_binop against the Interp reference semantics,
      exhaustively at widths 1-5 for the PR-7 ops (mul, udiv, urem, sdiv,
      srem);
-   - Analysis.will_not_overflow against integer arithmetic, exhaustively;
    - Demand against the interpreter: flipping a non-demanded input bit
      never changes a run's outcome;
    - the prover and Refine.static_report against the corpus: it must
@@ -113,7 +112,7 @@ let test_binop_sound () =
               (fun x ->
                 List.iter
                   (fun y ->
-                    let c = Analysis.concrete_binop op x y in
+                    let c = Semantics.Bitvec_algebra.binop op x y in
                     if not (Dom.contains r c) then
                       Alcotest.failf
                         "%s i%d: %s ⋄ %s = %s escapes the transfer\n\
@@ -325,7 +324,7 @@ let test_exhaustive_i2 () =
                 (fun x ->
                   List.iter
                     (fun y ->
-                      let c = Analysis.concrete_binop op (bv x) (bv y) in
+                      let c = Semantics.Bitvec_algebra.binop op (bv x) (bv y) in
                       if not (Dom.contains r c) then
                         Alcotest.failf "i2 %s: %d ⋄ %d = %s escapes" (pp_op op)
                           x y (Bitvec.to_string_unsigned c))
@@ -410,39 +409,6 @@ let test_transfer_vs_interp () =
           !abstr
       done)
     [ Ir.Mul; Ir.Udiv; Ir.Urem; Ir.Sdiv; Ir.Srem ]
-
-(* ---- Satellite 2: will_not_overflow, exhaustive over constants ---- *)
-
-let test_will_not_overflow_exhaustive () =
-  for w = 1 to 5 do
-    let n = 1 lsl w in
-    let bv v = Bitvec.of_int ~width:w v in
-    let f = { Ir.fname = "t"; params = [ ("x", w) ]; body = []; ret = Ir.Var "x" } in
-    for x = 0 to n - 1 do
-      for y = 0 to n - 1 do
-        List.iter
-          (fun op ->
-            List.iter
-              (fun signed ->
-                let claimed =
-                  Analysis.will_not_overflow f op ~signed
-                    (Ir.Const (bv x)) (Ir.Const (bv y))
-                in
-                let actual = not (overflows op ~signed ~w (bv x) (bv y)) in
-                (* on constants the bounds are exact, so this must be an
-                   iff — in particular the signed sub/mul fixes of this PR *)
-                if claimed <> actual then
-                  Alcotest.failf
-                    "will_not_overflow i%d %s signed=%b on %d,%d: claimed %b \
-                     actual %b"
-                    w
-                    (match op with `Add -> "add" | `Sub -> "sub" | `Mul -> "mul")
-                    signed x y claimed actual)
-              [ true; false ])
-          [ `Add; `Sub; `Mul ]
-      done
-    done
-  done
 
 (* Two singletons are answered exactly at every width, where the range
    corner arithmetic gives up (signed add/sub above w=63, mul above w=32):
@@ -722,8 +688,8 @@ let suite =
         test_exhaustive_i2;
       Alcotest.test_case "transfer_binop vs Interp exhaustive i1-i5" `Slow
         test_transfer_vs_interp;
-      Alcotest.test_case "will_not_overflow exact on constants i1-i5" `Quick
-        test_will_not_overflow_exhaustive;
+      Alcotest.test_case "tri_will_not_overflow exact on singletons" `Quick
+        test_will_not_overflow_singletons;
       Alcotest.test_case "demanded-bits masks" `Quick test_demand_masks;
       Alcotest.test_case "non-demanded bits cannot change outcomes" `Quick
         test_demand_property;
@@ -738,6 +704,4 @@ let suite =
         test_static_coverage;
       Alcotest.test_case "static on/off verdict parity (sample)" `Quick
         test_static_parity_sample;
-      Alcotest.test_case "tri_will_not_overflow exact on singletons" `Quick
-        test_will_not_overflow_singletons;
     ] )

@@ -1,5 +1,6 @@
 (* Tests for lib/core/constlang.ml: the one definition of Alive's constant
-   expressions and predicates, read over three algebras. The algebras must
+   expressions and predicates, read over the three algebras of
+   lib/ir/semantics.ml. The algebras must
    agree on every primitive (bit-vectors, the abstract domain on
    singletons, SMT terms under evaluation), the abstract algebra must be
    sound on arbitrary abstract operands, and the concrete reading of every
@@ -8,15 +9,12 @@
 
 open Alive.Ast
 module C = Alive.Constlang
-module B = C.Bitvec_algebra
+module B = Semantics.Bitvec_algebra
 module Tm = C.Term_algebra
 module T = Alive_smt.Term
 module Dom = Alive_absint.Domain
 
-module D = C.Domain_algebra (struct
-  let binop = Dom.binop
-  let clamp d = d
-end)
+module D = Alive_absint.Domain_algebra.Full
 
 let widths = [ 1; 4; 8; 33; 63; 64 ]
 
@@ -30,8 +28,7 @@ let samples st w =
     @ List.init 6 (fun _ -> rand_bv st w))
 
 let binops =
-  [ Cadd; Csub; Cmul; Csdiv; Cudiv; Csrem; Curem; Cshl; Clshr; Cashr; Cand;
-    Cor; Cxor ]
+  Ir.[ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; Shl; Lshr; Ashr; And; Or; Xor ]
 
 let overflows =
   List.concat_map (fun op -> [ (op, true); (op, false) ]) [ `Add; `Sub; `Mul ]
@@ -105,7 +102,7 @@ let test_primitives () =
               List.iter
                 (fun op ->
                   value
-                    (Format.asprintf "%a" pp_cexpr (Cbin (op, Cabs "x", Cabs "y")))
+                    (Ir.binop_name op)
                     (B.binop op) (D.binop op) (Tm.binop op))
                 binops;
               value "bnot" (fun x _ -> B.bnot x) (fun x _ -> D.bnot x)
@@ -162,8 +159,8 @@ let test_primitives () =
         if dv <> Dom.tri_of_bool bv || eval tv <> T.Vbool bv then
           Alcotest.failf "%s on %b, %b disagrees" what a b
       in
-      check "and" (B.and_ a b) (D.and_ da db) (Tm.and_ p q);
-      check "or" (B.or_ a b) (D.or_ da db) (Tm.or_ p q);
+      check "and" (B.and_ [ a; b ]) (D.and_ [ da; db ]) (Tm.and_ [ p; q ]);
+      check "or" (B.or_ [ a; b ]) (D.or_ [ da; db ]) (Tm.or_ [ p; q ]);
       check "not" (B.not_ a) (D.not_ da) (Tm.not_ p))
     [ (true, true); (true, false); (false, true); (false, false) ]
 

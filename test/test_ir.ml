@@ -66,6 +66,21 @@ let validate_tests =
             (Ir.Var "a")
         in
         check_bool "error" true (Result.is_error (Ir.validate f)));
+    Alcotest.test_case "attribute its opcode does not take rejected" `Quick
+      (fun () ->
+        let rejects inst =
+          Result.is_error (Ir.validate (func [ def "a" 8 inst ] (Ir.Var "a")))
+        in
+        check_bool "add exact" true
+          (rejects (Ir.Binop (Ir.Add, [ Ir.Exact ], Ir.Var "x", Ir.Var "y")));
+        check_bool "and nsw" true
+          (rejects (Ir.Binop (Ir.And, [ Ir.Nsw ], Ir.Var "x", Ir.Var "x")));
+        check_bool "add nsw nuw" false
+          (rejects (Ir.Binop (Ir.Add, [ Ir.Nsw; Ir.Nuw ], Ir.Var "x", Ir.Var "y")));
+        check_bool "parser" true
+          (Result.is_error
+             (Ir_parser.parse_func
+                "define i8 @f(i8 %x, i8 %y) {\n  %a = add exact i8 %x, %y\n  %b = and nsw i8 %a, %a\n  ret %b\n}\n")));
     Alcotest.test_case "zext must widen" `Quick (fun () ->
         let f = func [ def "a" 8 (Ir.Conv (Ir.Zext, Ir.Var "x")) ] (Ir.Var "a") in
         check_bool "error" true (Result.is_error (Ir.validate f)));
@@ -145,8 +160,7 @@ let interp_tests =
         check_bool "poison on remainder" true
           (run_ok f [ bv 8 7; bv 8 2 ] = Interp.Ret Interp.Poison);
         expect_val f [ bv 8 8; bv 8 2 ] (bv 8 4));
-    Alcotest.test_case "select passes poison of chosen arm only" `Quick
-      (fun () ->
+    Alcotest.test_case "select poison from either arm" `Quick (fun () ->
         let f =
           func
             [
@@ -156,7 +170,39 @@ let interp_tests =
             ]
             (Ir.Var "s")
         in
-        expect_val f [ bv 8 255; bv 8 1 ] (bv 8 3));
+        (* The verifier's reading: the unchosen arm's poison flows too. *)
+        check_bool "poison" true
+          (run_ok f [ bv 8 255; bv 8 1 ] = Interp.Ret Interp.Poison);
+        expect_val f [ bv 8 1; bv 8 1 ] (bv 8 3));
+    Alcotest.test_case "verified select rewrite refines" `Quick (fun () ->
+        (* %p = add nsw %x, 1; %r = select %c, %y, %p
+           => %q = add %x, 1; %t = icmp slt %q, %x; %u = select %t, 0, %y;
+              %r = select %c, %u, %p
+           is valid at i4 and i8; at x=127, c=1, y=5 both sides are poison. *)
+        let params = [ ("x", 8); ("c", 1); ("y", 8) ] in
+        let p =
+          def "p" 8 (Ir.Binop (Ir.Add, [ Ir.Nsw ], Ir.Var "x", Ir.Const (bv 8 1)))
+        in
+        let src =
+          func ~params
+            [ p; def "r" 8 (Ir.Select (Ir.Var "c", Ir.Var "y", Ir.Var "p")) ]
+            (Ir.Var "r")
+        and tgt =
+          func ~params
+            [
+              p;
+              def "q" 8 (Ir.Binop (Ir.Add, [], Ir.Var "x", Ir.Const (bv 8 1)));
+              def "t" 1 (Ir.Icmp (Ir.Slt, Ir.Var "q", Ir.Var "x"));
+              def "u" 8 (Ir.Select (Ir.Var "t", Ir.Const (bv 8 0), Ir.Var "y"));
+              def "r" 8 (Ir.Select (Ir.Var "c", Ir.Var "u", Ir.Var "p"));
+            ]
+            (Ir.Var "r")
+        in
+        let args = [ bv 8 127; bv 1 1; bv 8 5 ] in
+        let s = run_ok src args and t = run_ok tgt args in
+        check_bool "source poison" true (s = Interp.Ret Interp.Poison);
+        check_bool "target poison" true (t = Interp.Ret Interp.Poison);
+        check_bool "refines" true (Interp.refines s t));
     Alcotest.test_case "undef resolves per policy" `Quick (fun () ->
         let f = func [ def "a" 8 (Ir.Binop (Ir.Or, [], Ir.Undef 8, Ir.Const (bv 8 1))) ] (Ir.Var "a") in
         (* Zero policy: undef = 0, result 1. *)
@@ -197,46 +243,25 @@ let analysis_tests =
             [ def "a" 8 (Ir.Binop (Ir.And, [], Ir.Var "x", Ir.Const (bv 8 0x0F))) ]
             (Ir.Var "a")
         in
-        check_bool "top nibble is zero" true
-          (Analysis.masked_value_is_zero f (Ir.Var "a") (bv 8 0xF0));
-        check_bool "bottom nibble unknown" false
-          (Analysis.masked_value_is_zero f (Ir.Var "a") (bv 8 0x01)));
+        let kb = Analysis.known_bits f (Ir.Var "a") in
+        check_bool "top nibble is zero" true (Bitvec.equal kb.zeros (bv 8 0xF0));
+        check_bool "bottom nibble unknown" true (Bitvec.is_zero kb.ones));
     Alcotest.test_case "zext high bits are zero" `Quick (fun () ->
         let f =
           func ~params:[ ("x", 4) ]
             [ def "a" 8 (Ir.Conv (Ir.Zext, Ir.Var "x")) ]
             (Ir.Var "a")
         in
-        check_bool "high nibble zero" true
-          (Analysis.masked_value_is_zero f (Ir.Var "a") (bv 8 0xF0)));
-    Alcotest.test_case "1 shl x is a power of two" `Quick (fun () ->
-        let f =
-          func
-            [ def "a" 8 (Ir.Binop (Ir.Shl, [], Ir.Const (bv 8 1), Ir.Var "x")) ]
-            (Ir.Var "a")
-        in
-        check_bool "pow2" true (Analysis.is_known_power_of_two f (Ir.Var "a"));
-        check_bool "param is not" false (Analysis.is_known_power_of_two f (Ir.Var "x")));
+        let kb = Analysis.known_bits f (Ir.Var "a") in
+        check_bool "high nibble zero" true (Bitvec.equal kb.zeros (bv 8 0xF0)));
     Alcotest.test_case "non-negative via known sign bit" `Quick (fun () ->
         let f =
           func
             [ def "a" 8 (Ir.Binop (Ir.Lshr, [], Ir.Var "x", Ir.Const (bv 8 1))) ]
             (Ir.Var "a")
         in
-        check_bool "nonneg" true (Analysis.is_known_non_negative f (Ir.Var "a")));
-    Alcotest.test_case "unsigned add overflow exclusion" `Quick (fun () ->
-        let f =
-          func
-            [
-              def "a" 8 (Ir.Binop (Ir.And, [], Ir.Var "x", Ir.Const (bv 8 0x0F)));
-              def "b" 8 (Ir.Binop (Ir.And, [], Ir.Var "y", Ir.Const (bv 8 0x0F)));
-            ]
-            (Ir.Var "a")
-        in
-        check_bool "no overflow possible" true
-          (Analysis.will_not_overflow f `Add ~signed:false (Ir.Var "a") (Ir.Var "b"));
-        check_bool "unknown values may overflow" false
-          (Analysis.will_not_overflow f `Add ~signed:false (Ir.Var "x") (Ir.Var "y")));
+        let kb = Analysis.known_bits f (Ir.Var "a") in
+        check_bool "nonneg" true (Bitvec.bit kb.zeros 7));
   ]
 
 (* Property: known-bits facts hold on random concrete executions. *)

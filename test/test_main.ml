@@ -29,6 +29,7 @@ let () =
       Test_aig.suite;
       Test_lint.suite;
       Test_constlang.suite;
+      Test_semantics.suite;
       Test_infer.suite;
       Test_trace.suite;
       Test_service.suite;

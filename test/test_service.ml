@@ -424,8 +424,27 @@ let combined_entry name =
           Digest.to_hex (Digest.string (String.concat "," (List.concat dss)))
       | Error m -> Alcotest.fail m)
 
+(* Every corpus entry at its declared widths, in registry order: one line
+   per entry naming it and its query digests, hashed together. Any change
+   to the VC generator that moves a single query's encoding moves this
+   value; like the golden digests above, a deliberate encoding change must
+   update it and so declares every existing store stale. *)
+let corpus_fingerprint () =
+  let line (e : Alive_suite.Entry.t) =
+    match
+      Alive.Refine.query_digests ?widths:e.widths (Alive_suite.Entry.parse e)
+    with
+    | Ok dss -> e.name ^ ":" ^ String.concat "," (List.concat dss)
+    | Error m -> Alcotest.failf "%s: %s" e.name m
+  in
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (List.map line Alive_suite.Registry.all)))
+
 let determinism_tests =
   [
+    Alcotest.test_case "every corpus query digest is pinned" `Quick (fun () ->
+        check_string "corpus fingerprint" "96c847ef0812af4a0a5f06e5e2af3370"
+          (corpus_fingerprint ()));
     Alcotest.test_case "store keys match their golden digests" `Quick
       (fun () ->
         List.iter
