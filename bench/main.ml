@@ -55,15 +55,7 @@ let verify_entry (e : Alive_suite.Entry.t) =
   let t = Alive_suite.Entry.parse e in
   Alive.Refine.check ?widths:e.widths t
 
-let valid_rules =
-  lazy
-    (List.filter_map
-       (fun (e : Alive_suite.Entry.t) ->
-         if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
-           Result.to_option
-             (Alive_opt.Matcher.rule_of_transform (Alive_suite.Entry.parse e))
-         else None)
-       corpus)
+let valid_rules = lazy (Alive_opt.Matcher.corpus_rules ())
 
 (* --- Tables 1 & 2: semantics cross-check --- *)
 
@@ -341,8 +333,7 @@ let daemon_throughput () =
 
    Fig. 9's production shape: run the compiled pass over a Zipf workload
    and measure whole-pass firings/sec plus the top-10 firing share, then
-   probe single-match throughput — the same definitions matched once by
-   the compiled tree and once by the per-rule scan — the same figures
+   probe single-match throughput of the compiled tree — the same figures
    `alive optimize --ledger` records and `perf diff` gates. *)
 
 let opt_leg () =
@@ -378,28 +369,13 @@ let opt_leg () =
       0 probe
   in
   let compiled_wall = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let linear_hits =
-    List.fold_left
-      (fun acc (f : Ir.func) ->
-        List.fold_left
-          (fun acc (d : Ir.def) ->
-            match Alive_opt.Compiled.match_linear ~rules f d.Ir.name with
-            | Some _ -> acc + 1
-            | None -> acc)
-          acc f.Ir.body)
-      0 probe
-  in
-  let linear_wall = Unix.gettimeofday () -. t0 in
   let per_s n wall = float n /. Float.max 1e-9 wall in
   object
     method firings = firings
     method firings_per_s = per_s firings pass_wall
     method top10_share = top10
     method match_per_s = per_s n_sites compiled_wall
-    method match_linear_per_s = per_s n_sites linear_wall
     method compiled_hits = compiled_hits
-    method linear_hits = linear_hits
     method sites = n_sites
   end
 
@@ -495,12 +471,8 @@ let parallel () =
   Printf.printf
     "  optimizer: %d firings (%.0f firings/s), top-10 share %.1f%%\n"
     opt#firings opt#firings_per_s (100.0 *. opt#top10_share);
-  Printf.printf
-    "  matcher: compiled %.0f match/s vs linear %.0f match/s (%.1fx), \
-     %d/%d hits agree over %d sites\n"
-    opt#match_per_s opt#match_linear_per_s
-    (opt#match_per_s /. Float.max 1e-9 opt#match_linear_per_s)
-    opt#compiled_hits opt#linear_hits opt#sites;
+  Printf.printf "  matcher: %.0f match/s, %d hits over %d sites\n"
+    opt#match_per_s opt#compiled_hits opt#sites;
   (* Each verification leg's stats are nested under its own key, with
      every solver counter by report name. *)
   record_json "parallel"
@@ -522,7 +494,6 @@ let parallel () =
           ("opt_firings_per_s", Json.Float opt#firings_per_s);
           ("opt_top10_share", Json.Float opt#top10_share);
           ("opt_match_per_s", Json.Float opt#match_per_s);
-          ("opt_match_linear_per_s", Json.Float opt#match_linear_per_s);
         ]
        @
        match daemon with

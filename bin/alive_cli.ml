@@ -8,27 +8,21 @@ let read_input = function
   | "-" -> In_channel.input_all stdin
   | path -> In_channel.with_open_text path In_channel.input_all
 
-(* Width specs are comma-separated items, each a single width or an
-   inclusive range: "4,8", "1..32", "1..8,16,32". *)
-let parse_widths = function
-  | None -> None
-  | Some s ->
-      Some
-        (String.split_on_char ',' s
-        |> List.concat_map (fun part ->
-               let part = String.trim part in
-               let range =
-                 try Some (Scanf.sscanf part "%d..%d%!" (fun a b -> (a, b)))
-                 with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-               in
-               match range with
-               | Some (a, b) when 1 <= a && a <= b && b <= 64 ->
-                   List.init (b - a + 1) (fun i -> a + i)
-               | Some _ -> failwith ("bad width range: " ^ part)
-               | None -> (
-                   match int_of_string_opt part with
-                   | Some w when w >= 1 && w <= 64 -> [ w ]
-                   | _ -> failwith ("bad width: " ^ part))))
+(* Bad values become usage errors (exit 124) instead of exceptions. *)
+let widths_conv =
+  Arg.conv'
+    ( Alive.Typing.parse_widths,
+      fun ppf ws ->
+        Format.pp_print_string ppf
+          (String.concat "," (List.map string_of_int ws)) )
+
+let int_at_least lo =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo -> Ok n
+        | _ -> Error (Printf.sprintf "expected an integer >= %d, got %S" lo s)),
+      Format.pp_print_int )
 
 let file_arg =
   Arg.(
@@ -39,7 +33,7 @@ let file_arg =
 let widths_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some widths_conv) None
     & info [ "widths" ] ~docv:"W1,W2,..."
         ~doc:
           "Width domain for type enumeration: comma-separated widths and \
@@ -204,7 +198,6 @@ let with_transforms file f =
 let verify_cmd =
   let run file widths quiet jobs timeout conflict_limit show_stats trace
       collapsed metrics no_cache dump_cnf no_aig dump_aig =
-    let widths = parse_widths widths in
     let jobs = resolve_jobs jobs in
     let budget = budget_of ~timeout ~conflict_limit in
     setup_observability ~trace ~collapsed ~metrics;
@@ -270,7 +263,6 @@ let verify_cmd =
 
 let infer_cmd =
   let run file widths =
-    let widths = parse_widths widths in
     with_transforms file (fun transforms ->
         List.iter
           (fun t ->
@@ -311,7 +303,6 @@ let infer_cmd =
 let infer_pre_cmd =
   let run file widths jobs timeout conflict_limit json trace collapsed metrics
       =
-    let widths = parse_widths widths in
     let jobs = resolve_jobs jobs in
     (* Inference needs a deadline for its progress guarantees: an absent
        --timeout means 10s per query, not "no limit". *)
@@ -429,7 +420,6 @@ let infer_pre_cmd =
 
 let codegen_cmd =
   let run file verify widths =
-    let widths = parse_widths widths in
     with_transforms file (fun transforms ->
         let ok =
           List.filter
@@ -457,19 +447,6 @@ let codegen_cmd =
           paper).")
     Term.(const run $ file_arg $ verify $ widths_arg)
 
-(* The verified corpus as executable rewrite rules — shared by the opt
-   and optimize commands. Forced once so every batch worker reuses the
-   same compiled decision tree (Pass memoizes by physical identity). *)
-let corpus_rules =
-  lazy
-    (List.filter_map
-       (fun (e : Alive_suite.Entry.t) ->
-         if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
-           Result.to_option
-             (Alive_opt.Matcher.rule_of_transform (Alive_suite.Entry.parse e))
-         else None)
-       Alive_suite.Registry.all)
-
 let opt_cmd =
   let run file show_stats =
     let text = read_input file in
@@ -478,7 +455,7 @@ let opt_cmd =
         Printf.eprintf "parse error: %s\n" e;
         1
     | Ok funcs ->
-        let rules = Lazy.force corpus_rules in
+        let rules = Alive_opt.Matcher.corpus_rules () in
         let optimized, stats = Alive_opt.Pass.run_module ~rules funcs in
         List.iter (fun f -> Format.printf "%a@.@." Ir.pp_func f) optimized;
         if show_stats then begin
@@ -502,20 +479,18 @@ let optimize_cmd =
   let module Pass = Alive_opt.Pass in
   let module Compiled = Alive_opt.Compiled in
   let module Json = Alive_engine.Json in
-  let run functions batch_size seed widths jobs linear selfcheck json_path
-      ledger_path show_stats =
+  let run functions batch_size seed widths jobs json_path ledger_path
+      show_stats =
     let jobs = resolve_jobs jobs in
-    let rules = Lazy.force corpus_rules in
-    let engine = if linear then `Linear else `Compiled in
+    (* One list for every batch, so the workers share one compiled tree
+       (Pass memoizes it by physical identity). *)
+    let rules = Alive_opt.Matcher.corpus_rules () in
     let config =
       {
         Workload.default with
         functions;
         seed;
-        widths =
-          (match parse_widths widths with
-          | Some ws -> ws
-          | None -> Workload.default.widths);
+        widths = Option.value widths ~default:Workload.default.widths;
       }
     in
     (* Streamed fixpoint pass: each batch is generated, optimized and
@@ -529,7 +504,7 @@ let optimize_cmd =
         ~label:(fun (off, _) -> Printf.sprintf "batch@%d" off)
         (fun (off, bc) ->
           let funcs = Workload.generate ~offset:off bc rules in
-          let optimized, stats = Pass.run_module ~rules ~engine funcs in
+          let optimized, stats = Pass.run_module ~rules funcs in
           let cost fs =
             List.fold_left (fun a f -> a + Cost.func_cost f) 0 fs
           in
@@ -566,9 +541,8 @@ let optimize_cmd =
       /. float_of_int (max 1 firings)
     in
     let firings_per_s = float_of_int firings /. Float.max 1e-9 wall in
-    (* Single-match throughput probe: the same definitions matched once
-       through the compiled tree and once by the per-rule scan. Kept small
-       because the linear side is the O(rules) path being replaced. *)
+    (* Single-match throughput probe: every definition of a fixed sample
+       matched once through the compiled tree. *)
     let probe =
       Workload.generate { config with functions = min 100 functions } rules
     in
@@ -576,94 +550,28 @@ let optimize_cmd =
     let sites =
       List.fold_left (fun a (f : Ir.func) -> a + List.length f.Ir.body) 0 probe
     in
-    let time_matches matcher =
-      let t0 = Unix.gettimeofday () in
-      let hits =
-        List.fold_left (fun acc f -> acc + matcher f) 0 probe
-      in
-      (hits, Unix.gettimeofday () -. t0)
-    in
-    let compiled_hits, compiled_wall =
-      time_matches (fun f ->
+    let t_probe = Unix.gettimeofday () in
+    let hits =
+      List.fold_left
+        (fun acc f ->
           let ctx = Compiled.context tree f in
           List.fold_left
             (fun acc d ->
               if Option.is_some (Compiled.match_def ctx d) then acc + 1
               else acc)
-            0 f.Ir.body)
+            acc f.Ir.body)
+        0 probe
     in
-    let linear_hits, linear_wall =
-      time_matches (fun (f : Ir.func) ->
-          List.fold_left
-            (fun acc (d : Ir.def) ->
-              if Option.is_some (Compiled.match_linear ~rules f d.Ir.name)
-              then acc + 1
-              else acc)
-            0 f.Ir.body)
-    in
-    let match_per_s = float_of_int sites /. Float.max 1e-9 compiled_wall in
-    let match_linear_per_s =
-      float_of_int sites /. Float.max 1e-9 linear_wall
-    in
-    (* Self-check: the compiled tree must pick the same rule with the same
-       bindings as the per-rule scan at every probe site. *)
-    let divergences =
-      if not selfcheck then 0
-      else
-        List.fold_left
-          (fun acc (f : Ir.func) ->
-            let ctx = Compiled.context tree f in
-            List.fold_left
-              (fun acc (d : Ir.def) ->
-                let c = Compiled.match_def ctx d in
-                let l = Compiled.match_linear ~rules f d.Ir.name in
-                let same =
-                  match (c, l) with
-                  | None, None -> true
-                  | Some (rc, mc), Some (rl, ml) ->
-                      String.equal rc.Alive_opt.Matcher.rule_name
-                        rl.Alive_opt.Matcher.rule_name
-                      && String.equal mc.Alive_opt.Matcher.root
-                           ml.Alive_opt.Matcher.root
-                      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.consts
-                         = ml.Alive_opt.Matcher.bindings.Alive_opt.Concrete.consts
-                      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.values
-                         = ml.Alive_opt.Matcher.bindings.Alive_opt.Concrete.values
-                  | _ -> false
-                in
-                if same then acc
-                else begin
-                  Printf.eprintf
-                    "optimize: selfcheck divergence at %s/%s (compiled=%s \
-                     linear=%s)\n"
-                    f.Ir.fname d.Ir.name
-                    (match c with
-                    | Some (r, _) -> r.Alive_opt.Matcher.rule_name
-                    | None -> "-")
-                    (match l with
-                    | Some (r, _) -> r.Alive_opt.Matcher.rule_name
-                    | None -> "-");
-                  acc + 1
-                end)
-              acc f.Ir.body)
-          0 probe
+    let match_per_s =
+      float_of_int sites /. Float.max 1e-9 (Unix.gettimeofday () -. t_probe)
     in
     Printf.printf
-      "optimized %d functions in %.2fs on %d jobs (%s engine): %d firings \
-       (%.0f/s), top-10 share %.1f%%, cost %d -> %d\n"
-      total wall jobs
-      (if linear then "linear" else "compiled")
-      firings firings_per_s (100.0 *. top10_share) cost_in cost_out;
-    Printf.printf
-      "matcher probe: compiled %.0f match/s vs linear %.0f match/s (%.1fx) \
-       over %d sites, hits %d/%d\n"
-      match_per_s match_linear_per_s
-      (match_per_s /. Float.max 1e-9 match_linear_per_s)
-      sites compiled_hits linear_hits;
-    if selfcheck then
-      Printf.printf "selfcheck: %d divergence(s) between compiled and \
-                     per-rule matcher\n"
-        divergences;
+      "optimized %d functions in %.2fs on %d jobs: %d firings (%.0f/s), \
+       top-10 share %.1f%%, cost %d -> %d\n"
+      total wall jobs firings firings_per_s (100.0 *. top10_share) cost_in
+      cost_out;
+    Printf.printf "matcher probe: %.0f match/s over %d sites, %d hits\n"
+      match_per_s sites hits;
     if show_stats then begin
       Printf.printf "rules fired:\n";
       List.iter (fun (n, c) -> Printf.printf "  %-45s x%d\n" n c) stats
@@ -675,19 +583,13 @@ let optimize_cmd =
              [
                ("functions", Json.Int total);
                ("jobs", Json.Int jobs);
-               ("engine", Json.String (if linear then "linear" else "compiled"));
                ("wall_s", Json.Float wall);
                ("opt_firings", Json.Int firings);
                ("opt_firings_per_s", Json.Float firings_per_s);
                ("opt_top10_share", Json.Float top10_share);
                ("opt_match_per_s", Json.Float match_per_s);
-               ("opt_match_linear_per_s", Json.Float match_linear_per_s);
-               ( "opt_match_speedup",
-                 Json.Float (match_per_s /. Float.max 1e-9 match_linear_per_s)
-               );
                ("cost_in", Json.Int cost_in);
                ("cost_out", Json.Int cost_out);
-               ("selfcheck_divergences", Json.Int divergences);
                ("batch_failures", Json.Int (List.length failed));
              ]))
       json_path;
@@ -701,7 +603,6 @@ let optimize_cmd =
                 ("opt_firings", float_of_int firings);
                 ("opt_firings_per_s", firings_per_s);
                 ("opt_match_per_s", match_per_s);
-                ("opt_match_linear_per_s", match_linear_per_s);
                 ("opt_top10_share", top10_share);
               ]
             before (Alive_trace.Metrics.snapshot ())
@@ -709,17 +610,19 @@ let optimize_cmd =
         Alive_trace.Ledger.append ~path record;
         Printf.printf "ledger record appended to %s\n" path)
       ledger_path;
-    if divergences > 0 || failed <> [] then 1 else 0
+    if failed <> [] then 1 else 0
   in
   let functions =
     Arg.(
-      value & opt int 50_000
+      value
+      & opt (int_at_least 0) 50_000
       & info [ "functions" ] ~docv:"N"
           ~doc:"Number of Zipf-sampled workload functions to stream.")
   in
   let batch_size =
     Arg.(
-      value & opt int 1_000
+      value
+      & opt (int_at_least 1) 1_000
       & info [ "batch-size" ] ~docv:"N"
           ~doc:
             "Functions per worker batch; each batch is generated, \
@@ -730,22 +633,6 @@ let optimize_cmd =
     Arg.(
       value & opt int 42
       & info [ "seed" ] ~docv:"N" ~doc:"Workload generator seed.")
-  in
-  let linear =
-    Arg.(
-      value & flag
-      & info [ "linear" ]
-          ~doc:
-            "Use the per-rule O(rules) scan instead of the compiled \
-             decision tree (A/B baseline; much slower).")
-  in
-  let selfcheck =
-    Arg.(
-      value & flag
-      & info [ "selfcheck" ]
-          ~doc:
-            "Cross-check the compiled matcher against the per-rule scan \
-             on the probe sample; any divergence fails the run.")
   in
   let json_path =
     Arg.(
@@ -773,13 +660,10 @@ let optimize_cmd =
           decision-tree optimizer across the Domain pool, reporting \
           firings/sec and the Fig. 9 top-10 firing share (\xc2\xa76.4 at \
           production scale)."
-       ~exits:
-         (Cmd.Exit.info 1
-            ~doc:"a selfcheck divergence or a failed worker batch."
-         :: Cmd.Exit.defaults))
+       ~exits:(Cmd.Exit.info 1 ~doc:"a failed worker batch." :: Cmd.Exit.defaults))
     Term.(
       const run $ functions $ batch_size $ seed $ widths_arg $ jobs_arg
-      $ linear $ selfcheck $ json_path $ ledger_path $ stats)
+      $ json_path $ ledger_path $ stats)
 
 let lint_cmd =
   let module D = Alive.Diagnostics in
@@ -1255,7 +1139,7 @@ let explain_cmd =
               match file with
               | None -> Error "explain needs FILE (or --digest)"
               | Some f ->
-                  Client.explain c ?name ?widths:(parse_widths widths)
+                  Client.explain c ?name ?widths
                     ~text:(read_input f) ())
         in
         match result with

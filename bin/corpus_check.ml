@@ -40,28 +40,7 @@ let static_report_path = ref ""
 let dump_cnf = ref ""
 let no_aig = ref false
 let dump_aig = ref ""
-let widths_spec = ref ""
 
-(* Width specs are comma-separated items, each a single width or an
-   inclusive range: "4,8", "1..32", "1..8,16,32". *)
-let parse_widths s =
-  String.split_on_char ',' s
-  |> List.concat_map (fun part ->
-         let part = String.trim part in
-         let range =
-           try Some (Scanf.sscanf part "%d..%d%!" (fun a b -> (a, b)))
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-         in
-         match range with
-         | Some (a, b) when 1 <= a && a <= b && b <= 64 ->
-             List.init (b - a + 1) (fun i -> a + i)
-         | Some _ -> raise (Arg.Bad ("bad width range: " ^ part))
-         | None -> (
-             match int_of_string_opt part with
-             | Some w when w >= 1 && w <= 64 -> [ w ]
-             | _ -> raise (Arg.Bad ("bad width: " ^ part))))
-let opt_parity = ref false
-let opt_functions = ref 1000
 let via = ref "" (* daemon socket; "" = solve in-process *)
 let store_dir = ref "" (* persistent verdict store; "" = none *)
 let changed_since = ref "" (* baseline rev label; "" = full run *)
@@ -132,7 +111,11 @@ let speclist =
       " disable the AIG structural-simplification pass (direct \
        gate-by-gate CNF encoding) — the parity baseline for the AIG path" );
     ( "--widths",
-      Arg.Set_string widths_spec,
+      Arg.String
+        (fun spec ->
+          match Alive.Typing.parse_widths spec with
+          | Ok ws -> width_domain := Some ws
+          | Error e -> raise (Arg.Bad e)),
       "SPEC  width domain for entries without an explicit cap: \
        comma-separated widths and inclusive ranges (e.g. 16,32 or 1..32); \
        capped entries keep their caps" );
@@ -161,14 +144,6 @@ let speclist =
       Arg.Set_int min_ok,
       "N  (--infer-pre) exit 0 only if at least N entries re-derive an \
        equal-or-weaker precondition (default 10)" );
-    ( "--opt-parity",
-      Arg.Set opt_parity,
-      " instead of verifying, differential-check the compiled decision-tree \
-       matcher against the per-rule scan on corpus-derived and random \
-       workload functions; any divergence fails the run" );
-    ( "--opt-functions",
-      Arg.Set_int opt_functions,
-      "N  (--opt-parity) random workload functions to check (default 1000)" );
   ]
 
 (* --via: thin-client mode. One daemon connection per worker thread,
@@ -638,150 +613,6 @@ let run_static_report ~path (entries : Alive_suite.Entry.t list) =
     !crashed wall path;
   exit (if !unsound > 0 || !refuted > 0 || !crashed > 0 then 1 else 0)
 
-(* --opt-parity: the compiled decision tree is only a pre-filter, so it must
-   agree with the per-rule scan — same rule, same root, same bindings — at
-   every site. Two function pools exercise it: a saturated-injection workload
-   (every instruction group is an instantiated corpus rule source, so the
-   corpus patterns all appear in matchable position) and the default random
-   mix. A third check runs the whole fixpoint pass under both engines and
-   compares the optimized bodies and firing stats. *)
-let run_opt_parity (entries : Alive_suite.Entry.t list) =
-  let module Matcher = Alive_opt.Matcher in
-  let module Compiled = Alive_opt.Compiled in
-  let module Workload = Alive_opt.Workload in
-  let module Pass = Alive_opt.Pass in
-  let rules =
-    List.filter_map
-      (fun (e : Alive_suite.Entry.t) ->
-        if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
-          Result.to_option
-            (Matcher.rule_of_transform (Alive_suite.Entry.parse e))
-        else None)
-      entries
-  in
-  if rules = [] then begin
-    Printf.eprintf "opt-parity: no verified canonical rules selected\n";
-    exit 1
-  end;
-  let tree = Compiled.build rules in
-  let n = max 1 !opt_functions in
-  let corpus_pool =
-    Workload.generate
-      {
-        Workload.default with
-        functions = max 50 (n / 4);
-        seed = 101;
-        inject_probability = 1.0;
-      }
-      rules
-  in
-  let random_pool =
-    Workload.generate { Workload.default with functions = n; seed = 202 } rules
-  in
-  let t0 = Unix.gettimeofday () in
-  let sites = ref 0 in
-  let check_func bad (f : Ir.func) =
-    let ctx = Compiled.context tree f in
-    List.fold_left
-      (fun bad (d : Ir.def) ->
-        incr sites;
-        let c = Compiled.match_def ctx d in
-        let l = Compiled.match_linear ~rules f d.Ir.name in
-        let same =
-          match (c, l) with
-          | None, None -> true
-          | Some (rc, mc), Some (rl, ml) ->
-              String.equal rc.Matcher.rule_name rl.Matcher.rule_name
-              && String.equal mc.Matcher.root ml.Matcher.root
-              && mc.Matcher.bindings.Alive_opt.Concrete.consts
-                 = ml.Matcher.bindings.Alive_opt.Concrete.consts
-              && mc.Matcher.bindings.Alive_opt.Concrete.values
-                 = ml.Matcher.bindings.Alive_opt.Concrete.values
-          | _ -> false
-        in
-        if same then bad
-        else begin
-          Printf.printf "DIVERGE %s/%s: compiled=%s linear=%s\n" f.Ir.fname
-            d.Ir.name
-            (match c with
-            | Some (r, _) -> r.Matcher.rule_name
-            | None -> "-")
-            (match l with
-            | Some (r, _) -> r.Matcher.rule_name
-            | None -> "-");
-          bad + 1
-        end)
-      bad f.Ir.body
-  in
-  let divergences =
-    List.fold_left check_func 0 (corpus_pool @ random_pool)
-  in
-  (* Whole-pass parity: the worklist fixpoint must land on the same module
-     whichever matcher backs it — modulo the names [Matcher.rewrite] mints
-     from its global fresh counter, so compare alpha-normalized bodies
-     (every def renamed to its body position). *)
-  let normalize (f : Ir.func) =
-    let renamed = Hashtbl.create 64 in
-    List.iteri
-      (fun i (d : Ir.def) ->
-        Hashtbl.replace renamed d.Ir.name (Printf.sprintf "d%d" i))
-      f.Ir.body;
-    let value = function
-      | Ir.Var n as v -> (
-          match Hashtbl.find_opt renamed n with
-          | Some n' -> Ir.Var n'
-          | None -> v (* parameter *))
-      | (Ir.Const _ | Ir.Undef _) as v -> v
-    in
-    let inst = function
-      | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, value a, value b)
-      | Ir.Icmp (c, a, b) -> Ir.Icmp (c, value a, value b)
-      | Ir.Select (c, a, b) -> Ir.Select (value c, value a, value b)
-      | Ir.Conv (c, a) -> Ir.Conv (c, value a)
-      | Ir.Freeze a -> Ir.Freeze (value a)
-    in
-    {
-      f with
-      Ir.body =
-        List.map
-          (fun (d : Ir.def) ->
-            {
-              d with
-              Ir.name = Hashtbl.find renamed d.Ir.name;
-              Ir.inst = inst d.Ir.inst;
-            })
-          f.Ir.body;
-      Ir.ret = value f.Ir.ret;
-    }
-  in
-  let pass_pool =
-    List.filteri (fun i _ -> i < 200) (corpus_pool @ random_pool)
-  in
-  let pass_divergences =
-    List.fold_left
-      (fun bad (f : Ir.func) ->
-        let c = Pass.run_guarded ~rules ~engine:`Compiled f in
-        let l = Pass.run_guarded ~rules ~engine:`Linear f in
-        if
-          normalize c.Pass.func = normalize l.Pass.func
-          && c.Pass.stats = l.Pass.stats
-        then bad
-        else begin
-          Printf.printf "PASS-DIVERGE %s: engines disagree after fixpoint\n"
-            f.Ir.fname;
-          bad + 1
-        end)
-      0 pass_pool
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "opt-parity: %d rules, %d sites over %d functions, %d match \
-     divergence(s), %d pass divergence(s) in %.2fs\n%!"
-    (List.length rules) !sites
-    (List.length corpus_pool + List.length random_pool)
-    divergences pass_divergences wall;
-  exit (if divergences > 0 || pass_divergences > 0 then 1 else 0)
-
 let () =
   Arg.parse speclist
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
@@ -801,7 +632,6 @@ let () =
     Alive_trace.Metrics.set_phase_timing true;
   if !no_cache then Alive_smt.Vc_cache.set_enabled false;
   if !no_aig then Alive_smt.Bitblast.set_simplify false;
-  if !widths_spec <> "" then width_domain := Some (parse_widths !widths_spec);
   if !dump_cnf <> "" then begin
     (try Unix.mkdir !dump_cnf 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     Alive_smt.Solve.set_dump_dir (Some !dump_cnf)
@@ -812,7 +642,6 @@ let () =
   end;
   if !static_report_path <> "" then
     run_static_report ~path:!static_report_path entries;
-  if !opt_parity then run_opt_parity entries;
   if !infer_pre then run_infer_pre entries;
   let lint_errors =
     if not !lint then 0

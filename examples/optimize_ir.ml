@@ -38,15 +38,7 @@ let example =
   }
 
 let () =
-  let rules =
-    List.filter_map
-      (fun (e : Alive_suite.Entry.t) ->
-        if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
-          Result.to_option
-            (Alive_opt.Matcher.rule_of_transform (Alive_suite.Entry.parse e))
-        else None)
-      Alive_suite.Registry.all
-  in
+  let rules = Alive_opt.Matcher.corpus_rules () in
   Printf.printf "%d verified rules loaded from the corpus\n\n" (List.length rules);
   Format.printf "Before (cost %d):@.%a@.@." (Cost.func_cost example) Ir.pp_func
     example;

@@ -324,6 +324,11 @@ let operands_of_inst = function
 let defined_names stmts =
   List.filter_map (function Def (n, _, _) -> Some n | Store _ | Unreachable -> None) stmts
 
+let def_insts stmts =
+  List.filter_map
+    (function Def (n, _, i) -> Some (n, i) | Store _ | Unreachable -> None)
+    stmts
+
 let root_of stmts =
   List.fold_left
     (fun acc s -> match s with Def (n, _, _) -> Some n | Store _ | Unreachable -> acc)

@@ -161,6 +161,9 @@ val pp_transform : Format.formatter -> transform -> unit
 val operands_of_inst : inst -> toperand list
 val defined_names : stmt list -> string list
 
+val def_insts : stmt list -> (string * inst) list
+(** Each definition's name and instruction, in statement order. *)
+
 val root_of : stmt list -> string option
 (** The root variable: the last definition of the template (§2.1). *)
 

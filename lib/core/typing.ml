@@ -318,6 +318,28 @@ let pp_env ppf env =
 
 let default_widths = [ 4; 8; 1; 2; 3; 5; 6; 7 ]
 
+let parse_widths spec =
+  let item part =
+    let part = String.trim part in
+    let range =
+      try Some (Scanf.sscanf part "%d..%d%!" (fun a b -> (a, b)))
+      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+    in
+    match range with
+    | Some (a, b) when 1 <= a && a <= b && b <= 64 ->
+        Ok (List.init (b - a + 1) (fun i -> a + i))
+    | Some _ -> Error ("bad width range (need 1 <= a <= b <= 64): " ^ part)
+    | None -> (
+        match int_of_string_opt part with
+        | Some w when 1 <= w && w <= 64 -> Ok [ w ]
+        | _ -> Error ("bad width (need 1..64): " ^ part))
+  in
+  let rec go acc = function
+    | [] -> Ok (List.concat (List.rev acc))
+    | part :: rest -> Result.bind (item part) (fun ws -> go (ws :: acc) rest)
+  in
+  go [] (String.split_on_char ',' spec)
+
 let enumerate_untraced ?(widths = default_widths) ?(max_typings = 64)
     (t : transform) =
   let c = { uf = Uf.create (); ids = Hashtbl.create 32; lt = []; ge = [] } in

@@ -35,6 +35,11 @@ val pp_env : Format.formatter -> env -> unit
 val default_widths : int list
 (** [[4; 8; 1; 2; 3; 5; 6; 7]] — all widths up to 8, preferred first. *)
 
+val parse_widths : string -> (int list, string) result
+(** A width domain from its command-line spelling: comma-separated items,
+    each a width or an inclusive range, all within 1..64 — ["4,8"],
+    ["1..32"], ["1..8,16,32"]. *)
+
 val enumerate :
   ?widths:int list ->
   ?max_typings:int ->

@@ -136,9 +136,14 @@ let operands_of = function
 
 let validate f =
   let defined = Hashtbl.create 16 in
-  List.iter (fun (n, w) -> Hashtbl.replace defined n w) f.params;
   let exception Bad of string in
   try
+    List.iter
+      (fun (n, w) ->
+        if Hashtbl.mem defined n then
+          raise (Bad (Printf.sprintf "parameter %%%s named twice" n));
+        Hashtbl.replace defined n w)
+      f.params;
     List.iter
       (fun d ->
         if Hashtbl.mem defined d.name then
@@ -194,6 +199,26 @@ let validate f =
   with Bad msg -> Error msg
 
 let map_body g f = { f with body = g f.body }
+
+let substitute f name v =
+  let sub x = match x with Var n when String.equal n name -> v | _ -> x in
+  let sub_inst = function
+    | Binop (op, attrs, a, b) -> Binop (op, attrs, sub a, sub b)
+    | Icmp (c, a, b) -> Icmp (c, sub a, sub b)
+    | Select (c, a, b) -> Select (sub c, sub a, sub b)
+    | Conv (c, a) -> Conv (c, sub a)
+    | Freeze a -> Freeze (sub a)
+  in
+  {
+    f with
+    body =
+      List.filter_map
+        (fun d ->
+          if String.equal d.name name then None
+          else Some { d with inst = sub_inst d.inst })
+        f.body;
+    ret = sub f.ret;
+  }
 
 let uses_of f =
   let counts = Hashtbl.create 16 in

@@ -79,5 +79,9 @@ val validate : func -> (unit, string) result
 
 val map_body : (def list -> def list) -> func -> func
 
+val substitute : func -> string -> value -> func
+(** [substitute f name v] drops the definition of [name] and replaces each
+    of its uses, in the body and in [ret], by [v]. *)
+
 val uses_of : func -> (string, int) Hashtbl.t
 (** Use counts per variable name (the basis of [hasOneUse]). *)

@@ -101,8 +101,13 @@ let width_of_type st = function
     when String.length s >= 2
          && s.[0] = 'i'
          && String.for_all (fun c -> c >= '0' && c <= '9')
-              (String.sub s 1 (String.length s - 1)) ->
-      int_of_string (String.sub s 1 (String.length s - 1))
+              (String.sub s 1 (String.length s - 1)) -> (
+      match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+      | Some w when 1 <= w && w <= Bitvec.max_width -> w
+      | _ ->
+          fail st
+            (Printf.sprintf "unsupported type %s (widths are 1..%d)" s
+               Bitvec.max_width))
   | _ -> fail st "expected a type like i8"
 
 let parse_type st =
@@ -124,12 +129,11 @@ let looks_like_type st =
 let parse_operand st ~env ~context =
   let ann = if looks_like_type st then Some (parse_type st) else None in
   let width_for name =
-    match ann with
-    | Some w -> w
-    | None -> (
-        match Hashtbl.find_opt env name with
-        | Some w -> w
-        | None -> fail st (Printf.sprintf "unknown value %%%s" name))
+    match (ann, Hashtbl.find_opt env name) with
+    | Some a, Some w when a <> w ->
+        fail st (Printf.sprintf "%%%s is i%d, annotated i%d" name w a)
+    | Some w, _ | None, Some w -> w
+    | None, None -> fail st (Printf.sprintf "unknown value %%%s" name)
   in
   match peek st with
   | Local name ->
@@ -146,12 +150,12 @@ let parse_operand st ~env ~context =
       match (ann, context) with
       | Some w, _ | None, Some w -> (Ir.Undef w, w)
       | None, None -> fail st "cannot infer the width of undef; annotate it")
-  | Ident "true" ->
+  | Ident (("true" | "false") as b) -> (
       advance st;
-      (Ir.Const (Bitvec.of_bool true), 1)
-  | Ident "false" ->
-      advance st;
-      (Ir.Const (Bitvec.of_bool false), 1)
+      match ann with
+      | Some w when w <> 1 ->
+          fail st (Printf.sprintf "%s is i1, annotated i%d" b w)
+      | Some _ | None -> (Ir.Const (Bitvec.of_bool (b = "true")), 1))
   | _ -> fail st "expected an operand"
 
 let binop_of_name = function

@@ -41,26 +41,6 @@ let fold_def (d : Ir.def) : Ir.value option =
       Option.map (fun x -> Ir.Const (S.conv conv x d.width)) (const a)
   | Ir.Freeze a -> ( match const a with Some _ -> Some a | None -> None)
 
-let substitute (f : Ir.func) name v =
-  let sub x = match x with Ir.Var n when String.equal n name -> v | _ -> x in
-  let sub_inst = function
-    | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, sub a, sub b)
-    | Ir.Icmp (c, a, b) -> Ir.Icmp (c, sub a, sub b)
-    | Ir.Select (c, a, b) -> Ir.Select (sub c, sub a, sub b)
-    | Ir.Conv (c, a) -> Ir.Conv (c, sub a)
-    | Ir.Freeze a -> Ir.Freeze (sub a)
-  in
-  {
-    f with
-    Ir.body =
-      List.filter_map
-        (fun (d : Ir.def) ->
-          if String.equal d.Ir.name name then None
-          else Some { d with Ir.inst = sub_inst d.Ir.inst })
-        f.Ir.body;
-    Ir.ret = sub f.Ir.ret;
-  }
-
 let fold_constants f =
   let rec go f count =
     match
@@ -69,7 +49,7 @@ let fold_constants f =
           match fold_def d with Some v -> Some (d.Ir.name, v) | None -> None)
         f.Ir.body
     with
-    | Some (name, v) -> go (substitute f name v) (count + 1)
+    | Some (name, v) -> go (Ir.substitute f name v) (count + 1)
     | None -> (f, count)
   in
   go f 0

@@ -60,11 +60,6 @@ let ast_kind (i : Alive.Ast.inst) =
       match ir_conv c with Some c -> KConv c | None -> raise Unsupported)
   | Copy _ | Alloca _ | Load _ | Gep _ -> raise Unsupported
 
-let def_insts stmts =
-  List.filter_map
-    (function Def (n, _, i) -> Some (n, i) | Store _ | Unreachable -> None)
-    stmts
-
 (* Pre-order tokens of a rule's source template, unfolding the DAG from
    the root (exactly the traversal [Matcher.match_at] performs), plus the
    deepest operand level reached (root = level 0). *)
@@ -335,14 +330,3 @@ let match_def ctx (root : Ir.def) =
         | None -> first rest)
   in
   first (candidate_indices ctx root)
-
-(* The uncompiled baseline the trie replaces: first rule in registry
-   order whose [match_at] accepts — kept for differential tests and the
-   throughput benchmark. *)
-let match_linear ~rules (func : Ir.func) root_name =
-  List.find_map
-    (fun rule ->
-      match Matcher.match_at rule func root_name with
-      | Some m -> Some (rule, m)
-      | None -> None)
-    rules

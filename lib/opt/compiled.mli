@@ -41,15 +41,10 @@ val find_def : ctx -> string -> Ir.def option
 
 val candidates : ctx -> Ir.def -> Matcher.rule list
 (** Rules whose source shape can match at the definition, in registry
-    order — the trie walk without the final [match_at] verification. *)
+    order — the trie walk without the final [match_at] verification. It
+    contains every rule {!Matcher.match_at} accepts there, which makes the
+    pass's first firing rule the per-rule scan's; test/test_compiled.ml
+    checks both against that scan. *)
 
 val match_def : ctx -> Ir.def -> (Matcher.rule * Matcher.match_result) option
 (** First candidate (registry order) accepted by {!Matcher.match_at}. *)
-
-val match_linear :
-  rules:Matcher.rule list ->
-  Ir.func ->
-  string ->
-  (Matcher.rule * Matcher.match_result) option
-(** The uncompiled per-rule scan the trie replaces; kept as the
-    differential-test oracle and the throughput baseline. *)

@@ -28,6 +28,14 @@ let rule_of_transform (t : Alive.Ast.transform) =
       if executable then Ok { rule_name = t.name; transform = t }
       else Error "outside the executable integer fragment"
 
+let corpus_rules () =
+  List.filter_map
+    (fun (e : Alive_suite.Entry.t) ->
+      if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
+        Result.to_option (rule_of_transform (Alive_suite.Entry.parse e))
+      else None)
+    Alive_suite.Registry.all
+
 (* --- Template-level unification ---
 
    Matches one template against another template (rather than against
@@ -177,11 +185,6 @@ and tmatch_def st pat_name subj_name =
             | Load _ | Gep _), _ ->
               false))
 
-let def_insts stmts =
-  List.filter_map
-    (function Def (n, _, i) -> Some (n, i) | Store _ | Unreachable -> None)
-    stmts
-
 let match_templates ~pat ~subj =
   match (Alive.Ast.root_of pat, Alive.Ast.root_of subj) with
   | Some pat_root, Some subj_root ->
@@ -298,11 +301,6 @@ and match_def st template_name (d : Ir.def) =
               && match_operand st a x ~width:(Ir.value_width st.func x)
           | _ -> false))
 
-let src_def_insts stmts =
-  List.filter_map
-    (function Def (n, _, i) -> Some (n, i) | Store _ | Unreachable -> None)
-    stmts
-
 let match_at rule func root_name =
   match Ir.def_of func root_name with
   | None -> None
@@ -310,7 +308,7 @@ let match_at rule func root_name =
       let st =
         {
           func;
-          src_defs = src_def_insts rule.transform.src;
+          src_defs = def_insts rule.transform.src;
           consts = [];
           values = [];
         }
@@ -333,33 +331,13 @@ let match_at rule func root_name =
 
 (* --- Rewriting --- *)
 
-let counter = ref 0
+(* Shared by every domain that rewrites: [alive optimize --jobs N] runs
+   [rewrite] on several [Engine.map] workers at once, and a lost update on
+   a plain counter could mint one name twice in a function. *)
+let counter = Atomic.make 0
 
 let fresh_name () =
-  incr counter;
-  Printf.sprintf "alive.%d" !counter
-
-(* Substitute [Var old] by [v] in every subsequent instruction and the
-   return value (used when the target root is a plain copy). *)
-let substitute_value func old v =
-  let sub = function Ir.Var n when String.equal n old -> v | x -> x in
-  let sub_inst = function
-    | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, sub a, sub b)
-    | Ir.Icmp (c, a, b) -> Ir.Icmp (c, sub a, sub b)
-    | Ir.Select (c, a, b) -> Ir.Select (sub c, sub a, sub b)
-    | Ir.Conv (c, a) -> Ir.Conv (c, sub a)
-    | Ir.Freeze a -> Ir.Freeze (sub a)
-  in
-  {
-    func with
-    Ir.body =
-      List.filter_map
-        (fun (d : Ir.def) ->
-          if String.equal d.name old then None
-          else Some { d with Ir.inst = sub_inst d.inst })
-        func.Ir.body;
-    Ir.ret = sub func.Ir.ret;
-  }
+  Printf.sprintf "alive.%d" (1 + Atomic.fetch_and_add counter 1)
 
 let rewrite rule func (m : match_result) =
   let ( let* ) = Option.bind in
@@ -469,10 +447,9 @@ let rewrite rule func (m : match_result) =
         | `Copy v ->
             env :=
               { !env with Concrete.values = (name, v) :: !env.Concrete.values };
-            if is_root then
-              (* Handled after emission by use-substitution. *)
-              emit acc rest
-            else emit acc rest)
+            (* A copy emits no definition; a copy root's uses are
+               substituted after emission. *)
+            emit acc rest)
     | (Store _ | Unreachable) :: _ -> None
   in
   let* new_defs = emit [] rule.transform.tgt in
@@ -499,5 +476,5 @@ let rewrite rule func (m : match_result) =
   | None -> (
       (* Copy root: substitute its value through the rest of the function. *)
       match value_of tgt_root with
-      | Some v -> Some (substitute_value func m.root v)
+      | Some v -> Some (Ir.substitute func m.root v)
       | None -> None)

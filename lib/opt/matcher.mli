@@ -14,6 +14,12 @@ val rule_of_transform : Alive.Ast.transform -> (rule, string) result
 (** Pre-compiles scoping information; rejects templates outside the
     executable integer fragment (memory operations, [unreachable]). *)
 
+val corpus_rules : unit -> rule list
+(** The verified canonical corpus entries of {!Alive_suite.Registry.all}
+    that are executable, as rules in registry order. Each call parses the
+    corpus afresh; the pass shares one compiled tree per physical list, so
+    bind the result once and pass that list to every call. *)
+
 type match_result = {
   bindings : Concrete.env;
   root : string;  (** the matched root definition's name *)

@@ -19,8 +19,6 @@ let bump stats name =
 
 type outcome = { func : Ir.func; stats : stats; saturated : bool }
 
-type engine = [ `Compiled | `Linear ]
-
 (* One compiled tree per rule list, built lazily and shared: callers pass
    the same (immutable) list for every function of a module or workload
    batch, and the tree itself is immutable after [build], so it is safe
@@ -58,8 +56,7 @@ let cycle_fire_cap = 8
    before returning (also covering cost-guard interactions: a rewrite
    rejected as cost-increasing can become acceptable after later
    shrinking), so the result is exactly "no rule fires anywhere". *)
-let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
-    (f : Ir.func) =
+let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   let tree = compiled_for rules in
   let stats = ref [] in
   let budget_out = ref false in
@@ -84,21 +81,14 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
     let users : (string, string list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun (d : Ir.def) ->
-        let note = function
-          | Ir.Var n ->
-              Hashtbl.replace users n
-                (d.Ir.name :: Option.value ~default:[] (Hashtbl.find_opt users n))
-          | Ir.Const _ | Ir.Undef _ -> ()
-        in
-        (match d.Ir.inst with
-        | Ir.Binop (_, _, a, b) | Ir.Icmp (_, a, b) ->
-            note a;
-            note b
-        | Ir.Select (c, a, b) ->
-            note c;
-            note a;
-            note b
-        | Ir.Conv (_, a) | Ir.Freeze a -> note a))
+        List.iter
+          (function
+            | Ir.Var n ->
+                Hashtbl.replace users n
+                  (d.Ir.name
+                  :: Option.value ~default:[] (Hashtbl.find_opt users n))
+            | Ir.Const _ | Ir.Undef _ -> ())
+          (Ir.operands_of d.Ir.inst))
       !cur.Ir.body;
     let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     let rec up level frontier =
@@ -130,11 +120,6 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
       false
     end
     else
-      let cands =
-        match engine with
-        | `Compiled -> Compiled.candidates !ctx d
-        | `Linear -> rules
-      in
       let fired =
         List.find_map
           (fun rule ->
@@ -163,7 +148,7 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
                       let f' = dce f' in
                       if Cost.func_cost f' > !cur_cost then None
                       else Some (rule, key, f')))
-          cands
+          (Compiled.candidates !ctx d)
       in
       match fired with
       | None -> false
@@ -216,8 +201,8 @@ let run_guarded ~rules ?(max_rewrites = 1000) ?(engine = `Compiled)
     saturated = !budget_out || !cycle_cut;
   }
 
-let run ~rules ?max_rewrites ?engine (f : Ir.func) =
-  let o = run_guarded ~rules ?max_rewrites ?engine f in
+let run ~rules ?max_rewrites (f : Ir.func) =
+  let o = run_guarded ~rules ?max_rewrites f in
   (o.func, o.stats)
 
 let merge_stats a b =
@@ -229,7 +214,7 @@ let merge_stats a b =
     a b
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 
-let run_module ~rules ?max_rewrites ?engine funcs =
-  let results = List.map (run ~rules ?max_rewrites ?engine) funcs in
+let run_module ~rules ?max_rewrites funcs =
+  let results = List.map (run ~rules ?max_rewrites) funcs in
   ( List.map fst results,
     List.fold_left (fun acc (_, s) -> merge_stats acc s) [] results )

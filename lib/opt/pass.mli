@@ -19,15 +19,9 @@ type outcome = {
           rewrite cycle in the rule set (§4's non-termination loops) *)
 }
 
-type engine = [ `Compiled | `Linear ]
-(** [`Compiled] walks the shared discrimination tree per definition;
-    [`Linear] scans every rule per definition — the pre-compilation
-    behaviour, kept for differential testing and throughput baselines. *)
-
 val run_guarded :
   rules:Matcher.rule list ->
   ?max_rewrites:int ->
-  ?engine:engine ->
   Ir.func ->
   outcome
 (** Like {!run}, but reports whether the fixpoint was actually reached or
@@ -41,14 +35,12 @@ val run_guarded :
 val run :
   rules:Matcher.rule list ->
   ?max_rewrites:int ->
-  ?engine:engine ->
   Ir.func ->
   Ir.func * stats
 
 val run_module :
   rules:Matcher.rule list ->
   ?max_rewrites:int ->
-  ?engine:engine ->
   Ir.func list ->
   Ir.func list * stats
 (** Accumulated firing statistics over many functions. *)

@@ -396,7 +396,25 @@ let codegen_tests =
         check_bool "few skips" true (skipped * 5 < List.length transforms));
   ]
 
+let width_spec_tests =
+  [
+    Alcotest.test_case "width specs parse or are rejected" `Quick (fun () ->
+        let ok spec want =
+          match Alive.Typing.parse_widths spec with
+          | Ok ws -> Alcotest.(check (list int)) spec want ws
+          | Error e -> Alcotest.failf "%s rejected: %s" spec e
+        in
+        ok "4,8" [ 4; 8 ];
+        ok "1..32" (List.init 32 succ);
+        ok "1..8,16,32" (List.init 8 succ @ [ 16; 32 ]);
+        List.iter
+          (fun spec ->
+            check_bool spec true
+              (Result.is_error (Alive.Typing.parse_widths spec)))
+          [ "0"; "65"; "8..4"; "x" ]);
+  ]
+
 let suite =
   ( "alive-core",
     parser_tests @ scoping_tests @ typing_tests @ refine_tests @ attr_tests
-    @ codegen_tests )
+    @ codegen_tests @ width_spec_tests )

@@ -1,187 +1,135 @@
-(* Differential tests for the compiled decision-tree matcher: the trie is a
-   pre-filter whose final answer must be bit-for-bit the per-rule scan's —
-   same rule, same root, same bindings — on corpus-derived functions and on
-   random workloads, and the worklist pass must land on the same fixpoint
-   whichever matcher backs it. *)
+(* Tests for the compiled decision-tree matcher. The pass trusts the trie to
+   return, in registry order, every rule that matches at a definition; one
+   property checks that against the per-rule scan, and four cases run it over
+   the workload pools below and over every state the pass goes through on one
+   more pool. *)
+
+module Compiled = Alive_opt.Compiled
+module Matcher = Alive_opt.Matcher
+module Workload = Alive_opt.Workload
+module Pass = Alive_opt.Pass
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let valid_rules =
-  List.filter_map
-    (fun (e : Alive_suite.Entry.t) ->
-      if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
-        Result.to_option
-          (Alive_opt.Matcher.rule_of_transform (Alive_suite.Entry.parse e))
-      else None)
-    Alive_suite.Registry.all
+let valid_rules = Matcher.corpus_rules ()
 
-let tree = lazy (Alive_opt.Compiled.build valid_rules)
-
-(* Same (rule, root, bindings) from both matchers at one site. *)
-let same_match c l =
-  match (c, l) with
-  | None, None -> true
-  | Some ((rc : Alive_opt.Matcher.rule), (mc : Alive_opt.Matcher.match_result)),
-    Some (rl, ml) ->
-      String.equal rc.Alive_opt.Matcher.rule_name rl.Alive_opt.Matcher.rule_name
-      && String.equal mc.Alive_opt.Matcher.root ml.Alive_opt.Matcher.root
-      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.consts
-         = ml.bindings.Alive_opt.Concrete.consts
-      && mc.Alive_opt.Matcher.bindings.Alive_opt.Concrete.values
-         = ml.bindings.Alive_opt.Concrete.values
-  | _ -> false
-
-(* Count the sites where the two matchers disagree over a function pool. *)
-let divergences funcs =
-  let tree = Lazy.force tree in
-  List.fold_left
-    (fun bad (f : Ir.func) ->
-      let ctx = Alive_opt.Compiled.context tree f in
-      List.fold_left
-        (fun bad (d : Ir.def) ->
-          let c = Alive_opt.Compiled.match_def ctx d in
-          let l =
-            Alive_opt.Compiled.match_linear ~rules:valid_rules f d.Ir.name
-          in
-          if same_match c l then bad else bad + 1)
-        bad f.Ir.body)
-    0 funcs
-
-(* Alpha-normalize def names to body positions: [Matcher.rewrite] mints
-   fresh names from a global counter, so two equal-modulo-renaming runs
-   print different %alive.N names. *)
-let normalize (f : Ir.func) =
-  let renamed = Hashtbl.create 64 in
-  List.iteri
-    (fun i (d : Ir.def) ->
-      Hashtbl.replace renamed d.Ir.name (Printf.sprintf "d%d" i))
-    f.Ir.body;
-  let value = function
-    | Ir.Var n as v -> (
-        match Hashtbl.find_opt renamed n with
-        | Some n' -> Ir.Var n'
-        | None -> v)
-    | (Ir.Const _ | Ir.Undef _) as v -> v
-  in
-  let inst = function
-    | Ir.Binop (op, attrs, a, b) -> Ir.Binop (op, attrs, value a, value b)
-    | Ir.Icmp (c, a, b) -> Ir.Icmp (c, value a, value b)
-    | Ir.Select (c, a, b) -> Ir.Select (value c, value a, value b)
-    | Ir.Conv (c, a) -> Ir.Conv (c, value a)
-    | Ir.Freeze a -> Ir.Freeze (value a)
-  in
-  {
-    f with
-    Ir.body =
-      List.map
-        (fun (d : Ir.def) ->
-          {
-            d with
-            Ir.name = Hashtbl.find renamed d.Ir.name;
-            Ir.inst = inst d.Ir.inst;
-          })
-        f.Ir.body;
-    Ir.ret = value f.Ir.ret;
-  }
+let tree = lazy (Compiled.build valid_rules)
 
 let structure_tests =
   [
     Alcotest.test_case "tree compiles the whole ruleset" `Quick (fun () ->
         let t = Lazy.force tree in
         check_int "every rule kept" (List.length valid_rules)
-          (List.length (Alive_opt.Compiled.rule_list t));
+          (List.length (Compiled.rule_list t));
         check_bool "non-trivial trie" true
-          (Alive_opt.Compiled.node_count t > List.length valid_rules);
-        check_bool "patterns nest" true (Alive_opt.Compiled.max_depth t >= 1));
+          (Compiled.node_count t > List.length valid_rules);
+        check_bool "patterns nest" true (Compiled.max_depth t >= 1));
     Alcotest.test_case "rewrite graph has cycles to guard" `Quick (fun () ->
         (* add-neg-is-sub / sub-is-add-neg style pairs make the corpus's
            target-feeds graph cyclic; the pass's cycle cap relies on the
            membership set being non-empty here. *)
         check_bool "some rules in cycles" true
-          (Alive_opt.Compiled.cyclic_count (Lazy.force tree) > 0));
-    Alcotest.test_case "candidates never miss a matching rule" `Quick
-      (fun () ->
-        (* Soundness of the pre-filter, checked exhaustively: any rule
-           match_at accepts must appear in the candidate list. *)
-        let t = Lazy.force tree in
-        let funcs =
-          Alive_opt.Workload.generate
-            { Alive_opt.Workload.default with functions = 40; seed = 9 }
-            valid_rules
-        in
-        List.iter
-          (fun (f : Ir.func) ->
-            let ctx = Alive_opt.Compiled.context t f in
-            List.iter
-              (fun (d : Ir.def) ->
-                let cands = Alive_opt.Compiled.candidates ctx d in
-                List.iter
-                  (fun r ->
-                    if
-                      Option.is_some
-                        (Alive_opt.Matcher.match_at r f d.Ir.name)
-                      && not (List.memq r cands)
-                    then
-                      Alcotest.failf "missed %s at %s/%s"
-                        r.Alive_opt.Matcher.rule_name f.Ir.fname d.Ir.name)
-                  valid_rules)
-              f.Ir.body)
-          funcs);
+          (Compiled.cyclic_count (Lazy.force tree) > 0));
   ]
 
-let parity_tests =
+(* Registry position of each rule, by physical identity. *)
+let positions = List.mapi (fun i r -> (r, i)) valid_rules
+
+(* The sites of [f] where the property fails: the candidate list must
+   ascend in registry order and contain every rule the per-rule scan (the
+   oracle) accepts, and [match_def] must return the scan's first rule.
+   Since a rule that does not match has no effect in [Pass.try_fire], this
+   makes the pass's choice at every site the scan's. *)
+let failures (f : Ir.func) =
+  let ctx = Compiled.context (Lazy.force tree) f in
+  List.filter_map
+    (fun (d : Ir.def) ->
+      let cands = Compiled.candidates ctx d in
+      let oracle =
+        List.filter
+          (fun r -> Matcher.match_at r f d.Ir.name <> None)
+          valid_rules
+      in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | [ _ ] | [] -> true
+      in
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg -> Some (Printf.sprintf "%s/%s: %s" f.Ir.fname d.Ir.name msg))
+          fmt
+      in
+      let name = function
+        | Some (r : Matcher.rule) -> r.rule_name
+        | None -> "-"
+      in
+      if not (ascending (List.map (fun r -> List.assq r positions) cands)) then
+        fail "candidates out of registry order"
+      else
+        match List.find_opt (fun r -> not (List.memq r cands)) oracle with
+        | Some r -> fail "candidates miss %s" r.rule_name
+        | None -> (
+            match (Compiled.match_def ctx d, oracle) with
+            | None, [] -> None
+            | Some (r, _), first :: _ when r == first -> None
+            | m, _ ->
+                fail "match_def gave %s, the scan %s"
+                  (name (Option.map fst m))
+                  (name (List.nth_opt oracle 0))))
+    f.Ir.body
+
+let pool ?(inject_probability = Workload.default.inject_probability) seed
+    functions =
+  Workload.generate
+    { Workload.default with seed; functions; inject_probability }
+    valid_rules
+
+(* [f] and the function after each of the pass's firings, the last being
+   its fixpoint. *)
+let pass_states (f : Ir.func) =
+  let firings =
+    List.fold_left (fun a (_, n) -> a + n) 0
+      (Pass.run_guarded ~rules:valid_rules f).Pass.stats
+  in
+  f
+  :: List.init firings (fun k ->
+         (Pass.run_guarded ~rules:valid_rules ~max_rewrites:(k + 1) f).Pass.func)
+
+(* Run the property over [funcs], printing the site count and the first ten
+   failing sites. *)
+let check_property funcs =
+  let sites =
+    List.fold_left (fun a (f : Ir.func) -> a + List.length f.Ir.body) 0 funcs
+  in
+  let bad = List.concat_map failures funcs in
+  Printf.printf "%d sites in %d functions; %d failing\n" sites
+    (List.length funcs) (List.length bad);
+  List.iteri (fun i msg -> if i < 10 then print_endline msg) bad;
+  check_int "sites failing the property" 0 (List.length bad)
+
+let property_tests =
   [
+    Alcotest.test_case "candidates never miss a matching rule" `Quick
+      (fun () -> check_property (pool 9 40));
     Alcotest.test_case "agrees with the scan on corpus instantiations" `Slow
       (fun () ->
-        (* inject_probability 1.0: every instruction group is an
-           instantiated corpus rule source, so the corpus patterns all
-           appear in matchable position. *)
-        let funcs =
-          Alive_opt.Workload.generate
-            {
-              Alive_opt.Workload.default with
-              functions = 150;
-              seed = 31;
-              inject_probability = 1.0;
-            }
-            valid_rules
-        in
-        check_int "no divergences" 0 (divergences funcs));
+        (* every instruction group an instantiated corpus source, so each
+           pattern appears in matchable position *)
+        check_property
+          (pool ~inject_probability:1.0 31 150
+          @ pool ~inject_probability:1.0 101 250));
     Alcotest.test_case "agrees with the scan on 1000 random functions" `Slow
       (fun () ->
-        let funcs =
-          Alive_opt.Workload.generate
-            { Alive_opt.Workload.default with functions = 1000; seed = 57 }
-            valid_rules
-        in
-        check_int "no divergences" 0 (divergences funcs));
+        (* two pools of 1000 default-mix functions, and seed 42's 100 *)
+        check_property (pool 57 1000 @ pool 202 1000 @ pool 42 100));
     Alcotest.test_case "pass fixpoint is engine-independent" `Slow (fun () ->
-        let funcs =
-          Alive_opt.Workload.generate
-            { Alive_opt.Workload.default with functions = 100; seed = 83 }
-            valid_rules
-        in
-        List.iter
-          (fun (f : Ir.func) ->
-            let c =
-              Alive_opt.Pass.run_guarded ~rules:valid_rules ~engine:`Compiled f
-            in
-            let l =
-              Alive_opt.Pass.run_guarded ~rules:valid_rules ~engine:`Linear f
-            in
-            check_bool
-              (Printf.sprintf "%s same fixpoint" f.Ir.fname)
-              true
-              (normalize c.Alive_opt.Pass.func = normalize l.Alive_opt.Pass.func);
-            check_bool
-              (Printf.sprintf "%s same stats" f.Ir.fname)
-              true
-              (c.Alive_opt.Pass.stats = l.Alive_opt.Pass.stats))
-          funcs);
+        (* The property at every state the pass goes through makes each of
+           its choices, and so its fixpoint, the scan's. *)
+        check_property (List.concat_map pass_states (pool 83 100)));
   ]
 
-(* The fixpoint pass (compiled engine, worklist discipline, cycle guard,
+(* The fixpoint pass (compiled tree, worklist discipline, cycle guard,
    analysis-discharged preconditions) must preserve behaviour: optimized
    functions refine the originals on sampled input tuples. *)
 let equivalence_property =
@@ -192,19 +140,17 @@ let equivalence_property =
        ~print:string_of_int gen (fun seed ->
          let config =
            {
-             Alive_opt.Workload.default with
+             Workload.default with
              functions = 4;
              seed;
              instructions_per_function = 30;
            }
          in
-         let funcs = Alive_opt.Workload.generate config valid_rules in
+         let funcs = Workload.generate config valid_rules in
          let st = Random.State.make [| seed lxor 0x5eed |] in
          List.for_all
            (fun (f : Ir.func) ->
-             let g, _ =
-               Alive_opt.Pass.run ~rules:valid_rules ~engine:`Compiled f
-             in
+             let g, _ = Pass.run ~rules:valid_rules f in
              List.for_all
                (fun _ ->
                  let args =
@@ -220,4 +166,4 @@ let equivalence_property =
            funcs))
 
 let suite =
-  ("compiled", structure_tests @ parity_tests @ [ equivalence_property ])
+  ("compiled", structure_tests @ property_tests @ [ equivalence_property ])

@@ -84,6 +84,14 @@ let validate_tests =
     Alcotest.test_case "zext must widen" `Quick (fun () ->
         let f = func [ def "a" 8 (Ir.Conv (Ir.Zext, Ir.Var "x")) ] (Ir.Var "a") in
         check_bool "error" true (Result.is_error (Ir.validate f)));
+    Alcotest.test_case "repeated parameter rejected" `Quick (fun () ->
+        let f =
+          func ~params:[ ("x", 8); ("x", 16) ] [] (Ir.Var "x")
+        in
+        check_bool "validate" true (Result.is_error (Ir.validate f));
+        check_bool "parser" true
+          (Result.is_error
+             (Ir_parser.parse_func "define i8 @f(i8 %x, i16 %x) {\n  ret %x\n}\n")));
   ]
 
 let interp_tests =
@@ -352,6 +360,34 @@ let parser_tests =
         with
         | Ok fs -> check_int "two functions" 2 (List.length fs)
         | Error e -> Alcotest.fail e);
+    Alcotest.test_case "reject unsupported widths" `Quick (fun () ->
+        (* Bitvec holds 1..64 bits; a wider or empty type, or one whose
+           width overflows an int, is a parse error rather than an
+           exception. *)
+        List.iter
+          (fun ty ->
+            let text =
+              Printf.sprintf
+                "define %s @f(%s %%x) {\n  %%a = add %%x, 1\n  ret %%a\n}\n" ty
+                ty
+            in
+            match Ir_parser.parse_func text with
+            | Ok _ -> Alcotest.failf "%s accepted" ty
+            | Error _ -> ())
+          [ "i128"; "i0"; "i65"; "i99999999999999999999" ]);
+    Alcotest.test_case "reject an annotation that contradicts" `Quick
+      (fun () ->
+        check_bool "ret i8 of an i16" true
+          (Result.is_error
+             (Ir_parser.parse_func "define i8 @f(i16 %x) {\n  ret i8 %x\n}\n"));
+        check_bool "true annotated i8" true
+          (Result.is_error
+             (Ir_parser.parse_func
+                "define i1 @f(i1 %c) {\n  %r = select %c, i8 true, false\n  ret %r\n}\n"));
+        check_bool "icmp of two i16 annotated i8" true
+          (Result.is_error
+             (Ir_parser.parse_func
+                "define i1 @f(i16 %x, i16 %y) {\n  %c = icmp eq i8 %x, %y\n  ret %c\n}\n")));
     Alcotest.test_case "comments and booleans" `Quick (fun () ->
         match
           Ir_parser.parse_func

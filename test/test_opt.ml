@@ -17,14 +17,7 @@ let def name width inst = { Ir.name; width; inst }
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let valid_rules =
-  List.filter_map
-    (fun (e : Alive_suite.Entry.t) ->
-      if e.expected = Alive_suite.Entry.Expect_valid && e.canonical then
-        Result.to_option
-          (Alive_opt.Matcher.rule_of_transform (Alive_suite.Entry.parse e))
-      else None)
-    Alive_suite.Registry.all
+let valid_rules = Alive_opt.Matcher.corpus_rules ()
 
 let matcher_tests =
   [
