@@ -202,20 +202,28 @@ let map_body g f = { f with body = g f.body }
 
 let substitute f name v =
   let sub x = match x with Var n when String.equal n name -> v | _ -> x in
-  let sub_inst = function
-    | Binop (op, attrs, a, b) -> Binop (op, attrs, sub a, sub b)
-    | Icmp (c, a, b) -> Icmp (c, sub a, sub b)
-    | Select (c, a, b) -> Select (sub c, sub a, sub b)
-    | Conv (c, a) -> Conv (c, sub a)
-    | Freeze a -> Freeze (sub a)
+  let uses = function
+    | Var n -> String.equal n name
+    | Const _ | Undef _ -> false
+  in
+  let sub_def d =
+    if not (List.exists uses (operands_of d.inst)) then d
+    else
+      let inst =
+        match d.inst with
+        | Binop (op, attrs, a, b) -> Binop (op, attrs, sub a, sub b)
+        | Icmp (c, a, b) -> Icmp (c, sub a, sub b)
+        | Select (c, a, b) -> Select (sub c, sub a, sub b)
+        | Conv (c, a) -> Conv (c, sub a)
+        | Freeze a -> Freeze (sub a)
+      in
+      { d with inst }
   in
   {
     f with
     body =
       List.filter_map
-        (fun d ->
-          if String.equal d.name name then None
-          else Some { d with inst = sub_inst d.inst })
+        (fun d -> if String.equal d.name name then None else Some (sub_def d))
         f.body;
     ret = sub f.ret;
   }

@@ -81,7 +81,9 @@ val map_body : (def list -> def list) -> func -> func
 
 val substitute : func -> string -> value -> func
 (** [substitute f name v] drops the definition of [name] and replaces each
-    of its uses, in the body and in [ret], by [v]. *)
+    of its uses, in the body and in [ret], by [v]. A definition that does
+    not use [name] is kept as the same physical value. *)
 
 val uses_of : func -> (string, int) Hashtbl.t
-(** Use counts per variable name (the basis of [hasOneUse]). *)
+(** Use counts per variable name, over operands and [ret] (the basis of
+    [hasOneUse] and of the pass's use counts). *)

@@ -214,7 +214,7 @@ let cyclic_count t = Hashtbl.length t.cyclic
 
 type ctx = {
   tree : t;
-  func : Ir.func;
+  mutable func : Ir.func;
   defs : (string, Ir.def) Hashtbl.t;
   buf : stoken array ref;  (* scratch, grown on demand *)
 }
@@ -223,6 +223,11 @@ let context tree (func : Ir.func) =
   let defs = Hashtbl.create (List.length func.Ir.body * 2) in
   List.iter (fun (d : Ir.def) -> Hashtbl.replace defs d.Ir.name d) func.Ir.body;
   { tree; func; defs; buf = ref (Array.make 64 SLeaf) }
+
+let update ctx func ~removed ~defs =
+  List.iter (Hashtbl.remove ctx.defs) removed;
+  List.iter (fun (d : Ir.def) -> Hashtbl.replace ctx.defs d.Ir.name d) defs;
+  ctx.func <- func
 
 let find_def ctx name = Hashtbl.find_opt ctx.defs name
 

@@ -34,9 +34,16 @@ val cyclic_count : t -> int
 
 type ctx
 (** Per-function matching state: a name → definition index plus a token
-    scratch buffer. Rebuild after the function changes. *)
+    scratch buffer. Build it with {!context}, or bring it up to date with
+    {!update} after the function changes. *)
 
 val context : t -> Ir.func -> ctx
+
+val update : ctx -> Ir.func -> removed:string list -> defs:Ir.def list -> unit
+(** [update ctx func ~removed ~defs] makes [ctx] the context of [func], a
+    rewrite of its function that drops the definitions named [removed] and
+    adds or redefines [defs]; the rest of the index is kept. *)
+
 val find_def : ctx -> string -> Ir.def option
 
 val candidates : ctx -> Ir.def -> Matcher.rule list

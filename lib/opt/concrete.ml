@@ -8,10 +8,11 @@ type env = {
   values : (string * Ir.value) list;
 }
 
-(* One [Query.analyze] forward pass per function, memoized by physical
-   identity: the matcher evaluates many predicates against the same
-   (immutable) function while scanning its rules. Domain-local so
-   Engine.map workers never share the cell. *)
+(* One [Query] environment per function, memoized by physical identity:
+   the matcher evaluates many predicates against the same (immutable)
+   function while scanning its rules, and the environment memoizes every
+   domain it has computed. Domain-local so Engine.map workers never share
+   the cell. *)
 let query_cache :
     (Ir.func * Alive_absint.Query.env) option ref Stdlib.Domain.DLS.key =
   Stdlib.Domain.DLS.new_key (fun () -> ref None)
@@ -69,7 +70,8 @@ let cexpr env ~width e =
 let cexpr_width env e = Constlang.width (concrete_leaves env) e
 
 (* A value bound to an instruction reads as its domain in the function's
-   forward analysis, computed only when evaluation reaches it. *)
+   analysis, computed over its operand cone when evaluation first reaches
+   it. *)
 let abstract_value env = function
   | Ir.Const c -> Dom.singleton c
   | Ir.Undef w -> Dom.top w

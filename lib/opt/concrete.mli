@@ -24,8 +24,8 @@ val tri_pred : env -> Alive.Ast.pred -> Alive_absint.Domain.tribool
     [True]/[False] are proofs, undecidable facts are [Unknown] (so negation
     stays sound). Bound constants are singletons; a value bound to an
     instruction reads as its domain in the function's memoized
-    known-bits × range forward analysis, computed only when evaluation
-    reaches it; [hasOneUse] is the use count. This is what lets
+    known-bits × range analysis, computed over its operand cone when
+    evaluation first reaches it; [hasOneUse] is the use count. This is what lets
     conditionally-valid rules fire on symbolic operands whose analysis
     facts discharge the precondition. *)
 

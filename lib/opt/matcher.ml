@@ -339,7 +339,11 @@ let counter = Atomic.make 0
 let fresh_name () =
   Printf.sprintf "alive.%d" (1 + Atomic.fetch_and_add counter 1)
 
-let rewrite rule func (m : match_result) =
+type replacement = Inst of Ir.def | Copy of Ir.value
+
+type plan = { root : string; defs : Ir.def list; replacement : replacement }
+
+let plan rule func (m : match_result) =
   let ( let* ) = Option.bind in
   let root_def =
     match Ir.def_of func m.root with Some d -> d | None -> assert false
@@ -448,33 +452,46 @@ let rewrite rule func (m : match_result) =
             env :=
               { !env with Concrete.values = (name, v) :: !env.Concrete.values };
             (* A copy emits no definition; a copy root's uses are
-               substituted after emission. *)
+               substituted by the splice. *)
             emit acc rest)
     | (Store _ | Unreachable) :: _ -> None
   in
   let* new_defs = emit [] rule.transform.tgt in
-  (* Splice: new defs go right before the root; the root def is replaced if
-     the target root is an instruction, or dropped with its uses substituted
-     if the target root is a copy. *)
-  let root_replacement =
-    List.find_opt (fun (d : Ir.def) -> String.equal d.Ir.name m.root) new_defs
+  (* The root def is replaced if the target root is an instruction, or
+     dropped with its uses substituted if the target root is a copy. *)
+  let* replacement =
+    match
+      List.find_opt (fun (d : Ir.def) -> String.equal d.Ir.name m.root) new_defs
+    with
+    | Some r -> Some (Inst r)
+    | None -> Option.map (fun v -> Copy v) (value_of tgt_root)
   in
-  let prefix_defs =
-    List.filter (fun (d : Ir.def) -> not (String.equal d.Ir.name m.root)) new_defs
+  Some
+    {
+      root = m.root;
+      defs =
+        List.filter
+          (fun (d : Ir.def) -> not (String.equal d.Ir.name m.root))
+          new_defs;
+      replacement;
+    }
+
+let splice ~dead func p =
+  let keep (d : Ir.def) = not (dead d.Ir.name) in
+  let body =
+    List.concat_map
+      (fun (d : Ir.def) ->
+        if String.equal d.Ir.name p.root then
+          List.filter keep p.defs
+          @ [ (match p.replacement with Inst r -> r | Copy _ -> d) ]
+        else if keep d then [ d ]
+        else [])
+      func.Ir.body
   in
-  let rec splice = function
-    | [] -> []
-    | (d : Ir.def) :: rest when String.equal d.Ir.name m.root -> (
-        match root_replacement with
-        | Some r -> prefix_defs @ [ r ] @ rest
-        | None -> prefix_defs @ (d :: rest))
-    | d :: rest -> d :: splice rest
-  in
-  let func = { func with Ir.body = splice func.Ir.body } in
-  match root_replacement with
-  | Some _ -> Some func
-  | None -> (
-      (* Copy root: substitute its value through the rest of the function. *)
-      match value_of tgt_root with
-      | Some v -> Some (Ir.substitute func m.root v)
-      | None -> None)
+  let func = { func with Ir.body = body } in
+  match p.replacement with
+  | Inst _ -> func
+  | Copy v -> Ir.substitute func p.root v
+
+let rewrite rule func m =
+  Option.map (splice ~dead:(fun _ -> false) func) (plan rule func m)

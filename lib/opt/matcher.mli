@@ -46,8 +46,33 @@ val target_feeds : rule -> rule -> bool
     template emits — an A→B edge of the rewrite graph whose cycles make
     the fixpoint pass loop. *)
 
+(** {1 Rewriting} *)
+
+type replacement =
+  | Inst of Ir.def  (** the root is redefined in place by this definition *)
+  | Copy of Ir.value
+      (** the root is dropped and its uses take this value *)
+
+type plan = {
+  root : string;  (** the matched root definition's name *)
+  defs : Ir.def list;
+      (** the target's other definitions, in order, under fresh names *)
+  replacement : replacement;
+}
+(** An instantiated target template, not yet spliced into the function. *)
+
+val plan : rule -> Ir.func -> match_result -> plan option
+(** Instantiate the rule's target at the match. [None] if a target constant
+    expression cannot be evaluated. *)
+
+val splice : dead:(string -> bool) -> Ir.func -> plan -> Ir.func
+(** Insert the plan's definitions just before the root, replace or drop the
+    root, and drop every definition (old or planned) that [dead] names.
+    Definitions it leaves alone stay the same physical values. *)
+
 val rewrite : rule -> Ir.func -> match_result -> Ir.func option
-(** Replace the root definition with the instantiated target template
-    (new definitions inserted just before the root, root redefined in
-    place). Dead source instructions are left for DCE. [None] if a target
-    constant expression cannot be evaluated. *)
+(** [splice ~dead:(fun _ -> false)] of the {!plan}: replace the root
+    definition with the instantiated target template (new definitions
+    inserted just before the root, root redefined in place). Dead source
+    instructions are left for DCE. [None] if a target constant expression
+    cannot be evaluated. *)

@@ -1,16 +1,25 @@
 type stats = (string * int) list
 
+(* One backward sweep keeps exactly the defs [ret] reaches: in a
+   def-before-use body every user of a def is visited before the def. *)
 let dce (f : Ir.func) =
-  let rec fixpoint f =
-    let uses = Ir.uses_of f in
-    let live (d : Ir.def) =
-      Option.value ~default:0 (Hashtbl.find_opt uses d.Ir.name) > 0
-    in
-    let body' = List.filter live f.Ir.body in
-    if List.length body' = List.length f.Ir.body then f
-    else fixpoint { f with Ir.body = body' }
+  let live = Hashtbl.create 64 in
+  let use = function
+    | Ir.Var n -> Hashtbl.replace live n ()
+    | Ir.Const _ | Ir.Undef _ -> ()
   in
-  fixpoint f
+  use f.Ir.ret;
+  let body, dropped =
+    List.fold_left
+      (fun (body, dropped) (d : Ir.def) ->
+        if Hashtbl.mem live d.Ir.name then begin
+          List.iter use (Ir.operands_of d.Ir.inst);
+          (d :: body, dropped)
+        end
+        else (body, true))
+      ([], false) (List.rev f.Ir.body)
+  in
+  if dropped then { f with Ir.body = body } else f
 
 let bump stats name =
   match List.assoc_opt name stats with
@@ -46,16 +55,88 @@ let compiled_for rules =
    still backstops cycles that keep minting fresh names. *)
 let cycle_fire_cap = 8
 
-(* The worklist rebuild-and-rescan fixpoint (the discipline of Sense-VM's
-   Peephole.hs: after a body-shrinking rewrite, re-examine from the
-   affected position rather than restarting — and never skip the
-   successor). Only definitions whose operand DAG changed are re-examined:
-   the new and changed definitions themselves plus their users up to the
-   compiled pattern depth, since a rewrite at %r can only create a match
-   whose pattern reaches %r. A final full sweep re-validates the fixpoint
-   before returning (also covering cost-guard interactions: a rewrite
-   rejected as cost-increasing can become acceptable after later
-   shrinking), so the result is exactly "no rule fires anywhere". *)
+let count tbl n = Option.value ~default:0 (Hashtbl.find_opt tbl n)
+let add tbl k n = Hashtbl.replace tbl n (k + count tbl n)
+
+(* A planned rewrite of a dead-free function, scored from use counts
+   (operands plus [ret], as [Ir.uses_of]) before anything is spliced:
+   [delta] is the change of every count it touches, [dead] the defs whose
+   count reaches 0 (the old root's operands, new defs nobody uses, and
+   what only they used), [cost] the change of [Cost.func_cost]. Exact
+   because the def-use graph is acyclic and every def reaches [ret]. *)
+type score = {
+  delta : (string, int) Hashtbl.t;
+  dead : (string, unit) Hashtbl.t;
+  cost : int;
+}
+
+let score uses ctx (root : Ir.def) (p : Matcher.plan) =
+  let delta = Hashtbl.create 8 and dead = Hashtbl.create 8 in
+  let operands (d : Ir.def) =
+    List.filter_map
+      (function Ir.Var n -> Some n | Ir.Const _ | Ir.Undef _ -> None)
+      (Ir.operands_of d.Ir.inst)
+  in
+  let planned =
+    match p.Matcher.replacement with
+    | Matcher.Inst r -> p.Matcher.defs @ [ r ]
+    | Matcher.Copy _ -> p.Matcher.defs
+  in
+  List.iter (fun d -> List.iter (add delta 1) (operands d)) planned;
+  (match p.Matcher.replacement with
+  | Matcher.Copy (Ir.Var v) -> add delta (count uses root.Ir.name) v
+  | Matcher.Copy (Ir.Const _ | Ir.Undef _) | Matcher.Inst _ -> ());
+  List.iter (add delta (-1)) (operands root);
+  let def_of n =
+    match
+      List.find_opt (fun (d : Ir.def) -> String.equal d.Ir.name n) planned
+    with
+    | Some d -> Some d
+    | None when String.equal n root.Ir.name -> None
+    | None -> Compiled.find_def ctx n
+  in
+  let cost =
+    ref
+      (List.fold_left
+         (fun a (d : Ir.def) -> a + Cost.inst_cost d.Ir.inst)
+         0 planned
+      - Cost.inst_cost root.Ir.inst)
+  in
+  let rec release n =
+    if (not (Hashtbl.mem dead n)) && count uses n + count delta n = 0 then
+      match def_of n with
+      | None -> ()
+      | Some d ->
+          Hashtbl.replace dead n ();
+          cost := !cost - Cost.inst_cost d.Ir.inst;
+          List.iter
+            (fun m ->
+              add delta (-1) m;
+              release m)
+            (operands d)
+  in
+  List.iter release (operands root);
+  List.iter (fun (d : Ir.def) -> release d.Ir.name) p.Matcher.defs;
+  { delta; dead; cost = !cost }
+
+(* The worklist rescan fixpoint (the discipline of Sense-VM's Peephole.hs:
+   after a body-shrinking rewrite, re-examine from the affected position
+   rather than restarting — and never skip the successor). Only
+   definitions whose operand DAG changed are re-examined: the new and
+   changed definitions themselves plus their users up to the compiled
+   pattern depth, since a rewrite at %r can only create a match whose
+   pattern reaches %r. A final full sweep re-validates the fixpoint before
+   returning (also covering cost-guard interactions: a rewrite rejected as
+   cost-increasing can become acceptable after later shrinking), so the
+   result is exactly "no rule fires anywhere".
+
+   A candidate is accepted when the DCE'd result does not cost more than
+   the current function. Until the first accepted rewrite the function may
+   hold dead code, so a candidate is spliced, DCE'd and costed whole. From
+   then on the function is dead-free and the pass keeps its use counts: a
+   candidate is scored from them (see [score]), only accepted ones are
+   spliced, and the per-function state (use counts, cost, the compiled
+   context's name table) is patched rather than rebuilt. *)
 let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   let tree = compiled_for rules in
   let stats = ref [] in
@@ -66,6 +147,7 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   let cur = ref f in
   let cur_cost = ref (Cost.func_cost f) in
   let ctx = ref (Compiled.context tree f) in
+  let uses = ref None in
   let queue = Queue.create () in
   let queued : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let push name =
@@ -74,10 +156,11 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
       Queue.add name queue
     end
   in
-  (* Users of the given names in the current function, transitively up to
-     the compiled pattern depth — the defs whose match status a change at
-     those names can affect. *)
-  let push_affected names =
+  (* Users of the given names, transitively up to the compiled pattern
+     depth — the defs whose match status a change at those names can
+     affect. [body] is the current body from the first of [names] on:
+     users follow their defs, so it holds every user reached. *)
+  let push_affected body names =
     let users : (string, string list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun (d : Ir.def) ->
@@ -89,7 +172,7 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
                   :: Option.value ~default:[] (Hashtbl.find_opt users n))
             | Ir.Const _ | Ir.Undef _ -> ())
           (Ir.operands_of d.Ir.inst))
-      !cur.Ir.body;
+      body;
     let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     let rec up level frontier =
       List.iter
@@ -108,6 +191,37 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
         if next <> [] then up (level + 1) next
     in
     up 0 names
+  in
+  (* Install [f'], the accepted rewrite of [!cur], and queue what it
+     affects: the defs that are new or redefined relative to the
+     pre-rewrite context (the in-place root replacement, fresh target
+     defs, and every user rewritten by a copy-root substitution), in body
+     order. [Matcher.splice] and [dce] keep every other def as the same
+     physical value. Returns the defs to re-index. *)
+  let install f' =
+    let old = !ctx in
+    let fresh (d : Ir.def) =
+      match Compiled.find_def old d.Ir.name with
+      | Some o -> o != d
+      | None -> true
+    in
+    let rec from_first = function
+      | d :: rest when not (fresh d) -> from_first rest
+      | body -> body
+    in
+    let suffix = from_first f'.Ir.body in
+    let defs = List.filter fresh suffix in
+    let changed =
+      List.filter_map
+        (fun (d : Ir.def) ->
+          match Compiled.find_def old d.Ir.name with
+          | Some o when o.Ir.inst = d.Ir.inst -> None
+          | _ -> Some d.Ir.name)
+        defs
+    in
+    cur := f';
+    push_affected suffix changed;
+    defs
   in
   (* Try to fire the first acceptable rule at [d]; [true] if the function
      changed. A match is acceptable when the rewrite evaluates, the
@@ -142,41 +256,47 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
               match Matcher.match_at rule !cur d.Ir.name with
               | None -> None
               | Some m -> (
-                  match Matcher.rewrite rule !cur m with
-                  | None -> None
-                  | Some f' ->
-                      let f' = dce f' in
-                      if Cost.func_cost f' > !cur_cost then None
-                      else Some (rule, key, f')))
+                  match (Matcher.plan rule !cur m, !uses) with
+                  | None, _ -> None
+                  | Some p, None ->
+                      let f' =
+                        dce (Matcher.splice ~dead:(fun _ -> false) !cur p)
+                      in
+                      let c = Cost.func_cost f' in
+                      if c > !cur_cost then None
+                      else Some (rule, key, `Whole (f', c))
+                  | Some p, Some u ->
+                      let s = score u !ctx d p in
+                      if s.cost > 0 then None
+                      else Some (rule, key, `Scored (u, p, s))))
           (Compiled.candidates !ctx d)
       in
       match fired with
       | None -> false
-      | Some (rule, key, f') ->
+      | Some (rule, key, edit) ->
           decr budget;
           stats := bump !stats rule.Matcher.rule_name;
           Hashtbl.replace fired_at key
             (1 + Option.value ~default:0 (Hashtbl.find_opt fired_at key));
-          let before = !cur in
-          cur := f';
-          cur_cost := Cost.func_cost f';
-          ctx := Compiled.context tree f';
-          (* Defs that are new or redefined relative to [before] (covers
-             the in-place root replacement, freshly emitted target defs,
-             and every user rewritten by a copy-root substitution). *)
-          let old_defs : (string, Ir.inst) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun (d : Ir.def) -> Hashtbl.replace old_defs d.Ir.name d.Ir.inst)
-            before.Ir.body;
-          let changed =
-            List.filter_map
-              (fun (d : Ir.def) ->
-                match Hashtbl.find_opt old_defs d.Ir.name with
-                | Some inst when inst = d.Ir.inst -> None
-                | _ -> Some d.Ir.name)
-              f'.Ir.body
-          in
-          push_affected changed;
+          (match edit with
+          | `Whole (f', c) ->
+              ignore (install f');
+              cur_cost := c;
+              ctx := Compiled.context tree f';
+              uses := Some (Ir.uses_of f')
+          | `Scored (u, p, s) ->
+              let f' = Matcher.splice ~dead:(Hashtbl.mem s.dead) !cur p in
+              let defs = install f' in
+              let removed =
+                Hashtbl.fold (fun n () acc -> n :: acc) s.dead
+                  (match p.Matcher.replacement with
+                  | Matcher.Copy _ -> [ p.Matcher.root ]
+                  | Matcher.Inst _ -> [])
+              in
+              Compiled.update !ctx f' ~removed ~defs;
+              Hashtbl.iter (fun n k -> add u k n) s.delta;
+              List.iter (Hashtbl.remove u) removed;
+              cur_cost := !cur_cost + s.cost);
           true
   in
   let rec process () =

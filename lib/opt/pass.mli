@@ -1,4 +1,4 @@
-(** The optimization pass driver: a worklist rebuild-and-rescan fixpoint
+(** The optimization pass driver: a worklist rescan fixpoint
     over the {!Compiled} decision tree (first match wins in registry
     order, as in the generated C++ pass of §4), then dead-code removal.
     Firing counts feed the Fig. 9 experiment. *)
@@ -7,8 +7,11 @@ type stats = (string * int) list
 (** Rule name → number of firings, descending. *)
 
 val dce : Ir.func -> Ir.func
-(** Remove definitions with no remaining uses, transitively. Instructions
-    that can trigger UB (division, shifts) are kept only if used — the same
+(** Keep exactly the definitions [ret] reaches, in order, in one backward
+    sweep; the function itself when none is dead. The body must list each
+    definition before its uses (as {!Ir.validate} checks): then this is
+    removing definitions without uses until none is left. Instructions that
+    can trigger UB (division, shifts) are kept only if reached — the same
     (deliberate) aggressiveness as LLVM's DCE on InstCombine leftovers. *)
 
 type outcome = {
@@ -30,7 +33,10 @@ val run_guarded :
     depth are re-examined; a final full sweep re-validates the fixpoint,
     so a body-shrinking rewrite can never skip its successor. Rules in a
     cyclic SCC of the rewrite graph are additionally capped per
-    (definition, rule) site. *)
+    (definition, rule) site. A rewrite is accepted when the DCE'd result
+    costs no more; once one is accepted, candidates are scored from use
+    counts and rewritten in place. The body must list each definition
+    before its uses; the input is never mutated. *)
 
 val run :
   rules:Matcher.rule list ->

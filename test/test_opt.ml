@@ -537,8 +537,268 @@ let baseline_property =
                (List.init 10 Fun.id))
            funcs))
 
+(* optimize-zipf's input: [Workload.default] at seed 1, 1,000 functions. *)
+let seed1_inputs =
+  lazy
+    (Alive_opt.Workload.generate
+       { Alive_opt.Workload.default with seed = 1; functions = 1000 }
+       valid_rules)
+
+let firings (o : Alive_opt.Pass.outcome) =
+  List.fold_left (fun a (_, n) -> a + n) 0 o.stats
+
+(* [s] with each fresh name [%alive.N] renumbered by first appearance: the
+   global name counter depends on what ran before, the output does not. *)
+let renumber s =
+  let prefix = "%alive." in
+  let n = String.length s and p = String.length prefix in
+  let names = Hashtbl.create 8 and b = Buffer.create n in
+  let rec go i =
+    if i + p <= n && String.sub s i p = prefix then begin
+      let j = ref (i + p) in
+      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
+        incr j
+      done;
+      let name = String.sub s i (!j - i) in
+      let k =
+        match Hashtbl.find_opt names name with
+        | Some k -> k
+        | None ->
+            let k = Hashtbl.length names in
+            Hashtbl.replace names name k;
+            k
+      in
+      Buffer.add_string b (Printf.sprintf "%%fresh.%d" k);
+      go !j
+    end
+    else if i < n then begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* One outcome as text: the output function, its firings sorted by rule
+   name, and whether the budget or the cycle guard cut it short. *)
+let outcome_text (o : Alive_opt.Pass.outcome) =
+  Printf.sprintf "%s\n%s %b\n"
+    (renumber (Format.asprintf "%a" Ir.pp_func o.func))
+    (String.concat ";"
+       (List.map
+          (fun (r, n) -> Printf.sprintf "%s=%d" r n)
+          (List.sort compare o.stats)))
+    o.saturated
+
+(* Which rule fires where, and in what order, is the pass's output: the
+   seed-1 totals and table digest are perfbench optimize-zipf's counts line,
+   and the seed-83 digest covers the function after every prefix of the
+   firing sequence (the budget cuts the pass after k firings). *)
+let pinned_output =
+  Alcotest.test_case "pass output is pinned" `Slow (fun () ->
+      let run = Alive_opt.Pass.run_guarded ~rules:valid_rules in
+      let inputs = Lazy.force seed1_inputs in
+      let outcomes = List.map run inputs in
+      let sum g = List.fold_left (fun a o -> a + g o) 0 outcomes in
+      let table =
+        List.fold_left
+          (fun t (o : Alive_opt.Pass.outcome) ->
+            Alive_opt.Pass.merge_stats t o.stats)
+          [] outcomes
+      in
+      (* perfbench's opt_counts format *)
+      let table_md5 =
+        List.sort compare table
+        |> List.map (fun (r, n) -> Printf.sprintf "%s=%d" r n)
+        |> String.concat ";" |> Digest.string |> Digest.to_hex
+      in
+      check_int "firings" 19203 (sum firings);
+      check_int "cost_out" 40799
+        (sum (fun (o : Alive_opt.Pass.outcome) -> Cost.func_cost o.func));
+      check_int "saturated" 2
+        (sum (fun (o : Alive_opt.Pass.outcome) -> Bool.to_int o.saturated));
+      check_int "rules fired" 133 (List.length table);
+      Alcotest.(check string)
+        "firing table" "613c59dcbfc6d0d62e8d08d748494e02" table_md5;
+      let states = Buffer.create (1 lsl 20) in
+      List.iter
+        (fun f ->
+          for k = 0 to firings (run f) do
+            Buffer.add_string states
+              (outcome_text
+                 (Alive_opt.Pass.run_guarded ~rules:valid_rules ~max_rewrites:k
+                    f))
+          done)
+        (Alive_opt.Workload.generate
+           { Alive_opt.Workload.default with seed = 83; functions = 100 }
+           valid_rules);
+      Alcotest.(check string)
+        "every state at seed 83" "1bb3db6228d81df76b24541b046ab727"
+        (Digest.to_hex (Digest.string (Buffer.contents states))))
+
+(* DCE as it used to be: drop defs without uses until none drops. *)
+let rec dce_fixpoint (f : Ir.func) =
+  let uses = Ir.uses_of f in
+  let body =
+    List.filter (fun (d : Ir.def) -> Hashtbl.mem uses d.Ir.name) f.Ir.body
+  in
+  if List.length body = List.length f.Ir.body then f
+  else dce_fixpoint { f with Ir.body = body }
+
+let dce_matches_fixpoint =
+  Alcotest.test_case "dce keeps exactly the defs ret reaches" `Quick
+    (fun () ->
+      (* %d3 uses %d2 uses %d1, and nothing uses %d3; %k feeds both the
+         dead chain and ret. *)
+      let chain =
+        func
+          [
+            def "k" 8 (Ir.Binop (Ir.Add, [], Ir.Var "x", Ir.Var "y"));
+            def "d1" 8 (Ir.Binop (Ir.Mul, [], Ir.Var "k", Ir.Var "k"));
+            def "d2" 8 (Ir.Binop (Ir.Sub, [], Ir.Var "d1", Ir.Var "x"));
+            def "r" 8 (Ir.Binop (Ir.Xor, [], Ir.Var "k", Ir.Var "y"));
+            def "d3" 8 (Ir.Binop (Ir.Or, [], Ir.Var "d2", Ir.Var "r"));
+          ]
+          (Ir.Var "r")
+      in
+      check_int "chain reduced to its live defs" 2
+        (List.length (Alive_opt.Pass.dce chain).Ir.body);
+      let inputs = chain :: Lazy.force seed1_inputs in
+      let total = ref 0 and dead = ref 0 in
+      List.iter
+        (fun (f : Ir.func) ->
+          let want = dce_fixpoint f and got = Alive_opt.Pass.dce f in
+          total := !total + List.length f.Ir.body;
+          dead := !dead + List.length f.Ir.body - List.length want.Ir.body;
+          check_bool (f.Ir.fname ^ " agrees with the fixpoint") true
+            (got.Ir.body = want.Ir.body);
+          if want == f then
+            check_bool (f.Ir.fname ^ " returned as is") true (got == f))
+        inputs;
+      (* the raw workload holds dead code for the sweep to find *)
+      check_int "input defs" 70109 !total;
+      check_int "dead defs" 21637 !dead)
+
+(* Words a token mutation may put in place of another: opcodes, attributes,
+   types (two of them out of range), keywords and edge literals. [undef] is
+   left out: under [Interp]'s pinned-undef policy a correct rewrite that
+   drops an undef can look like a wrong answer. *)
+let fuzz_words =
+  [|
+    "add"; "sub"; "mul"; "udiv"; "sdiv"; "urem"; "srem"; "shl"; "lshr";
+    "ashr"; "and"; "or"; "xor"; "icmp"; "eq"; "ne"; "ult"; "sle"; "select";
+    "zext"; "sext"; "trunc"; "to"; "freeze"; "nsw"; "nuw"; "exact"; "i1";
+    "i8"; "i16"; "i32"; "i64"; "i0"; "i65"; "ret"; "define"; "0"; "1"; "-1";
+    "127"; "-128"; "9223372036854775807"; "-9223372036854775808";
+    "99999999999999999999"; "%p0"; "%v1"; "@f"; ",";
+  |]
+
+(* One byte or token mutation of [text]. *)
+let mutate st text =
+  let n = String.length text in
+  let pos = Random.State.int st n in
+  let bytes = "0123456789-%@=,(){};\n ixnsu" in
+  let rand_byte () =
+    String.make 1 bytes.[Random.State.int st (String.length bytes)]
+  in
+  let word_at i =
+    let is_word c =
+      (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '%' || c = '-'
+      || c = '.' || c = '@'
+    in
+    let a = ref i and b = ref i in
+    while !a > 0 && is_word text.[!a - 1] do decr a done;
+    while !b < n && is_word text.[!b] do incr b done;
+    (!a, !b)
+  in
+  let splice a b s = String.sub text 0 a ^ s ^ String.sub text b (n - b) in
+  match Random.State.int st 6 with
+  | 0 -> splice pos (pos + 1) (rand_byte ())
+  | 1 -> splice pos (pos + 1) ""
+  | 2 -> splice pos pos (rand_byte ())
+  | 3 ->
+      (* a word of the module itself, moved elsewhere *)
+      let a, b = word_at (Random.State.int st n) in
+      let a', b' = word_at pos in
+      splice a' b' (String.sub text a (b - a))
+  | 4 ->
+      let a, b = word_at pos in
+      splice a b fuzz_words.(Random.State.int st (Array.length fuzz_words))
+  | _ ->
+      (* a line repeated or dropped *)
+      let a = try String.rindex_from text pos '\n' + 1 with Not_found -> 0 in
+      let b = try String.index_from text pos '\n' + 1 with Not_found -> n in
+      if Random.State.bool st then splice a a (String.sub text a (b - a))
+      else splice a b ""
+
+let fuzz_parser_through_pass =
+  Alcotest.test_case "mutated IR parses cleanly and optimizes soundly" `Slow
+    (fun () ->
+      let st = Random.State.make [| 0x1f2 |] in
+      let modules =
+        Alive_opt.Workload.generate
+          { Alive_opt.Workload.default with seed = 5; functions = 90;
+            instructions_per_function = 12 }
+          valid_rules
+        |> List.mapi (fun i f -> (i / 3, f))
+        |> List.fold_left
+             (fun acc (m, f) ->
+               match acc with
+               | (m', fs) :: rest when m = m' -> (m, f :: fs) :: rest
+               | _ -> (m, [ f ]) :: acc)
+             []
+        |> List.map (fun (_, fs) ->
+               String.concat "\n"
+                 (List.rev_map (Format.asprintf "%a" Ir.pp_func) fs))
+        |> Array.of_list
+      in
+      let parsed = ref 0 and failures = ref [] in
+      let fail text msg = failures := (msg ^ " in\n" ^ text) :: !failures in
+      for _ = 1 to 20_000 do
+        let text = modules.(Random.State.int st (Array.length modules)) in
+        let text =
+          List.fold_left
+            (fun t _ -> mutate st t)
+            text
+            (List.init (1 + Random.State.int st 3) Fun.id)
+        in
+        match Ir_parser.parse_module text with
+        | exception e -> fail text ("parser raised " ^ Printexc.to_string e)
+        | Error _ -> ()
+        | Ok funcs ->
+            List.iter
+              (fun (f : Ir.func) ->
+                incr parsed;
+                match Alive_opt.Pass.run_guarded ~rules:valid_rules f with
+                | exception e ->
+                    fail text ("pass raised " ^ Printexc.to_string e)
+                | o -> (
+                    match Ir.validate o.func with
+                    | Error msg -> fail text ("invalid output: " ^ msg)
+                    | Ok () ->
+                        for _ = 1 to 3 do
+                          let args =
+                            List.map
+                              (fun (_, w) ->
+                                Bitvec.make ~width:w
+                                  (Random.State.int64 st Int64.max_int))
+                              f.Ir.params
+                          in
+                          match (Interp.run f args, Interp.run o.func args) with
+                          | Ok src, Ok tgt when Interp.refines src tgt -> ()
+                          | _ -> fail text "output does not refine its input"
+                        done))
+              funcs
+      done;
+      Printf.printf "%d parsed functions; %d failures\n" !parsed
+        (List.length !failures);
+      List.iteri (fun i m -> if i < 3 then print_endline m) !failures;
+      check_int "failures" 0 (List.length !failures);
+      check_bool "mutants reach the pass" true (!parsed > 1000))
+
 let suite =
   ( "opt",
     matcher_tests @ pass_tests @ rescan_tests @ commute_tests
     @ precondition_tests @ zipf_tests @ workload_tests
-    @ [ refinement_property; baseline_property ] )
+    @ [ refinement_property; baseline_property; pinned_output;
+        dce_matches_fixpoint; fuzz_parser_through_pass ] )
