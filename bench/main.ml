@@ -1,8 +1,9 @@
 (* Benchmark and experiment harness: one target per table/figure of the
    paper's evaluation (see DESIGN.md's per-experiment index). Running with
    no arguments executes everything in order; a single argument selects one
-   target. Timing experiments use Bechamel; shape experiments print the same
-   rows/series the paper reports. *)
+   target. Timing experiments use the wall clock (compile-time also runs
+   under Bechamel); shape experiments print the same rows/series the paper
+   reports. *)
 
 let section title =
   Printf.printf "\n=====================================================\n";
@@ -10,18 +11,14 @@ let section title =
   Printf.printf "=====================================================\n%!"
 
 (* --- JSON archiving: targets record machine-readable results, written as
-   BENCH_<target>.json so CI can diff perf across PRs. Emitted by default;
-   --json is accepted as a no-op for compatibility with older drivers. --- *)
+   BENCH_<target>.json so CI can diff perf across PRs. --- *)
 
 module Json = Alive_engine.Json
 
-let json_enabled = ref true
 let record_json name (j : Json.t) =
-  if !json_enabled then begin
-    let path = Printf.sprintf "BENCH_%s.json" name in
-    Json.to_file path j;
-    Printf.printf "  [json] wrote %s\n%!" path
-  end
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  Json.to_file path j;
+  Printf.printf "  [json] wrote %s\n%!" path
 
 (* --- Bechamel helpers --- *)
 
@@ -264,257 +261,6 @@ let verify_time () =
            Json.Obj (List.map (fun (name, t) -> (name, Json.Float t)) timed) );
        ])
 
-(* --- Daemon throughput: requests/sec against a warm store ---
-
-   Spin the service up in-process on a temp socket backed by a temp store,
-   verify the corpus once to warm the store, then measure a second pass in
-   which every request is answered from it. One client, one connection:
-   this measures the service path (framing, dispatch, pool hop, store
-   lookup), not solver throughput. *)
-
-let daemon_throughput () =
-  let module Daemon = Alive_service.Daemon in
-  let module Client = Alive_service.Client in
-  let pid = Unix.getpid () in
-  let tmp = Filename.get_temp_dir_name () in
-  let socket = Filename.concat tmp (Printf.sprintf "alive-bench-%d.sock" pid) in
-  let store_dir =
-    Filename.concat tmp (Printf.sprintf "alive-bench-%d.store" pid)
-  in
-  (try Sys.remove socket with Sys_error _ -> ());
-  let config =
-    {
-      (Daemon.default_config ~socket_path:socket) with
-      store_dir = Some store_dir;
-    }
-  in
-  let th = Thread.create (fun () -> ignore (Daemon.serve config)) () in
-  let rec connect tries =
-    match Client.connect socket with
-    | Ok c -> Some c
-    | Error _ when tries > 0 ->
-        Unix.sleepf 0.05;
-        connect (tries - 1)
-    | Error _ -> None
-  in
-  let cleanup_store () =
-    if Sys.file_exists store_dir && Sys.is_directory store_dir then begin
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat store_dir f) with Sys_error _ -> ())
-        (Sys.readdir store_dir);
-      try Unix.rmdir store_dir with Unix.Unix_error _ -> ()
-    end
-  in
-  match connect 100 with
-  | None ->
-      Thread.join th;
-      cleanup_store ();
-      None
-  | Some c ->
-      let pass () =
-        let t0 = Unix.gettimeofday () in
-        let n = ref 0 in
-        List.iter
-          (fun (e : Alive_suite.Entry.t) ->
-            incr n;
-            ignore (Client.verify c ?widths:e.widths ~text:e.text ()))
-          corpus;
-        (!n, Unix.gettimeofday () -. t0)
-      in
-      ignore (pass ());
-      let requests, wall = pass () in
-      ignore (Client.shutdown c);
-      Client.close c;
-      Thread.join th;
-      cleanup_store ();
-      Some (requests, wall, float requests /. Float.max 1e-9 wall)
-
-(* --- Optimizer leg: fused decision-tree matcher throughput ---
-
-   Fig. 9's production shape: run the compiled pass over a Zipf workload
-   and measure whole-pass firings/sec plus the top-10 firing share, then
-   probe single-match throughput of the compiled tree — the same figures
-   `alive optimize --ledger` records and `perf diff` gates. *)
-
-let opt_leg () =
-  let rules = Lazy.force valid_rules in
-  let config = { Alive_opt.Workload.default with functions = 400; seed = 7 } in
-  let funcs = Alive_opt.Workload.generate config rules in
-  let t0 = Unix.gettimeofday () in
-  let _, stats = Alive_opt.Pass.run_module ~rules funcs in
-  let pass_wall = Unix.gettimeofday () -. t0 in
-  let firings = List.fold_left (fun a (_, n) -> a + n) 0 stats in
-  let top10 =
-    let top = List.filteri (fun i _ -> i < 10) stats in
-    float (List.fold_left (fun a (_, n) -> a + n) 0 top)
-    /. float (max 1 firings)
-  in
-  (* Single-match probe on a fixed sample of (function, def) sites. *)
-  let probe = List.filteri (fun i _ -> i < 60) funcs in
-  let tree = Alive_opt.Compiled.build rules in
-  let n_sites =
-    List.fold_left (fun a (f : Ir.func) -> a + List.length f.Ir.body) 0 probe
-  in
-  let t0 = Unix.gettimeofday () in
-  let compiled_hits =
-    List.fold_left
-      (fun acc (f : Ir.func) ->
-        let ctx = Alive_opt.Compiled.context tree f in
-        List.fold_left
-          (fun acc d ->
-            match Alive_opt.Compiled.match_def ctx d with
-            | Some _ -> acc + 1
-            | None -> acc)
-          acc f.Ir.body)
-      0 probe
-  in
-  let compiled_wall = Unix.gettimeofday () -. t0 in
-  let per_s n wall = float n /. Float.max 1e-9 wall in
-  object
-    method firings = firings
-    method firings_per_s = per_s firings pass_wall
-    method top10_share = top10
-    method match_per_s = per_s n_sites compiled_wall
-    method compiled_hits = compiled_hits
-    method sites = n_sites
-  end
-
-(* --- Parallel engine scaling --- *)
-
-let parallel () =
-  section "parallel engine: corpus verification, --jobs 1 vs all cores";
-  let tasks =
-    List.map
-      (fun (e : Alive_suite.Entry.t) ->
-        {
-          Alive_engine.Engine.task_name = e.name;
-          widths = e.widths;
-          prepare = (fun () -> Alive_suite.Entry.parse e);
-        })
-      corpus
-  in
-  let run jobs =
-    (* Each measured run starts with a cold verdict cache so within-run
-       caching is measured but nothing leaks across configurations. *)
-    Alive_smt.Vc_cache.clear ();
-    Alive_engine.Engine.verify_corpus ~jobs tasks
-  in
-  (* Warm the hash-consing table so both runs pay the same setup. *)
-  ignore (run 1);
-  (* Under --json, collect per-phase histograms on the measured runs: both
-     runs pay the same (tiny) timing overhead, so the speedup stays fair,
-     and the snapshot after the scaling run feeds BENCH_trace.json. *)
-  if !json_enabled then Alive_trace.Metrics.set_phase_timing true;
-  let r1 = run 1 in
-  (* A/B leg: the same jobs=1 run with the verdict cache switched off, so
-     what the cache saves stays measurable run over run. The switch is
-     restored afterwards. *)
-  let cache_was = Alive_smt.Vc_cache.enabled () in
-  Alive_smt.Vc_cache.set_enabled false;
-  let r_off = run 1 in
-  Alive_smt.Vc_cache.set_enabled cache_was;
-  let n = Alive_engine.Engine.default_jobs () in
-  let rn =
-    if n > 1 then begin
-      if !json_enabled then Alive_trace.Metrics.reset ();
-      run n
-    end
-    else r1
-  in
-  let stats (r : Alive_engine.Engine.report) =
-    Format.asprintf "%a" Alive.Refine.pp_stats r.total
-  in
-  Printf.printf "  %d tasks\n" (List.length r1.results);
-  Printf.printf "  --jobs 1:  wall %.2fs  (%s)\n" r1.wall (stats r1);
-  Printf.printf "  --jobs 1, cache off:  wall %.2fs  (%s)\n"
-    r_off.wall (stats r_off);
-  Printf.printf "  --jobs %d:  wall %.2fs  (%.2fx speedup)\n" n rn.wall
-    (r1.wall /. Float.max 1e-9 rn.wall);
-  if n = 1 then
-    Printf.printf "  (single-core host: run on a multi-core machine to see scaling)\n";
-  (* Wide-width leg: the entries without a justified width cap, verified
-     at exactly w=16 and w=32. This is the surface the AIG simplifier
-     exists for; tracking its wall time per width keeps the wide-width
-     wall from silently creeping back. *)
-  let sweep w =
-    let tasks =
-      List.filter_map
-        (fun (e : Alive_suite.Entry.t) ->
-          match e.widths with
-          | Some _ -> None (* capped entries opt out of wide widths *)
-          | None ->
-              Some
-                {
-                  Alive_engine.Engine.task_name = e.name;
-                  widths = Some [ w ];
-                  prepare = (fun () -> Alive_suite.Entry.parse e);
-                })
-        corpus
-    in
-    Alive_smt.Vc_cache.clear ();
-    Alive_engine.Engine.verify_corpus ~jobs:n tasks
-  in
-  let r16 = sweep 16 and r32 = sweep 32 in
-  Printf.printf "  wide-width leg (uncapped entries): w=16 wall %.2fs (%s)\n"
-    r16.wall (stats r16);
-  Printf.printf "  wide-width leg (uncapped entries): w=32 wall %.2fs (%s)\n"
-    r32.wall (stats r32);
-  let daemon = daemon_throughput () in
-  (match daemon with
-  | Some (reqs, wall, rps) ->
-      Printf.printf
-        "  daemon (warm store): %d requests in %.2fs = %.0f req/s\n" reqs wall
-        rps
-  | None ->
-      Printf.printf "  daemon (warm store): could not start the daemon\n");
-  let opt = opt_leg () in
-  Printf.printf
-    "  optimizer: %d firings (%.0f firings/s), top-10 share %.1f%%\n"
-    opt#firings opt#firings_per_s (100.0 *. opt#top10_share);
-  Printf.printf "  matcher: %.0f match/s, %d hits over %d sites\n"
-    opt#match_per_s opt#compiled_hits opt#sites;
-  (* Each verification leg's stats are nested under its own key, with
-     every solver counter by report name. *)
-  record_json "parallel"
-    (Json.Obj
-       ([
-          ("tasks", Json.Int (List.length r1.results));
-          ("jobs_max", Json.Int n);
-          ("wall_1_s", Json.Float r1.wall);
-          ("wall_n_s", Json.Float rn.wall);
-          ("speedup", Json.Float (r1.wall /. Float.max 1e-9 rn.wall));
-          ("stats_1", Alive_engine.Engine.stats_json r1.total);
-          ("wall_1_nocache_s", Json.Float r_off.wall);
-          ("stats_nocache", Alive_engine.Engine.stats_json r_off.total);
-          ("wall_w16_s", Json.Float r16.wall);
-          ("stats_w16", Alive_engine.Engine.stats_json r16.total);
-          ("wall_w32_s", Json.Float r32.wall);
-          ("stats_w32", Alive_engine.Engine.stats_json r32.total);
-          ("opt_firings", Json.Int opt#firings);
-          ("opt_firings_per_s", Json.Float opt#firings_per_s);
-          ("opt_top10_share", Json.Float opt#top10_share);
-          ("opt_match_per_s", Json.Float opt#match_per_s);
-        ]
-       @
-       match daemon with
-       | Some (reqs, wall, rps) ->
-           [
-             ("daemon_requests", Json.Int reqs);
-             ("daemon_wall_s", Json.Float wall);
-             ("daemon_rps", Json.Float rps);
-           ]
-       | None -> []));
-  if !json_enabled then begin
-    record_json "trace"
-      (Json.Obj
-         [
-           ("jobs", Json.Int n);
-           ("wall_s", Json.Float rn.wall);
-           ("metrics", Alive_trace.Metrics.to_json ());
-         ]);
-    Alive_trace.Metrics.set_phase_timing false
-  end
-
 (* --- §6.3 attribute inference --- *)
 
 let infer () =
@@ -668,7 +414,6 @@ let targets =
     ("fig8", fig8);
     ("fig9", fig9);
     ("verify-time", verify_time);
-    ("parallel", parallel);
     ("infer", infer);
     ("compile-time", compile_time);
     ("run-time", run_time);
@@ -676,21 +421,7 @@ let targets =
   ]
 
 let () =
-  let args =
-    List.filter
-      (fun a ->
-        match a with
-        | "--json" ->
-            (* JSON artifacts are the default now; kept as a no-op so older
-               invocations keep working. *)
-            false
-        | "--no-cache" ->
-            Alive_smt.Vc_cache.set_enabled false;
-            false
-        | _ -> true)
-      (List.tl (Array.to_list Sys.argv))
-  in
-  match args with
+  match List.tl (Array.to_list Sys.argv) with
   | [] -> List.iter (fun (_, f) -> f ()) targets
   | [ name ] -> (
       match List.assoc_opt name targets with
@@ -700,7 +431,5 @@ let () =
             (String.concat ", " (List.map fst targets));
           exit 1)
   | _ ->
-      Printf.eprintf
-        "usage: %s [--json] [--no-cache] [target]\n"
-        Sys.argv.(0);
+      Printf.eprintf "usage: %s [target]\n" Sys.argv.(0);
       exit 1

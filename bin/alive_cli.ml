@@ -3,197 +3,7 @@
    paper's prototype, over .opt files in the Alive surface syntax. *)
 
 open Cmdliner
-
-let read_input = function
-  | "-" -> In_channel.input_all stdin
-  | path -> In_channel.with_open_text path In_channel.input_all
-
-(* Bad values become usage errors (exit 124) instead of exceptions. *)
-let widths_conv =
-  Arg.conv'
-    ( Alive.Typing.parse_widths,
-      fun ppf ws ->
-        Format.pp_print_string ppf
-          (String.concat "," (List.map string_of_int ws)) )
-
-let int_at_least lo =
-  Arg.conv'
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= lo -> Ok n
-        | _ -> Error (Printf.sprintf "expected an integer >= %d, got %S" lo s)),
-      Format.pp_print_int )
-
-let file_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"FILE" ~doc:"Input .opt file ('-' for stdin).")
-
-let widths_arg =
-  Arg.(
-    value
-    & opt (some widths_conv) None
-    & info [ "widths" ] ~docv:"W1,W2,..."
-        ~doc:
-          "Width domain for type enumeration: comma-separated widths and \
-           inclusive ranges, e.g. $(b,4,8) or $(b,1..32) (default: all of \
-           1-8, preferring 4 and 8).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Check the feasible typings on $(docv) worker domains (0 = one \
-           per core).")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "timeout" ] ~docv:"SECS"
-        ~doc:
-          "Wall-clock budget per SMT query; an exhausted query reports \
-           'unknown' instead of running forever (default: no limit).")
-
-let conflict_limit_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "conflict-limit" ] ~docv:"N"
-        ~doc:
-          "SAT conflict budget per SMT query; exhaustion reports 'unknown' \
-           (default: no limit).")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record pipeline spans and write a Chrome trace-event JSON to \
-           $(docv) (open in Perfetto or chrome://tracing; one row per \
-           worker domain).")
-
-let collapsed_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "collapsed" ] ~docv:"FILE"
-        ~doc:
-          "Write collapsed-stack flamegraph lines to $(docv) (feed to \
-           flamegraph.pl or speedscope).")
-
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Collect per-phase latency histograms and print the metrics \
-           table (count, total, p50/p90/p95/max) after the run.")
-
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the canonical verdict cache: solve every query even when \
-           an alpha-equivalent one was already decided.")
-
-let dump_cnf_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dump-cnf" ] ~docv:"DIR"
-        ~doc:
-          "Write every solved SAT query to $(docv) as a DIMACS file \
-           (qNNNNNN-RESULT.cnf), creating the directory if needed.")
-
-let no_aig_arg =
-  Arg.(
-    value & flag
-    & info [ "no-aig" ]
-        ~doc:
-          "Disable the AIG structural-simplification pass: blast gates \
-           directly to CNF instead of building, rewriting and \
-           structurally hashing an and-inverter graph first (see \
-           docs/PERFORMANCE.md).")
-
-let dump_aig_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dump-aig" ] ~docv:"DIR"
-        ~doc:
-          "Write every solved query's reduced and-inverter graph to \
-           $(docv) in AIGER ASCII (qNNNNNN-RESULT.aag), creating the \
-           directory if needed. No effect with $(b,--no-aig).")
-
-(* Flip the observability switches before any pipeline work runs. *)
-let setup_observability ~trace ~collapsed ~metrics =
-  if trace <> None || collapsed <> None then Alive_trace.Trace.set_enabled true;
-  if metrics then Alive_trace.Metrics.set_phase_timing true
-
-(* Flip the solve-path switches (cache, AIG pass, CNF and AIG dumping)
-   before any query runs. *)
-let setup_solve_path ~no_cache ~no_aig ~dump_cnf ~dump_aig =
-  if no_cache then Alive_smt.Vc_cache.set_enabled false;
-  if no_aig then Alive_smt.Bitblast.set_simplify false;
-  let mkdir dir =
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  in
-  Option.iter
-    (fun dir ->
-      mkdir dir;
-      Alive_smt.Solve.set_dump_dir (Some dir))
-    dump_cnf;
-  Option.iter
-    (fun dir ->
-      mkdir dir;
-      Alive_smt.Solve.set_dump_aig_dir (Some dir))
-    dump_aig
-
-let emit_observability ~trace ~collapsed ~metrics =
-  Option.iter
-    (fun path ->
-      Alive_trace.Trace.write_chrome path;
-      Printf.eprintf "trace written to %s\n" path)
-    trace;
-  Option.iter
-    (fun path ->
-      Alive_trace.Trace.write_collapsed path;
-      Printf.eprintf "collapsed stacks written to %s\n" path)
-    collapsed;
-  if metrics then Alive_trace.Metrics.render_table ()
-
-let budget_of ~timeout ~conflict_limit =
-  if timeout > 0.0 || conflict_limit > 0 then
-    Some
-      (Alive_smt.Solve.budget
-         ?timeout:(if timeout > 0.0 then Some timeout else None)
-         ?conflict_limit:(if conflict_limit > 0 then Some conflict_limit else None)
-         ())
-  else None
-
-let resolve_jobs = function
-  | 0 -> Alive_engine.Engine.default_jobs ()
-  | n -> max 1 n
-
-let display_name = function "-" -> "<stdin>" | path -> path
-
-let with_transforms file f =
-  match
-    Alive.Parser.parse_file_diag ~file:(display_name file) (read_input file)
-  with
-  | Error d ->
-      Printf.eprintf "%s\n" (Alive.Diagnostics.render d);
-      1
-  | Ok [] ->
-      Printf.eprintf "no transformations found\n";
-      1
-  | Ok transforms -> f transforms
+open Cli
 
 let verify_cmd =
   let run file widths quiet jobs timeout conflict_limit show_stats trace
@@ -239,11 +49,6 @@ let verify_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"One line per verdict.")
   in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ] ~doc:"Print per-transformation solver statistics.")
-  in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
@@ -258,7 +63,7 @@ let verify_cmd =
          :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ widths_arg $ quiet $ jobs_arg $ timeout_arg
-      $ conflict_limit_arg $ stats $ trace_arg $ collapsed_arg $ metrics_arg
+      $ conflict_limit_arg $ stats_arg $ trace_arg $ collapsed_arg $ metrics_arg
       $ no_cache_arg $ dump_cnf_arg $ no_aig_arg $ dump_aig_arg)
 
 let infer_cmd =
@@ -304,102 +109,41 @@ let infer_pre_cmd =
   let run file widths jobs timeout conflict_limit json trace collapsed metrics
       =
     let jobs = resolve_jobs jobs in
-    (* Inference needs a deadline for its progress guarantees: an absent
-       --timeout means 10s per query, not "no limit". *)
-    let budget =
-      Alive_smt.Solve.budget
-        ~timeout:(if timeout > 0.0 then timeout else 10.0)
-        ?conflict_limit:(if conflict_limit > 0 then Some conflict_limit else None)
-        ()
-    in
+    let budget = infer_budget ~timeout ~conflict_limit in
     setup_observability ~trace ~collapsed ~metrics;
     let code =
       with_transforms file (fun transforms ->
           let outcomes =
-            Alive_engine.Engine.map ~jobs
+            Engine.map ~jobs
               ~label:(fun (t : Alive.Ast.transform) -> t.name)
               (fun t -> Alive_infer.Infer.infer ?widths ~budget t)
               transforms
           in
-          let failures = ref 0 in
+          let status (out : Alive_infer.Infer.outcome Engine.outcome) =
+            match out.result with
+            | Ok { inferred = Some _; _ } -> "inferred"
+            | Ok { inferred = None; _ } -> "failed"
+            | Error _ -> "crash"
+          in
           List.iter
-            (fun (out : _ Alive_engine.Engine.outcome) ->
-              match out.result with
-              | Error e ->
-                  incr failures;
-                  Format.printf "%s: crashed: %s@." out.label
-                    e.Alive_engine.Engine.message
-              | Ok (o : Alive_infer.Infer.outcome) -> (
-                  match o.inferred with
-                  | Some p ->
-                      Format.printf "%s: Pre: %a@." out.label Alive.Ast.pp_pred
-                        p;
-                      Format.printf
-                        "  %d round(s), %d positive(s), %d negative(s), %d \
-                         validation(s), %.2fs@."
-                        o.rounds o.positives o.negatives o.validations
-                        o.elapsed;
-                      if o.note <> "" then Format.printf "  note: %s@." o.note
-                  | None ->
-                      incr failures;
-                      Format.printf "%s: no precondition found: %s@." out.label
-                        o.note))
+            (fun out -> print_infer_outcome ~status:(status out) out)
             outcomes;
           Option.iter
             (fun path ->
-              let module Json = Alive_engine.Json in
-              let outcome_json (out : _ Alive_engine.Engine.outcome) =
-                let rest =
-                  match out.result with
-                  | Error e ->
-                      [
-                        ("status", Json.String "crash");
-                        ("error", Json.String e.Alive_engine.Engine.message);
-                      ]
-                  | Ok (o : Alive_infer.Infer.outcome) ->
-                      [
-                        ( "status",
-                          Json.String
-                            (if o.inferred = None then "failed" else "inferred")
-                        );
-                        ( "inferred_pre",
-                          match o.inferred with
-                          | Some p ->
-                              Json.String
-                                (Format.asprintf "%a" Alive.Ast.pp_pred p)
-                          | None -> Json.Null );
-                        ("rounds", Json.Int o.rounds);
-                        ("positives", Json.Int o.positives);
-                        ("negatives", Json.Int o.negatives);
-                        ("atoms", Json.Int o.atoms);
-                        ("validations", Json.Int o.validations);
-                        ("note", Json.String o.note);
-                      ]
-                in
-                Json.Obj
-                  (("name", Json.String out.label)
-                  :: ("elapsed_s", Json.Float out.elapsed)
-                  :: rest)
-              in
-              Json.to_file path
-                (Json.Obj
-                   [
-                     ("mode", Json.String "infer-pre");
-                     ("entries", Json.List (List.map outcome_json outcomes));
-                   ]);
-              Printf.eprintf "report written to %s\n" path)
+              write_infer_report path
+                (List.map
+                   (fun (out : _ Engine.outcome) ->
+                     Json.Obj
+                       (("name", Json.String out.label)
+                       :: ("elapsed_s", Json.Float out.elapsed)
+                       :: infer_outcome_fields ~status:(status out) out))
+                   outcomes))
             json;
-          if !failures > 0 then 1 else 0)
+          if List.exists (fun out -> status out <> "inferred") outcomes then 1
+          else 0)
     in
     emit_observability ~trace ~collapsed ~metrics;
     code
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the inference report as JSON to $(docv).")
   in
   Cmd.v
     (Cmd.info "infer-pre"
@@ -408,7 +152,8 @@ let infer_pre_cmd =
           counterexample-guided search: sample concrete examples, learn a \
           separating conjunction of built-in predicates, validate it with \
           the full verifier, and feed counterexamples back until it sticks. \
-          Any precondition already present is ignored. Exit 1 if no \
+          Any precondition already present is ignored; an absent \
+          $(b,--timeout) means 10 seconds per query. Exit 1 if no \
           precondition could be inferred for some transformation."
        ~exits:
          (Cmd.Exit.info 1
@@ -416,7 +161,7 @@ let infer_pre_cmd =
          :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ widths_arg $ jobs_arg $ timeout_arg
-      $ conflict_limit_arg $ json $ trace_arg $ collapsed_arg $ metrics_arg)
+      $ conflict_limit_arg $ json_arg $ trace_arg $ collapsed_arg $ metrics_arg)
 
 let codegen_cmd =
   let run file verify widths =
@@ -478,7 +223,6 @@ let optimize_cmd =
   let module Workload = Alive_opt.Workload in
   let module Pass = Alive_opt.Pass in
   let module Compiled = Alive_opt.Compiled in
-  let module Json = Alive_engine.Json in
   let run functions batch_size seed widths jobs json_path ledger_path
       show_stats =
     let jobs = resolve_jobs jobs in
@@ -634,22 +378,6 @@ let optimize_cmd =
       value & opt int 42
       & info [ "seed" ] ~docv:"N" ~doc:"Workload generator seed.")
   in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write a JSON summary to $(docv).")
-  in
-  let ledger_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"FILE"
-          ~doc:
-            "Append a performance-ledger record to $(docv): the registry's \
-             change over the run plus the optimizer's firings, firings/sec, \
-             matcher throughput and top-10 share.")
-  in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print firing counts afterwards.")
   in
@@ -663,7 +391,7 @@ let optimize_cmd =
        ~exits:(Cmd.Exit.info 1 ~doc:"a failed worker batch." :: Cmd.Exit.defaults))
     Term.(
       const run $ functions $ batch_size $ seed $ widths_arg $ jobs_arg
-      $ json_path $ ledger_path $ stats)
+      $ json_arg $ ledger_arg $ stats)
 
 let lint_cmd =
   let module D = Alive.Diagnostics in
@@ -960,7 +688,11 @@ let client_cmd =
         Some (In_channel.input_all stdin)
     | Some path -> Some (In_channel.with_open_text path In_channel.input_all)
   in
-  let run socket op file name rid timeout conflicts =
+  let run socket op file name rid timeout conflict_limit =
+    let timeout = if timeout > 0.0 then Some timeout else None in
+    let conflict_limit =
+      if conflict_limit > 0 then Some conflict_limit else None
+    in
     match Client.connect socket with
     | Error e ->
         Printf.eprintf "client: %s\n" e;
@@ -1001,12 +733,12 @@ let client_cmd =
                     Client.explain c ?rid ?name ~text ())
             | "verify" ->
                 Result.bind (text ()) (fun text ->
-                    Client.verify c ?rid ?name ?timeout
-                      ?conflict_limit:conflicts ~text ())
+                    Client.verify c ?rid ?name ?timeout ?conflict_limit
+                      ~text ())
             | "infer-pre" ->
                 Result.bind (text ()) (fun text ->
-                    Client.infer_pre c ?name ?timeout
-                      ?conflict_limit:conflicts ~text ())
+                    Client.infer_pre c ?name ?timeout ?conflict_limit
+                      ~text ())
             | other ->
                 (* Forwarded verbatim: the daemon is the authority on the
                    operation set, and an unknown op comes back as an
@@ -1060,18 +792,6 @@ let client_cmd =
             "Request id stamped on the daemon's spans and log lines for \
              this request (default: daemon-generated).")
   in
-  let timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-query wall budget.")
-  in
-  let conflicts =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "conflicts" ] ~docv:"N" ~doc:"Per-query SAT conflict budget.")
-  in
   Cmd.v
     (Cmd.info "client"
        ~doc:
@@ -1082,8 +802,8 @@ let client_cmd =
          (Cmd.Exit.info 1 ~doc:"connection or request failed."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ socket_arg $ op $ file $ name_arg $ rid_arg $ timeout
-      $ conflicts)
+      const run $ socket_arg $ op $ file $ name_arg $ rid_arg $ timeout_arg
+      $ conflict_limit_arg)
 
 let explain_cmd =
   let module Client = Alive_service.Client in
@@ -1348,6 +1068,7 @@ let () =
             optimize_cmd;
             lint_cmd;
             perf_cmd;
+            Corpus.cmd;
             serve_cmd;
             client_cmd;
             explain_cmd;

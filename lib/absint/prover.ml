@@ -31,10 +31,6 @@
 
 module T = Alive_smt.Term
 
-let enabled_flag = Atomic.make true
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
 exception Contradiction
 exception Budget
 

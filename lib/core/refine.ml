@@ -229,10 +229,9 @@ let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
            formula the solver would see. Sound for proving only; anything
            unproved falls through to the cache and the solver. *)
         let static_proved =
-          Alive_absint.Prover.enabled ()
-          && (match Alive_absint.Prover.prove_valid ~exists formula with
-             | r -> r
-             | exception _ -> false)
+          match Alive_absint.Prover.prove_valid ~exists formula with
+          | r -> r
+          | exception _ -> false
         in
         let tl = stats.telemetry in
         if static_proved then begin
@@ -447,12 +446,11 @@ let probe_queries ?widths ?max_typings ?share_memory_reads ?precise_pre
                          Alive_smt.Vc_cache.canon ~exists formula
                        in
                        let static =
-                         Alive_absint.Prover.enabled ()
-                         && (match
-                               Alive_absint.Prover.prove_valid ~exists formula
-                             with
-                            | r -> r
-                            | exception _ -> false)
+                         match
+                           Alive_absint.Prover.prove_valid ~exists formula
+                         with
+                         | r -> r
+                         | exception _ -> false
                        in
                        {
                          probe_at = name;

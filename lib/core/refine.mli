@@ -155,7 +155,7 @@ val query_digests :
     query this transform would solve, one inner list per feasible typing in
     scan order — without invoking the solver. These are exactly the keys
     {!run} files verdicts under in the persistent store, which is what makes
-    incremental re-verification ([corpus_check --changed-since]) sound: an
+    incremental re-verification ([alive corpus verify --changed-since]) sound: an
     entry whose digests all have stored verdicts needs no solving. [Error]
     on a type error or an unsupported construct (such entries are always
     re-verified). *)
@@ -221,7 +221,7 @@ val static_check :
   (static_summary * static_recheck, string) Stdlib.result
 (** {!static_report}, and every query tier 0 proves re-solved by the SAT
     solver under {!static_recheck_conflicts} conflicts, past the verdict
-    cache. This is how [corpus_check --static-report] checks that tier 0
+    cache. This is how [alive corpus static-report] checks that tier 0
     never contradicts the solver. *)
 
 val check_with_vc :

@@ -128,83 +128,30 @@ let shadowing (rules : exec_rule list) =
   done;
   !out
 
-(* Tarjan SCC over the "target of A feeds source of B" graph. A cycle means
-   Opt.Pass would rewrite in circles until its budget guard trips. *)
+(* The cyclic SCCs of the "target of A feeds source of B" graph. A cycle
+   means Opt.Pass would rewrite in circles until its budget guard trips. *)
 let rewrite_cycles (rules : exec_rule list) =
   let arr = Array.of_list rules in
-  let n = Array.length arr in
-  let edges =
-    Array.init n (fun i ->
-        List.filter
-          (fun j -> Matcher.target_feeds arr.(i).rule arr.(j).rule)
-          (List.init n Fun.id))
-  in
-  let index = Array.make n (-1)
-  and low = Array.make n 0
-  and on_stack = Array.make n false in
-  let stack = ref [] and counter = ref 0 and sccs = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      edges.(v);
-    if low.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      sccs := pop [] :: !sccs
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
-  let cyclic scc =
-    match scc with
-    | [ v ] -> List.mem v edges.(v) (* self-loop *)
-    | _ :: _ :: _ -> true
-    | [] -> false
-  in
-  List.filter_map
-    (fun scc ->
-      if not (cyclic scc) then None
-      else
-        let members = List.sort Int.compare scc in
-        let names =
-          List.map (fun v -> arr.(v).entry.Entry.name) members
-        in
-        let v0 = List.hd members in
-        let e = arr.(v0).entry in
-        Some
-          {
-            diag =
-              D.make ~rule:"rewrite-cycle.scc" ~severity:D.Warning
-                ~where:
-                  (D.span ~file:e.Entry.file
-                     arr.(v0).t.Alive.Ast.locs.Alive.Ast.header_line)
-                ~hint:
-                  "mark one direction anti-canonical, or the fixpoint pass \
-                   only stops on its rewrite budget (preconditions are \
-                   ignored by this check)"
-                (Printf.sprintf "rewrite cycle among: %s"
-                   (String.concat " -> " (names @ [ List.hd names ])));
-            transform = e.Entry.name;
-            allowlisted = false;
-          })
-    (List.rev !sccs)
+  List.map
+    (fun members ->
+      let names = List.map (fun v -> arr.(v).entry.Entry.name) members in
+      let e = arr.(List.hd members).entry in
+      {
+        diag =
+          D.make ~rule:"rewrite-cycle.scc" ~severity:D.Warning
+            ~where:
+              (D.span ~file:e.Entry.file
+                 arr.(List.hd members).t.Alive.Ast.locs.Alive.Ast.header_line)
+            ~hint:
+              "mark one direction anti-canonical, or the fixpoint pass only \
+               stops on its rewrite budget (preconditions are ignored by this \
+               check)"
+            (Printf.sprintf "rewrite cycle among: %s"
+               (String.concat " -> " (names @ [ List.hd names ])));
+        transform = e.Entry.name;
+        allowlisted = false;
+      })
+    (Matcher.cyclic_sccs (Array.map (fun r -> r.rule) arr))
 
 (* ---- Drivers ---- *)
 

@@ -109,67 +109,6 @@ type t = {
       (* rule names in a cyclic SCC of the target-feeds rewrite graph *)
 }
 
-(* Tarjan over the A→B "target of A feeds source of B" edges — the same
-   graph the lint driver reports as rewrite-cycle.scc; the pass uses the
-   membership set as its cycle guard (lint depends on opt, so the SCC
-   computation lives here). *)
-let cyclic_rule_names (rules : Matcher.rule array) =
-  let n = Array.length rules in
-  let edges =
-    Array.init n (fun i ->
-        List.filter
-          (fun j -> Matcher.target_feeds rules.(i) rules.(j))
-          (List.init n Fun.id))
-  in
-  let index = Array.make n (-1)
-  and low = Array.make n 0
-  and on_stack = Array.make n false in
-  let stack = ref [] and counter = ref 0 and sccs = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      edges.(v);
-    if low.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      sccs := pop [] :: !sccs
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
-  let members = Hashtbl.create 16 in
-  List.iter
-    (fun scc ->
-      let cyclic =
-        match scc with
-        | [ v ] -> List.mem v edges.(v)
-        | _ :: _ :: _ -> true
-        | [] -> false
-      in
-      if cyclic then
-        List.iter
-          (fun v -> Hashtbl.replace members rules.(v).Matcher.rule_name ())
-          scc)
-    !sccs;
-  members
-
 let build rule_list =
   let rules = Array.of_list rule_list in
   let root = new_node () in
@@ -201,7 +140,13 @@ let build rule_list =
     residual = List.rev !residual;
     max_depth = !max_depth;
     nodes = !nodes;
-    cyclic = cyclic_rule_names rules;
+    cyclic =
+      (let members = Hashtbl.create 16 in
+       List.iter
+         (List.iter (fun v ->
+              Hashtbl.replace members rules.(v).Matcher.rule_name ()))
+         (Matcher.cyclic_sccs rules);
+       members);
   }
 
 let rule_list t = t.rule_list

@@ -205,6 +205,55 @@ let source_covers a b =
 let target_feeds a b =
   match_templates ~pat:b.transform.src ~subj:a.transform.tgt
 
+(* Tarjan over the A→B "target of A feeds source of B" edges. *)
+let cyclic_sccs (rules : rule array) =
+  let n = Array.length rules in
+  let edges =
+    Array.init n (fun i ->
+        List.filter
+          (fun j -> target_feeds rules.(i) rules.(j))
+          (List.init n Fun.id))
+  in
+  let index = Array.make n (-1)
+  and low = Array.make n 0
+  and on_stack = Array.make n false in
+  let stack = ref [] and counter = ref 0 and sccs = ref [] in
+  let rec strongconnect v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
+    incr counter;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          strongconnect w;
+          low.(v) <- min low.(v) low.(w)
+        end
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+      edges.(v);
+    if low.(v) = index.(v) then begin
+      let rec pop acc =
+        match !stack with
+        | w :: rest ->
+            stack := rest;
+            on_stack.(w) <- false;
+            if w = v then w :: acc else pop (w :: acc)
+        | [] -> acc
+      in
+      sccs := pop [] :: !sccs
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strongconnect v
+  done;
+  List.rev !sccs
+  |> List.filter (function
+       | [ v ] -> List.mem v edges.(v) (* self-loop *)
+       | _ :: _ :: _ -> true
+       | [] -> false)
+  |> List.map (List.sort Int.compare)
+
 (* --- Matching --- *)
 
 type mstate = {

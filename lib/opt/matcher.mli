@@ -46,6 +46,13 @@ val target_feeds : rule -> rule -> bool
     template emits — an A→B edge of the rewrite graph whose cycles make
     the fixpoint pass loop. *)
 
+val cyclic_sccs : rule array -> int list list
+(** The strongly connected components of the {!target_feeds} graph over
+    the rules that hold a cycle (two or more members, or one with a
+    self-loop), as ascending index lists, in the order Tarjan's algorithm
+    completes them. The pass caps these rules' firings; lint reports
+    each component. *)
+
 (** {1 Rewriting} *)
 
 type replacement =

@@ -1,7 +1,7 @@
 (* Thin synchronous client for the `alive serve` daemon. One connection,
    one in-flight request at a time (the protocol answers in order, so a
-   caller wanting pipelining opens more connections — corpus_check --via
-   opens one per worker thread). *)
+   caller wanting pipelining opens more connections — alive corpus verify
+   --via opens one per worker thread). *)
 
 module Json = Alive_trace.Json
 

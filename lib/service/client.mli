@@ -2,7 +2,7 @@
 
     One connection carries one request at a time; responses arrive in
     request order. Callers that want parallelism (e.g.
-    [corpus_check --via]) open one connection per worker thread. Not
+    [alive corpus verify --via]) open one connection per worker thread. Not
     thread-safe per handle. *)
 
 module Json = Alive_trace.Json

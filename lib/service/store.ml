@@ -4,7 +4,7 @@
    open. Keys are the canonical content digests of refinement queries
    (Vc_cache.digest) — stable across processes, machines, and hash-consing
    insertion order — so a verdict solved by one run answers the same query
-   in every later run, which is what makes `corpus_check --changed-since`
+   in every later run, which is what makes `alive corpus verify --changed-since`
    and the `alive serve` daemon incremental.
 
    Durability model:

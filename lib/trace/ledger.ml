@@ -15,7 +15,7 @@ type record = {
   schema : int;
   timestamp : string;  (* ISO-8601 UTC *)
   git_rev : string;
-  label : string;  (* e.g. "corpus_check", "optimize" *)
+  label : string;  (* e.g. "corpus_check" (alive corpus verify), "optimize" *)
   jobs : int;
   tasks : int;
   budget : budget;  (* 0 = none *)

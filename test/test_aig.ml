@@ -250,17 +250,15 @@ let dump_tests =
         (try Unix.mkdir dir 0o755
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         Solve.set_dump_aig_dir (Some dir);
-        (* Disable the static tier so the solver actually runs. *)
-        Alive_absint.Prover.set_enabled false;
+        (* An invalid transform: the static tier cannot prove it, so the
+           solver runs. *)
         Fun.protect
-          ~finally:(fun () ->
-            Alive_absint.Prover.set_enabled true;
-            Solve.set_dump_aig_dir None)
+          ~finally:(fun () -> Solve.set_dump_aig_dir None)
           (fun () ->
             ignore
               (with_aig true (fun () ->
                    Refine.check
-                     (parse "%r = add %x, %x\n=>\n%r = shl %x, 1\n"))));
+                     (parse "%r = udiv %a, %b\n=>\n%r = lshr %a, 1\n"))));
         let dumped =
           Sys.readdir dir |> Array.to_list
           |> List.filter (fun f -> Filename.check_suffix f ".aag")

@@ -165,5 +165,25 @@ let equivalence_property =
                (List.init 12 Fun.id))
            funcs))
 
+let cyclic_names_test =
+  Alcotest.test_case "cyclic rule names are pinned" `Quick (fun () ->
+      let t = Lazy.force tree in
+      Alcotest.(check (list string))
+        "rules in a cyclic SCC of the rewrite graph"
+        [
+          "AndOrXor:sext-and-is-select";
+          "AndOrXor:sext-or-is-select";
+          "MulDivRem:srem-neg-const";
+          "Select:and-arms";
+          "Select:or-arms";
+        ]
+        (List.filter_map
+           (fun (r : Matcher.rule) ->
+             if Compiled.in_cycle t r.rule_name then Some r.rule_name else None)
+           valid_rules);
+      check_int "cyclic_count" 5 (Compiled.cyclic_count t))
+
 let suite =
-  ("compiled", structure_tests @ property_tests @ [ equivalence_property ])
+  ( "compiled",
+    structure_tests @ property_tests @ [ equivalence_property; cyclic_names_test ]
+  )

@@ -139,17 +139,15 @@ let dump_tests =
         (try Unix.mkdir dir 0o755
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         Solve.set_dump_dir (Some dir);
-        (* The tier-0 static prover discharges this transform without any SAT
-           query; disable it so the solver actually runs and dumps CNF. *)
-        Alive_absint.Prover.set_enabled false;
+        (* An invalid transform: the tier-0 static prover cannot prove it,
+           so the solver runs and dumps CNF. *)
         Fun.protect
-          ~finally:(fun () ->
-            Alive_absint.Prover.set_enabled true;
-            Solve.set_dump_dir None)
+          ~finally:(fun () -> Solve.set_dump_dir None)
           (fun () ->
             ignore
               (with_cache false (fun () ->
-                   Refine.check (parse "%r = add %x, %x\n=>\n%r = shl %x, 1\n"))));
+                   Refine.check
+                     (parse "%r = udiv %a, %b\n=>\n%r = lshr %a, 1\n"))));
         let dumped =
           Sys.readdir dir |> Array.to_list
           |> List.filter (fun f -> Filename.check_suffix f ".cnf")

@@ -404,6 +404,36 @@ let golden_tests =
           (Alive_engine.Json.to_string (Lint.to_json report)));
   ]
 
+(* ---- Rewrite cycles: the corpus's cyclic SCCs, pinned ---- *)
+
+let cycle_tests =
+  [
+    Alcotest.test_case "corpus rewrite cycles are pinned" `Quick (fun () ->
+        let report = Lint.lint_corpus ~jobs:1 Alive_suite.Registry.all in
+        let cycles =
+          List.filter_map
+            (fun (f : Lint.finding) ->
+              if f.diag.D.rule = "rewrite-cycle.scc" then
+                Some (f.transform ^ ": " ^ f.diag.D.message)
+              else None)
+            report.findings
+        in
+        Alcotest.(check (list string))
+          "rewrite-cycle.scc findings"
+          [
+            "AndOrXor:sext-and-is-select: rewrite cycle among: \
+             AndOrXor:sext-and-is-select -> Select:and-arms -> \
+             AndOrXor:sext-and-is-select";
+            "AndOrXor:sext-or-is-select: rewrite cycle among: \
+             AndOrXor:sext-or-is-select -> Select:or-arms -> \
+             AndOrXor:sext-or-is-select";
+            "MulDivRem:srem-neg-const: rewrite cycle among: \
+             MulDivRem:srem-neg-const -> MulDivRem:srem-neg-const";
+          ]
+          cycles);
+  ]
+
 let suite =
   ( "lint",
-    differential_tests @ rule_tests @ misc_tests @ golden_tests )
+    differential_tests @ rule_tests @ misc_tests @ golden_tests @ cycle_tests
+  )

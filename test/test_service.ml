@@ -896,7 +896,8 @@ let telemetry_tests =
 (* --- Ledger records of daemon runs ---
 
    A run through the daemon records the daemon's registry change between a
-   scrape before it and one after, as [corpus_check --via --ledger] does. *)
+   scrape before it and one after, as [alive corpus verify --via --ledger]
+   does. *)
 
 module Metrics = Alive_trace.Metrics
 module Ledger = Alive_trace.Ledger
