@@ -93,31 +93,14 @@ let of_task (r : Engine.task_result) =
   { verdict = Engine.verdict_name r; detail; elapsed = r.elapsed }
 
 (* An entry whose refinement queries all have stored verdicts needs no
-   solving. The walk mirrors the verifier's scan order: within a typing, a
-   stored Invalid settles the entry (the original run stopped there, so
-   later digests were never stored); a missing digest means the entry's
-   VCs changed (or were never fully decided) and it must be re-verified. *)
+   solving: its stored outcome is replayed. *)
 let stored_verdict store widths (e : Entry.t) =
   match Alive.Refine.query_digests ?widths (Entry.parse e) with
-  | exception _ | Error _ -> None
-  | Ok typings ->
-      let rec scan_typings = function
-        | [] -> Some "valid"
-        | digests :: rest -> (
-            let rec scan = function
-              | [] -> `Typing_valid
-              | d :: more -> (
-                  match Store.lookup_verdict store d with
-                  | None -> `Missing
-                  | Some `Valid -> scan more
-                  | Some (`Invalid _) -> `Typing_invalid)
-            in
-            match scan digests with
-            | `Missing -> None
-            | `Typing_invalid -> Some "invalid"
-            | `Typing_valid -> scan_typings rest)
-      in
-      scan_typings typings
+  | exception _ -> None
+  | digests ->
+      Option.map
+        (function `Valid -> "valid" | `Invalid -> "invalid")
+        (Store.replay store digests)
 
 (* --via: one daemon connection per worker thread, entries pulled from a
    shared index; the daemon does all the solving (on its own domain pool,
@@ -252,15 +235,19 @@ let via_report ~socket ~skipped tally results wall counters =
       );
     ]
 
-(* The daemon's registry, scraped over its socket; [None] when it cannot be
-   reached. *)
-let scrape socket =
+(* One request to the daemon on a fresh connection; [None] when it cannot
+   be reached or the request fails. *)
+let ask socket request =
   match Client.connect socket with
   | Error _ -> None
   | Ok c ->
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      Result.to_option
-        (Result.map Alive_trace.Metrics.snapshot_of_json (Client.metrics c))
+      Result.to_option (request c)
+
+(* The daemon's registry, scraped over its socket. *)
+let scrape socket =
+  ask socket (fun c ->
+      Result.map Alive_trace.Metrics.snapshot_of_json (Client.metrics c))
 
 (* The non-zero counters of a registry change, as [name=value] pairs. *)
 let render_counters counters =
@@ -427,15 +414,32 @@ let verify category jobs timeout conflict_limit widths quiet stats json trace
             metrics_json;
           Option.iter
             (fun s ->
-              if via = None then Store.remove_backing ();
               let st = Store.stats s in
-              if via = None && (st.appended > 0 || st.segments > 1) then
-                Store.compact s;
-              if not quiet then
+              if via = None then begin
+                Store.remove_backing ();
+                if st.appended > 0 || st.segments > 1 then Store.compact s
+              end;
+              let print =
                 Printf.printf
                   "store: %d live verdict(s) in %d segment(s), %d appended \
-                   this run\n"
-                  st.live st.segments st.appended;
+                   %s\n"
+              in
+              (if not quiet then
+                 match via with
+                 | None -> print st.live st.segments st.appended "this run"
+                 | Some socket ->
+                     (* The daemon owns the store this run wrote to; the
+                        handle here is a read-only copy replayed before
+                        it. *)
+                     Option.iter
+                       (fun j ->
+                         let n k =
+                           Option.value ~default:0
+                             (Option.bind (Json.member k j) Json.to_int)
+                         in
+                         print (n "live") (n "segments") (n "appended")
+                           "since the daemon started")
+                       (ask socket Client.store_stats));
               Store.close s)
             store;
           if tally.mismatches > 0 then 1

@@ -81,13 +81,13 @@ let subsets_by_size ~prefer items =
       if c <> 0 then c else Int.compare (score b) (score a))
     (all items)
 
-let infer ?widths ?max_typings t =
+let infer ?widths t =
   let positions = candidate_positions t in
   let original = present_positions t in
   let src_positions = List.filter (fun p -> p.side = `Src) positions in
   let tgt_positions = List.filter (fun p -> p.side = `Tgt) positions in
   let valid ps =
-    Refine.is_valid_verdict (Refine.check ?widths ?max_typings (apply t ps))
+    Refine.is_valid_verdict (Refine.check ?widths (apply t ps))
   in
   let original_src = List.filter (fun p -> p.side = `Src) original in
   let original_tgt = List.filter (fun p -> p.side = `Tgt) original in

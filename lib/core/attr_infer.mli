@@ -45,8 +45,7 @@ val apply : Ast.transform -> position list -> Ast.transform
 (** The transformation with exactly the given attribute assignment (all
     candidate positions not listed are cleared). *)
 
-val infer :
-  ?widths:int list -> ?max_typings:int -> Ast.transform -> outcome option
+val infer : ?widths:int list -> Ast.transform -> outcome option
 (** [None] when the transformation is not valid even with the strongest
     source attributes and no target attributes (i.e. unfixable by attributes
     alone), or when it is unsupported. *)

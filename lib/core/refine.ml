@@ -34,6 +34,13 @@ let verdict_class = function
   | Invalid _ | Type_error _ -> `Invalid
   | Unknown _ | Unsupported_feature _ -> `Unknown
 
+let verdict_name = function
+  | Valid _ -> "valid"
+  | Invalid _ -> "invalid"
+  | Unknown u -> "unknown:" ^ Solve.reason_slug u.reason
+  | Type_error _ -> "type-error"
+  | Unsupported_feature _ -> "unsupported"
+
 (* --- Per-check statistics --- *)
 
 type unknown_breakdown = {
@@ -178,64 +185,85 @@ let typing_queries (vc : Vcgen.vc) =
             T.implies psi4 (T.eq src_byte tgt_byte) );
         ]
 
+(* --- The walk ---
+
+   Every reader of a transform's refinement queries takes the same steps,
+   each written once here: the feasible typings in scan order (a type
+   error or an empty width domain is [Type_error], decided in
+   [feasible_typings] and nowhere else), each typing's VC ([typing_vc]: an
+   unsupported construct ends the walk), its queries in [typing_queries]
+   order, and tier 0 on each ([static_proved]). [check_typing] and [scan]
+   are the walk with a solver, which stops at the first counterexample;
+   [map_queries] is the walk without one. *)
+
+let feasible_typings ?widths (t : Ast.transform) =
+  match Typing.enumerate ?widths t with
+  | Ok [] ->
+      Error
+        { Typing.message = "no feasible typing in the width domain";
+          transform = t.name }
+  | r -> r
+
+let typing_vc ?share_memory_reads ?precise_pre (t : Ast.transform) typing =
+  match Vcgen.run ?share_memory_reads ?precise_pre typing t with
+  | vc -> Ok vc
+  | exception Vcgen.Unsupported msg -> Error msg
+
+(* Tier 0: abstract interpretation plus algebraic normalization on the
+   exact encoded term, so a static proof is a verdict on the same formula
+   the solver would see. Sound for proving only; a crash in the prover is
+   just "not proved". *)
+let static_proved ~exists formula =
+  match Alive_absint.Prover.prove_valid ~exists formula with
+  | r -> r
+  | exception _ -> false
+
+(* The tier ladder, in the order a query climbs it. *)
+type tier = Static | Cache | Store | Smt
+
+let tier_name = function
+  | Static -> "static"
+  | Cache -> "cache"
+  | Store -> "store"
+  | Smt -> "smt"
+
+let hit_tier = function
+  | Alive_smt.Vc_cache.Memory -> Cache
+  | Alive_smt.Vc_cache.Backing -> Store
+
 type typing_outcome =
   | Typing_ok
   | Typing_cex of Counterexample.t * Vcgen.vc
   | Typing_unknown of { at : string; reason : Solve.reason }
   | Typing_unsupported of string
 
-let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
-    ?precise_pre (t : Ast.transform) typing =
+let check_typing ?budget ?share_memory_reads ?precise_pre (t : Ast.transform)
+    typing =
   let module Trace = Alive_trace.Trace in
   Trace.with_span ~meta:[ ("transform", Trace.Str t.name) ] "check_typing"
   @@ fun () ->
   let vcgen_t0 = Alive_trace.Clock.now () in
-  let vc_result =
-    match Vcgen.run ?share_memory_reads ?precise_pre typing t with
-    | vc -> Ok vc
-    | exception Vcgen.Unsupported msg -> Error msg
-  in
+  let vc_result = typing_vc ?share_memory_reads ?precise_pre t typing in
   let stats =
-    { stats with vcgen_s = stats.vcgen_s +. (Alive_trace.Clock.now () -. vcgen_t0) }
+    { (empty_stats ()) with vcgen_s = Alive_trace.Clock.now () -. vcgen_t0 }
   in
   match vc_result with
   | Error msg -> (Typing_unsupported msg, stats)
   | Ok vc ->
       let exists = vc.src.undefs in
-      let queries = ref 0 and unknowns = ref 0 in
-      let reasons =
-        ref { by_timeout = 0; by_conflicts = 0; by_cegar = 0 }
-      in
-      let failure = ref None in
-      let gave_up = ref None in
+      let tl = stats.telemetry in
       let solve_uncached formula =
-        Solve.check_valid_ef ?budget ~telemetry:stats.telemetry ~exists
-          formula
+        Solve.check_valid_ef ?budget ~telemetry:tl ~exists formula
       in
-      (* A counterexample ends the typing; a budget exhaustion is recorded
-         and the remaining criteria still run — a later query may produce a
-         definite counterexample, which outranks Unknown. *)
       let solve_query formula =
-        let module Trace = Alive_trace.Trace in
         let sp = Trace.begin_span "solve_query" in
-        let tier = ref "smt" in
+        let tier = ref Smt in
         Fun.protect ~finally:(fun () ->
-            Trace.add_meta sp [ ("tier", Trace.Str !tier) ];
+            Trace.add_meta sp [ ("tier", Trace.Str (tier_name !tier)) ];
             Trace.end_span sp)
         @@ fun () ->
-        (* Tier 0: try to discharge the query statically — abstract
-           interpretation plus algebraic normalization on the exact
-           encoded term, so a static `Valid is a verdict on the same
-           formula the solver would see. Sound for proving only; anything
-           unproved falls through to the cache and the solver. *)
-        let static_proved =
-          match Alive_absint.Prover.prove_valid ~exists formula with
-          | r -> r
-          | exception _ -> false
-        in
-        let tl = stats.telemetry in
-        if static_proved then begin
-          tier := "static";
+        if static_proved ~exists formula then begin
+          tier := Static;
           tl.static_proved <- tl.static_proved + 1;
           (* Publish to the cache/store so replay paths (and other
              processes sharing the backing) see the same verdict with
@@ -264,12 +292,8 @@ let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
         else begin
           let keyed = Alive_smt.Vc_cache.canon ~exists formula in
           match Alive_smt.Vc_cache.find ~telemetry:tl keyed with
-          | Some (r, Alive_smt.Vc_cache.Memory) ->
-              tier := "cache";
-              (r :> [ `Valid | `Invalid of Alive_smt.Model.t
-                    | `Unknown of Solve.reason ])
-          | Some (r, Alive_smt.Vc_cache.Backing) ->
-              tier := "store";
+          | Some (r, source) ->
+              tier := hit_tier source;
               (r :> [ `Valid | `Invalid of Alive_smt.Model.t
                     | `Unknown of Solve.reason ])
           | None ->
@@ -285,50 +309,35 @@ let check_typing ?budget ?(stats = empty_stats ()) ?share_memory_reads
               r
         end
       in
-      let run_check (name, kind, formula) =
-        if !failure = None then begin
-          incr queries;
-          match solve_query formula with
-          | `Valid -> ()
-          | `Unknown reason ->
-              incr unknowns;
-              reasons := count_unknown !reasons reason;
-              if !gave_up = None then gave_up := Some (name, reason)
-          | `Invalid model ->
-              failure :=
-                Some
+      (* A counterexample ends the typing; a budget exhaustion is recorded
+         and the remaining criteria still run — a later query may produce a
+         definite counterexample, which outranks Unknown. *)
+      let rec go stats gave_up = function
+        | [] ->
+            ( (match gave_up with
+              | Some (at, reason) -> Typing_unknown { at; reason }
+              | None -> Typing_ok),
+              stats )
+        | (at, kind, formula) :: rest -> (
+            let stats = { stats with queries = stats.queries + 1 } in
+            match solve_query formula with
+            | `Valid -> go stats gave_up rest
+            | `Unknown reason ->
+                go
                   {
-                    Counterexample.transform_name = t.name;
-                    kind;
-                    at = name;
-                    typing;
-                    model;
+                    stats with
+                    unknowns = stats.unknowns + 1;
+                    unknown_reasons = count_unknown stats.unknown_reasons reason;
                   }
-        end
+                  (if gave_up = None then Some (at, reason) else gave_up)
+                  rest
+            | `Invalid model ->
+                let cex =
+                  { Counterexample.transform_name = t.name; kind; at; typing; model }
+                in
+                (Typing_cex (cex, vc), stats))
       in
-      List.iter run_check (typing_queries vc);
-      let stats =
-        {
-          stats with
-          typings_done = stats.typings_done + 1;
-          queries = stats.queries + !queries;
-          unknowns = stats.unknowns + !unknowns;
-          unknown_reasons =
-            {
-              by_timeout = stats.unknown_reasons.by_timeout + !reasons.by_timeout;
-              by_conflicts =
-                stats.unknown_reasons.by_conflicts + !reasons.by_conflicts;
-              by_cegar = stats.unknown_reasons.by_cegar + !reasons.by_cegar;
-            };
-        }
-      in
-      let outcome =
-        match (!failure, !gave_up) with
-        | Some cex, _ -> Typing_cex (cex, vc)
-        | None, Some (at, reason) -> Typing_unknown { at; reason }
-        | None, None -> Typing_ok
-      in
-      (outcome, stats)
+      go { stats with typings_done = 1 } None (typing_queries vc)
 
 type result = {
   verdict : verdict;
@@ -336,90 +345,101 @@ type result = {
   cex_vc : (Typing.env * Vcgen.vc) option;
 }
 
-let run ?widths ?max_typings ?share_memory_reads ?precise_pre ?budget
-    (t : Ast.transform) =
+let stops_scan = function
+  | Typing_cex _ | Typing_unsupported _ -> true
+  | Typing_ok | Typing_unknown _ -> false
+
+(* The scan's verdict rule: the lowest-index counterexample or unsupported
+   construct wins, else the first Unknown, else Valid. *)
+let scan_verdict (t : Ast.transform) typings_checked outcomes =
+  let rec go unknown = function
+    | [] ->
+        ( (match unknown with
+          | Some u -> Unknown u
+          | None -> Valid { typings_checked }),
+          None )
+    | Typing_cex (cex, vc) :: _ -> (Invalid cex, Some (cex.typing, vc))
+    | Typing_unsupported msg :: _ -> (Unsupported_feature msg, None)
+    | Typing_unknown { at; reason } :: rest when unknown = None ->
+        go (Some { unknown_transform = t.name; at; reason }) rest
+    | (Typing_ok | Typing_unknown _) :: rest -> go unknown rest
+  in
+  go None outcomes
+
+let scan ~widths (t : Ast.transform) check =
   let t0 = Unix.gettimeofday () in
   let typing_t0 = Alive_trace.Clock.now () in
-  let typings = Typing.enumerate ?widths ?max_typings t in
+  let typings = feasible_typings ?widths t in
   let typing_s = Alive_trace.Clock.now () -. typing_t0 in
-  let finish verdict stats cex_vc =
-    publish stats;
-    {
-      verdict;
-      stats =
-        {
-          stats with
-          elapsed = Unix.gettimeofday () -. t0;
-          typing_s = stats.typing_s +. typing_s;
-        };
-      cex_vc;
-    }
+  let (verdict, cex_vc), stats =
+    match typings with
+    | Error e -> ((Type_error e, None), empty_stats ())
+    | Ok typings ->
+        let outcomes = check typings in
+        let stats =
+          List.fold_left
+            (fun acc (_, s) -> merge_stats acc s)
+            (empty_stats ()) outcomes
+        in
+        (scan_verdict t stats.typings_done (List.map fst outcomes), stats)
   in
-  match typings with
-  | Error e -> finish (Type_error e) (empty_stats ()) None
-  | Ok [] ->
-      finish
-        (Type_error
-           { message = "no feasible typing in the width domain";
-             transform = t.name })
-        (empty_stats ()) None
-  | Ok typings ->
-      let rec go stats first_unknown = function
-        | [] -> (
-            match first_unknown with
-            | Some u -> finish (Unknown u) stats None
-            | None ->
-                finish (Valid { typings_checked = stats.typings_done }) stats
-                  None)
-        | typing :: rest -> (
-            match
-              check_typing ?budget ~stats ?share_memory_reads ?precise_pre t
-                typing
-            with
-            | Typing_ok, stats -> go stats first_unknown rest
-            | Typing_cex (cex, vc), stats ->
-                finish (Invalid cex) stats (Some (typing, vc))
-            | Typing_unknown { at; reason }, stats ->
-                let u =
-                  match first_unknown with
-                  | Some u -> u
-                  | None -> { unknown_transform = t.name; at; reason }
-                in
-                go stats (Some u) rest
-            | Typing_unsupported msg, stats ->
-                finish (Unsupported_feature msg) stats None)
-      in
-      go (empty_stats ()) None typings
+  publish stats;
+  {
+    verdict;
+    stats =
+      {
+        stats with
+        elapsed = Unix.gettimeofday () -. t0;
+        typing_s = stats.typing_s +. typing_s;
+      };
+    cex_vc;
+  }
 
-let query_digests ?widths ?max_typings ?share_memory_reads ?precise_pre
-    (t : Ast.transform) =
-  let exception Unsupported_here of string in
-  match Typing.enumerate ?widths ?max_typings t with
+(* One typing after another, stopping after the first that decides the
+   scan, so no later VC is generated. *)
+let sequential ?budget ?share_memory_reads ?precise_pre t typings =
+  let rec go = function
+    | [] -> []
+    | typing :: rest ->
+        let ((outcome, _) as checked) =
+          check_typing ?budget ?share_memory_reads ?precise_pre t typing
+        in
+        checked :: (if stops_scan outcome then [] else go rest)
+  in
+  go typings
+
+let run ?widths ?precise_pre ?budget t =
+  scan ~widths t (sequential ?budget ?precise_pre t)
+
+let check ?widths ?share_memory_reads ?budget t =
+  (scan ~widths t (sequential ?budget ?share_memory_reads t)).verdict
+
+(* The walk without a solver: [f] sees each query of each feasible typing
+   in scan order, with the typing and the query's existential variables. *)
+let map_queries ?widths (t : Ast.transform) f =
+  match feasible_typings ?widths t with
   | Error e -> Error (Format.asprintf "%a" Typing.pp_error e)
-  | Ok typings -> (
-      try
-        Ok
-          (List.map
-             (fun typing ->
-               match Vcgen.run ?share_memory_reads ?precise_pre typing t with
-               | vc ->
-                   let exists = vc.src.undefs in
-                   List.map
-                     (fun (_, _, formula) ->
-                       Alive_smt.Vc_cache.digest
-                         (Alive_smt.Vc_cache.canon ~exists formula))
-                     (typing_queries vc)
-               | exception Vcgen.Unsupported msg ->
-                   raise (Unsupported_here msg))
-             typings)
-      with Unsupported_here msg -> Error msg)
+  | Ok typings ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | typing :: rest -> (
+            match typing_vc t typing with
+            | Error msg -> Error msg
+            | Ok vc ->
+                let exists = vc.src.undefs in
+                go (List.map (f typing ~exists) (typing_queries vc) :: acc) rest)
+      in
+      go [] typings
+
+let query_digests ?widths t =
+  map_queries ?widths t (fun _ ~exists (_, _, formula) ->
+      Alive_smt.Vc_cache.digest (Alive_smt.Vc_cache.canon ~exists formula))
 
 type query_probe = {
   probe_at : string;
   probe_kind : string;
   probe_digest : string;
-  probe_static : bool;
-  probe_cached : bool;
+  probe_tier : tier;
 }
 
 let kind_slug = function
@@ -427,43 +447,21 @@ let kind_slug = function
   | Counterexample.More_poison -> "poison"
   | Counterexample.Value_mismatch -> "value"
 
-let probe_queries ?widths ?max_typings ?share_memory_reads ?precise_pre
-    (t : Ast.transform) =
-  let exception Unsupported_here of string in
-  match Typing.enumerate ?widths ?max_typings t with
-  | Error e -> Error (Format.asprintf "%a" Typing.pp_error e)
-  | Ok typings -> (
-      try
-        Ok
-          (List.map
-             (fun typing ->
-               match Vcgen.run ?share_memory_reads ?precise_pre typing t with
-               | vc ->
-                   let exists = vc.src.undefs in
-                   List.map
-                     (fun (name, kind, formula) ->
-                       let keyed =
-                         Alive_smt.Vc_cache.canon ~exists formula
-                       in
-                       let static =
-                         match
-                           Alive_absint.Prover.prove_valid ~exists formula
-                         with
-                         | r -> r
-                         | exception _ -> false
-                       in
-                       {
-                         probe_at = name;
-                         probe_kind = kind_slug kind;
-                         probe_digest = Alive_smt.Vc_cache.digest keyed;
-                         probe_static = static;
-                         probe_cached = Alive_smt.Vc_cache.mem_local keyed;
-                       })
-                     (typing_queries vc)
-               | exception Vcgen.Unsupported msg ->
-                   raise (Unsupported_here msg))
-             typings)
-      with Unsupported_here msg -> Error msg)
+let probe_queries ?widths t =
+  map_queries ?widths t (fun _ ~exists (at, kind, formula) ->
+      let keyed = Alive_smt.Vc_cache.canon ~exists formula in
+      let tier =
+        if static_proved ~exists formula then Static
+        else if not (Alive_smt.Vc_cache.enabled ()) then Smt
+        else
+          Option.fold ~none:Smt ~some:hit_tier (Alive_smt.Vc_cache.probe keyed)
+      in
+      {
+        probe_at = at;
+        probe_kind = kind_slug kind;
+        probe_digest = Alive_smt.Vc_cache.digest keyed;
+        probe_tier = tier;
+      })
 
 type static_summary = {
   static_typings : int;
@@ -474,53 +472,23 @@ type static_summary = {
 
 (* Run tier 0 over every query of every feasible typing, handing each
    statically proved query to [on_proved]. *)
-let static_walk ?widths ?max_typings ?share_memory_reads ~on_proved
-    (t : Ast.transform) =
-  let exception Unsupported_here of string in
-  match Typing.enumerate ?widths ?max_typings t with
-  | Error e -> Error (Format.asprintf "%a" Typing.pp_error e)
-  | Ok typings -> (
-      try
-        let typings_n = ref 0 and queries = ref 0 and discharged = ref 0 in
-        let complete = ref true in
-        List.iter
-          (fun typing ->
-            match Vcgen.run ?share_memory_reads typing t with
-            | vc ->
-                incr typings_n;
-                let exists = vc.src.undefs in
-                List.iter
-                  (fun (at, kind, formula) ->
-                    incr queries;
-                    let proved =
-                      match
-                        Alive_absint.Prover.prove_valid ~exists formula
-                      with
-                      | r -> r
-                      | exception _ -> false
-                    in
-                    if proved then begin
-                      incr discharged;
-                      on_proved typing at kind ~exists formula
-                    end
-                    else complete := false)
-                  (typing_queries vc)
-            | exception Vcgen.Unsupported msg ->
-                raise (Unsupported_here msg))
-          typings;
-        Ok
-          {
-            static_typings = !typings_n;
-            static_queries = !queries;
-            static_discharged = !discharged;
-            static_complete = (!complete && !queries > 0);
-          }
-      with Unsupported_here msg -> Error msg)
+let static_walk ?widths ~on_proved t =
+  map_queries ?widths t (fun typing ~exists (at, kind, formula) ->
+      let proved = static_proved ~exists formula in
+      if proved then on_proved typing at kind ~exists formula;
+      proved)
+  |> Result.map (fun typings ->
+         let proved = List.concat typings in
+         let discharged = List.length (List.filter Fun.id proved) in
+         {
+           static_typings = List.length typings;
+           static_queries = List.length proved;
+           static_discharged = discharged;
+           static_complete = proved <> [] && discharged = List.length proved;
+         })
 
-let static_report ?widths ?max_typings ?share_memory_reads t =
-  static_walk ?widths ?max_typings ?share_memory_reads
-    ~on_proved:(fun _ _ _ ~exists:_ _ -> ())
-    t
+let static_report ?widths t =
+  static_walk ?widths ~on_proved:(fun _ _ _ ~exists:_ _ -> ()) t
 
 type static_recheck = {
   recheck_confirmed : int;
@@ -530,7 +498,7 @@ type static_recheck = {
 
 let static_recheck_conflicts = 20_000
 
-let static_check ?widths ?max_typings ?share_memory_reads t =
+let static_check ?widths t =
   let budget = Solve.budget ~conflict_limit:static_recheck_conflicts () in
   let confirmed = ref 0 and unknown = ref 0 and refuted = ref [] in
   (* Straight to the solver, past the verdict cache, counting into a
@@ -548,7 +516,7 @@ let static_check ?widths ?max_typings ?share_memory_reads t =
             (kind_slug kind)
           :: !refuted
   in
-  static_walk ?widths ?max_typings ?share_memory_reads ~on_proved t
+  static_walk ?widths ~on_proved t
   |> Result.map (fun summary ->
          ( summary,
            {
@@ -557,13 +525,6 @@ let static_check ?widths ?max_typings ?share_memory_reads t =
              recheck_refuted = List.rev !refuted;
            } ))
 
-let check_with_vc ?widths ?max_typings ?share_memory_reads ?budget t =
-  let r = run ?widths ?max_typings ?share_memory_reads ?budget t in
-  (r.verdict, r.cex_vc)
-
-let check ?widths ?max_typings ?share_memory_reads ?budget t =
-  (run ?widths ?max_typings ?share_memory_reads ?budget t).verdict
-
 let render_verdict t verdict =
   match verdict with
   | Valid { typings_checked } ->
@@ -571,11 +532,9 @@ let render_verdict t verdict =
         typings_checked
   | Invalid cex -> (
       (* Re-derive the VC for rendering. *)
-      match
-        try Some (Vcgen.run cex.typing t) with Vcgen.Unsupported _ -> None
-      with
-      | Some vc -> Counterexample.render t vc cex
-      | None -> "ERROR: " ^ Counterexample.describe cex.kind)
+      match typing_vc t cex.typing with
+      | Ok vc -> Counterexample.render t vc cex
+      | Error _ -> "ERROR: " ^ Counterexample.describe cex.kind)
   | Unknown u ->
       Printf.sprintf
         "Optimization %s could not be decided within budget: %s at %s"

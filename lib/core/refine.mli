@@ -41,6 +41,12 @@ val verdict_class : verdict -> [ `Valid | `Invalid | `Unknown ]
     ([Invalid], [Type_error]) vs. undecided ([Unknown],
     [Unsupported_feature]). *)
 
+val verdict_name : verdict -> string
+(** The report name every surface prints: ["valid"], ["invalid"],
+    ["type-error"], ["unsupported"], or ["unknown:<reason>"] where the
+    reason slug says which budget ran out ([timeout], [conflicts], or
+    [cegar] — see {!Alive_smt.Solve.reason_slug}). *)
+
 (** {1 Statistics} *)
 
 type unknown_breakdown = {
@@ -50,8 +56,6 @@ type unknown_breakdown = {
 }
 (** Budget-exhausted queries split by {e why} the budget ran out: wall
     deadline, SAT conflict allowance, or the CEGAR iteration cap. *)
-
-val count_unknown : unknown_breakdown -> Alive_smt.Solve.reason -> unknown_breakdown
 
 type stats = {
   typings_done : int;
@@ -73,12 +77,18 @@ val pp_stats : Format.formatter -> stats -> unit
 (** [key=value] pairs: the check's own counts and times, then every solver
     counter under its report name. *)
 
-val publish : stats -> unit
-(** Add a finished check to the metrics registry: its solver counters
-    ({!Alive_smt.Solve.publish}) and its query count, as
-    ["refine.queries"]. {!run} publishes its result itself; a caller that
-    assembles a check from {!check_typing}s publishes the merged stats
-    once. *)
+(** {1 The tier ladder}
+
+    Each query is decided by the first tier that answers it: the tier-0
+    static prover, this domain's verdict cache, the persistent store
+    behind it, then the SMT solver. *)
+
+type tier = Static | Cache | Store | Smt
+(** In ladder order, so [compare] ranks them: a transform is only as cheap
+    as its slowest query. *)
+
+val tier_name : tier -> string
+(** ["static"], ["cache"], ["store"] or ["smt"]. *)
 
 (** {1 Typing-level interface}
 
@@ -93,14 +103,14 @@ type typing_outcome =
 
 val check_typing :
   ?budget:Alive_smt.Solve.budget ->
-  ?stats:stats ->
   ?share_memory_reads:bool ->
   ?precise_pre:bool ->
   Ast.transform ->
   Typing.env ->
   typing_outcome * stats
-(** Check one typing. Accumulates into [stats] when given (the returned
-    record shares its [telemetry]); never raises. *)
+(** Check one typing: its VC, then each query up the tier ladder in
+    {!typing_queries} order, solving none after a counterexample. Returns
+    the typing's own stats; never raises. *)
 
 (** {1 Whole-transform checking} *)
 
@@ -111,30 +121,44 @@ type result = {
       (** typing and VC of the counterexample, for rendering *)
 }
 
+val scan :
+  widths:int list option ->
+  Ast.transform ->
+  (Typing.env list -> (typing_outcome * stats) list) ->
+  result
+(** The whole-transform scan around a typing checker. Enumerates the
+    feasible typings — a type error, or no feasible typing in the width
+    domain, is [Type_error] — and hands them to the checker, which returns
+    one {!check_typing} result per typing it checked, in typing order; it
+    may stop after the first [Typing_cex] or [Typing_unsupported]. The
+    verdict rule: the lowest-index [Typing_cex] or [Typing_unsupported]
+    wins, else the first [Typing_unknown], else [Valid]. The merged stats
+    go to the metrics registry once: the solver counters
+    ({!Alive_smt.Solve.publish}) and the query count, as
+    ["refine.queries"]. {!run} checks the typings one by one;
+    [Engine.check_parallel] on a domain pool. *)
+
 val run :
   ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
   ?precise_pre:bool ->
   ?budget:Alive_smt.Solve.budget ->
   Ast.transform ->
   result
-(** Check every feasible typing sequentially, and {!publish} the result.
-    An [Invalid] stops the scan;
-    an [Unknown] is remembered but the remaining typings still run, since a
-    later definite counterexample outranks it. [precise_pre] selects the
-    two-sided reading of precondition predicate calls (see {!Vcgen.run});
-    precondition inference relies on it. *)
+(** {!scan} checking typings sequentially: an [Invalid] stops the scan, so
+    no later VC is generated; an [Unknown] is remembered but the remaining
+    typings still run, since a later definite counterexample outranks it.
+    [precise_pre] selects the two-sided reading of precondition predicate
+    calls (see {!Vcgen.run}); precondition inference relies on it. *)
 
 val check :
   ?widths:int list ->
-  ?max_typings:int ->
   ?share_memory_reads:bool ->
   ?budget:Alive_smt.Solve.budget ->
   Ast.transform ->
   verdict
-(** [share_memory_reads] selects the §3.3.3 memory encoding variant; see
-    {!Vcgen.run}. *)
+(** {!run}'s verdict. [share_memory_reads] selects the §3.3.3 memory
+    encoding variant (see {!Vcgen.run}); the memory-encoding ablation
+    compares the two. *)
 
 val typing_queries :
   Vcgen.vc -> (string * Counterexample.kind * Alive_smt.Term.t) list
@@ -145,43 +169,33 @@ val typing_queries :
     byte-for-byte, so it is factored here. *)
 
 val query_digests :
-  ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
-  ?precise_pre:bool ->
-  Ast.transform ->
-  (string list list, string) Stdlib.result
+  ?widths:int list -> Ast.transform -> (string list list, string) Stdlib.result
 (** The content digests ({!Alive_smt.Vc_cache.digest}) of every refinement
     query this transform would solve, one inner list per feasible typing in
     scan order — without invoking the solver. These are exactly the keys
     {!run} files verdicts under in the persistent store, which is what makes
     incremental re-verification ([alive corpus verify --changed-since]) sound: an
     entry whose digests all have stored verdicts needs no solving. [Error]
-    on a type error or an unsupported construct (such entries are always
-    re-verified). *)
+    where {!run} would say [Type_error] (no feasible typing included) or
+    [Unsupported_feature]; such entries are always re-verified. *)
 
 type query_probe = {
   probe_at : string;  (** instruction name, or ["memory"] for criterion 4 *)
   probe_kind : string;  (** ["defined"], ["poison"], or ["value"] *)
   probe_digest : string;  (** the store key ({!Alive_smt.Vc_cache.digest}) *)
-  probe_static : bool;  (** the tier-0 prover discharges it right now *)
-  probe_cached : bool;
-      (** present in the calling domain's in-memory verdict cache *)
+  probe_tier : tier;
+      (** the tier that would decide it right now: tier 0 proves it, or
+          the calling domain's cache or the installed store holds it, or
+          else the solver *)
 }
 
 val probe_queries :
-  ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
-  ?precise_pre:bool ->
-  Ast.transform ->
-  (query_probe list list, string) Stdlib.result
+  ?widths:int list -> Ast.transform -> (query_probe list list, string) Stdlib.result
 (** Verdict provenance for the daemon's [explain] op: the same queries
-    {!query_digests} fingerprints, each additionally probed against the
-    static prover and this domain's cache — without invoking the solver
-    or disturbing any counters. Run it on the same engine pool that
-    solves to see the caches solving actually warmed. [Error] on a type
-    error or an unsupported construct. *)
+    {!query_digests} fingerprints, each with its tier — without invoking
+    the solver or disturbing any counters. Run it on the same engine pool
+    that solves to see the caches solving actually warmed. [Error] as for
+    {!query_digests}. *)
 
 type static_summary = {
   static_typings : int;  (** feasible typings examined *)
@@ -193,14 +207,10 @@ type static_summary = {
 }
 
 val static_report :
-  ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
-  Ast.transform ->
-  (static_summary, string) Stdlib.result
+  ?widths:int list -> Ast.transform -> (static_summary, string) Stdlib.result
 (** Run only the tier-0 static prover over every refinement query of every
     feasible typing — no SAT, no cache. Powers the golden coverage tests.
-    [Error] on a type error or an unsupported construct. *)
+    [Error] as for {!query_digests}. *)
 
 type static_recheck = {
   recheck_confirmed : int;  (** the solver proved the query too *)
@@ -215,24 +225,12 @@ val static_recheck_conflicts : int
 
 val static_check :
   ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
   Ast.transform ->
   (static_summary * static_recheck, string) Stdlib.result
 (** {!static_report}, and every query tier 0 proves re-solved by the SAT
     solver under {!static_recheck_conflicts} conflicts, past the verdict
     cache. This is how [alive corpus static-report] checks that tier 0
     never contradicts the solver. *)
-
-val check_with_vc :
-  ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
-  ?budget:Alive_smt.Solve.budget ->
-  Ast.transform ->
-  verdict * (Typing.env * Vcgen.vc) option
-(** Like {!check}, also returning the typing and VC of the counterexample
-    (for rendering) when invalid. *)
 
 val render_verdict : Ast.transform -> verdict -> string
 (** Human-readable report; for invalid transformations this is the Fig. 5

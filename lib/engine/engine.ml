@@ -226,92 +226,17 @@ end
 
 (* --- Per-typing fan-out inside one transformation --- *)
 
-(* Deterministic reduction replicating the sequential scan of [Refine.run]:
-   the scan stops at the first (lowest-index) Invalid or Unsupported typing,
-   and only reports Unknown when no typing stops it. *)
-let reduce_typings (t : Alive.Ast.transform) outcomes =
-  let stats =
-    List.fold_left
-      (fun acc (o : (Refine.typing_outcome * Refine.stats) outcome) ->
-        match o.result with
-        | Ok (_, s) -> Refine.merge_stats acc s
-        | Error _ -> acc)
-      (Refine.empty_stats ()) outcomes
-  in
-  let outcome_of (o : (Refine.typing_outcome * Refine.stats) outcome) =
-    match o.result with
-    | Ok (oc, _) -> oc
-    | Error e -> Refine.Typing_unsupported ("task crashed: " ^ e.message)
-  in
-  let stopper =
-    List.find_opt
-      (fun o ->
-        match outcome_of o with
-        | Refine.Typing_cex _ | Refine.Typing_unsupported _ -> true
-        | Refine.Typing_ok | Refine.Typing_unknown _ -> false)
-      outcomes
-  in
-  let first_unknown =
-    List.find_opt
-      (fun o ->
-        match outcome_of o with Refine.Typing_unknown _ -> true | _ -> false)
-      outcomes
-  in
-  let verdict, cex_vc =
-    match stopper with
-    | Some o -> (
-        match (outcome_of o, o.result) with
-        | Refine.Typing_cex (cex, vc), Ok _ ->
-            (Refine.Invalid cex, Some (cex.typing, vc))
-        | Refine.Typing_unsupported msg, _ ->
-            (Refine.Unsupported_feature msg, None)
-        | _ -> assert false)
-    | None -> (
-        match first_unknown with
-        | Some o -> (
-            match outcome_of o with
-            | Refine.Typing_unknown { at; reason } ->
-                ( Refine.Unknown
-                    { unknown_transform = t.Alive.Ast.name; at; reason },
-                  None )
-            | _ -> assert false)
-        | None ->
-            (Refine.Valid { typings_checked = stats.typings_done }, None))
-  in
-  (verdict, stats, cex_vc)
-
-let check_parallel ?jobs ?widths ?max_typings ?share_memory_reads ?budget
-    (t : Alive.Ast.transform) : Refine.result =
-  let t0 = Unix.gettimeofday () in
-  match Alive.Typing.enumerate ?widths ?max_typings t with
-  | Error e ->
-      {
-        verdict = Refine.Type_error e;
-        stats = Refine.empty_stats ();
-        cex_vc = None;
-      }
-  | Ok [] ->
-      {
-        verdict =
-          Refine.Type_error
-            { message = "no feasible typing in the width domain";
-              transform = t.name };
-        stats = Refine.empty_stats ();
-        cex_vc = None;
-      }
-  | Ok typings ->
-      let outcomes =
-        map ?jobs
-          ~label:(fun _ -> t.name)
-          (fun typing -> Refine.check_typing ?budget ?share_memory_reads t typing)
-          typings
-      in
-      let verdict, stats, cex_vc = reduce_typings t outcomes in
-      Refine.publish stats;
-      let stats =
-        { stats with Refine.elapsed = Unix.gettimeofday () -. t0 }
-      in
-      { verdict; stats; cex_vc }
+(* Refine's scan with the typings checked on the pool; a crashed task
+   counts as an unsupported typing. *)
+let check_parallel ?jobs ?widths ?budget (t : Alive.Ast.transform) =
+  Refine.scan ~widths t (fun typings ->
+      map ?jobs ~label:(fun _ -> t.name) (Refine.check_typing ?budget t) typings
+      |> List.map (fun o ->
+             match o.result with
+             | Ok checked -> checked
+             | Error e ->
+                 ( Refine.Typing_unsupported ("task crashed: " ^ e.message),
+                   Refine.empty_stats () )))
 
 (* --- Corpus-level scheduling --- *)
 
@@ -370,13 +295,7 @@ let verify_corpus ?jobs ?budget ?on_result tasks =
 let verdict_name (r : task_result) =
   match r.outcome with
   | Error _ -> "crash"
-  | Ok res -> (
-      match res.Refine.verdict with
-      | Refine.Valid _ -> "valid"
-      | Refine.Invalid _ -> "invalid"
-      | Refine.Unknown u -> "unknown:" ^ Solve.reason_slug u.reason
-      | Refine.Type_error _ -> "type-error"
-      | Refine.Unsupported_feature _ -> "unsupported")
+  | Ok res -> Refine.verdict_name res.Refine.verdict
 
 let print_table ?(oc = stdout) report =
   (* Column widths are computed from the data so long transform names don't

@@ -96,15 +96,14 @@ end
 val check_parallel :
   ?jobs:int ->
   ?widths:int list ->
-  ?max_typings:int ->
-  ?share_memory_reads:bool ->
   ?budget:Alive_smt.Solve.budget ->
   Alive.Ast.transform ->
   Alive.Refine.result
 (** Like {!Alive.Refine.run}, but the feasible typings are checked
-    concurrently. The reduction is deterministic and replicates the
-    sequential scan: the lowest-index [Invalid] or [Unsupported] typing
-    wins; [Unknown] is reported only if nothing stopped the scan. *)
+    concurrently: {!Alive.Refine.scan} with every typing's
+    {!Alive.Refine.check_typing} run on the pool, so the verdict follows
+    the sequential scan's rule. A task that raises counts as an
+    unsupported typing. *)
 
 (** {1 Corpus-level scheduling} *)
 
@@ -141,10 +140,7 @@ val verify_corpus :
 (** {1 Reporting} *)
 
 val verdict_name : task_result -> string
-(** ["valid"], ["invalid"], ["type-error"], ["unsupported"], ["crash"], or
-    ["unknown:<reason>"] where the reason slug says which budget ran out
-    ([timeout], [conflicts], or [cegar] — see
-    {!Alive_smt.Solve.reason_slug}). *)
+(** {!Alive.Refine.verdict_name}, or ["crash"] for a task that raised. *)
 
 val print_table : ?oc:out_channel -> report -> unit
 (** Per-task stats table plus a totals line. Column widths adapt to the

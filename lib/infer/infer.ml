@@ -14,15 +14,13 @@ module Model = Alive_smt.Model
 module Trace = Alive_trace.Trace
 module Metrics = Alive_trace.Metrics
 
-type config = {
-  max_rounds : int;
-  max_wall_s : float;
-  samples_per_typing : int;
-  max_typings_sampled : int;
-}
-
-let default_config =
-  { max_rounds = 12; max_wall_s = 60.0; samples_per_typing = 64; max_typings_sampled = 4 }
+(* Per-transform caps: CEGAR rounds (one validation each), wall seconds,
+   concrete tuples drawn per sampled typing, and typings sampled for
+   examples. *)
+let max_rounds = 12
+let max_wall_s = 60.0
+let samples_per_typing = 64
+let max_typings_sampled = 4
 
 type example = { env : Typing.env; binds : Concrete.binds }
 
@@ -113,7 +111,7 @@ let widths_of_names env (info : Scoping.info) =
   List.map (fun n -> (n, Typing.width_of_value env n)) info.inputs
   @ List.map (fun n -> (n, Typing.width_of_const env n)) info.constants
 
-let sample_examples config (info : Scoping.info) bare typings =
+let sample_examples (info : Scoping.info) bare typings =
   let positives = ref [] and negatives = ref [] in
   let rec take n = function
     | x :: rest when n > 0 -> x :: take (n - 1) rest
@@ -126,7 +124,7 @@ let sample_examples config (info : Scoping.info) bare typings =
       | names_widths -> (
           let tuples =
             sample_tuples ~name:bare.name ~typing_index:ti
-              ~count:config.samples_per_typing names_widths
+              ~count:samples_per_typing names_widths
           in
           match tuples with
           | [] -> ()
@@ -152,7 +150,7 @@ let sample_examples config (info : Scoping.info) bare typings =
                               negatives := { env; binds } :: !negatives
                           | Concrete.Skip -> ()))
                     tuples)))
-    (take config.max_typings_sampled typings);
+    (take max_typings_sampled typings);
   (List.rev !positives, List.rev !negatives)
 
 (* --- Counterexample harvesting --- *)
@@ -272,7 +270,7 @@ let debug_example name tag ex =
             (fun (n, v) -> n ^ "=" ^ Bitvec.to_string_unsigned v)
             ex.binds))
 
-let infer ?widths ?max_typings ?budget ?(config = default_config) (t : transform) =
+let infer ?widths ?budget (t : transform) =
   Trace.with_span "infer" ~meta:[ ("transform", Trace.Str t.name) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let stats = ref (Refine.empty_stats ()) in
@@ -301,8 +299,7 @@ let infer ?widths ?max_typings ?budget ?(config = default_config) (t : transform
       Trace.with_span "infer.validate" @@ fun () ->
       (* precise_pre: a learned [Pnot (Pcall _)] must mean the fact is
          false, matching Concrete.eval_pred and compare_preds. *)
-      Refine.run ?widths ?max_typings ~precise_pre:true ?budget
-        { bare with pre }
+      Refine.run ?widths ~precise_pre:true ?budget { bare with pre }
     in
     Metrics.observe_phase "infer.validate" (Unix.gettimeofday () -. q0);
     stats := Refine.merge_stats !stats r.stats;
@@ -329,14 +326,14 @@ let infer ?widths ?max_typings ?budget ?(config = default_config) (t : transform
         | Refine.Invalid cex0 ->
             let atoms = Atoms.vocabulary t info in
             let typings =
-              match Typing.enumerate ?widths ?max_typings bare with
+              match Typing.enumerate ?widths bare with
               | Ok l -> l
               | Error _ -> []
             in
             let s0 = Unix.gettimeofday () in
             let positives, sampled_negatives =
               Trace.with_span "infer.sample" @@ fun () ->
-              sample_examples config info bare typings
+              sample_examples info bare typings
             in
             Metrics.observe_phase "infer.sample" (Unix.gettimeofday () -. s0);
             let positives = ref positives in
@@ -372,9 +369,9 @@ let infer ?widths ?max_typings ?budget ?(config = default_config) (t : transform
               if List.length chosen <= 1 then chosen else go [] chosen
             in
             let rec loop round =
-              if round >= config.max_rounds then
+              if round >= max_rounds then
                 fail ~rounds:round "round limit reached"
-              else if Unix.gettimeofday () -. t0 > config.max_wall_s then
+              else if Unix.gettimeofday () -. t0 > max_wall_s then
                 fail ~rounds:round "wall budget exhausted"
               else
                 let l0 = Unix.gettimeofday () in
@@ -444,8 +441,8 @@ let cmp_name = function
   | Incomparable -> "incomparable"
   | Unknown_cmp -> "unknown"
 
-let compare_preds ?widths ?max_typings ?budget (t : transform) hand inferred =
-  match Typing.enumerate ?widths ?max_typings t with
+let compare_preds ?widths ?budget (t : transform) hand inferred =
+  match Typing.enumerate ?widths t with
   | Error _ | Ok [] -> Unknown_cmp
   | Ok envs -> (
       try

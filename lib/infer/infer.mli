@@ -14,17 +14,10 @@
       re-validating with each conjunct dropped.
 
     Everything runs under the usual per-query {!Alive_smt.Solve.budget}
-    plus a per-transform round/wall cap, so inference degrades to an
-    explicit failure note instead of hanging. *)
-
-type config = {
-  max_rounds : int;  (** CEGAR iterations (one validation each) *)
-  max_wall_s : float;  (** per-transform wall budget, seconds *)
-  samples_per_typing : int;  (** concrete tuples drawn per sampled typing *)
-  max_typings_sampled : int;  (** typings used for example generation *)
-}
-
-val default_config : config
+    plus a per-transform cap of 12 rounds and 60 wall seconds, so
+    inference degrades to an explicit failure note instead of hanging.
+    Examples come from 64 concrete tuples on each of the first 4 feasible
+    typings. *)
 
 type outcome = {
   transform : string;
@@ -44,9 +37,7 @@ type outcome = {
 
 val infer :
   ?widths:int list ->
-  ?max_typings:int ->
   ?budget:Alive_smt.Solve.budget ->
-  ?config:config ->
   Alive.Ast.transform ->
   outcome
 (** Infer a precondition for [t], ignoring any precondition [t] already
@@ -67,7 +58,6 @@ val cmp_name : cmp -> string
 
 val compare_preds :
   ?widths:int list ->
-  ?max_typings:int ->
   ?budget:Alive_smt.Solve.budget ->
   Alive.Ast.transform ->
   Alive.Ast.pred ->

@@ -143,16 +143,8 @@ let parse_transforms args =
 (* The verdict, then the same per-check stats an engine JSON report
    carries: counts, times and every solver counter by report name. *)
 let verdict_json (r : Alive.Refine.result) =
-  let name =
-    match r.verdict with
-    | Alive.Refine.Valid _ -> "valid"
-    | Alive.Refine.Invalid _ -> "invalid"
-    | Alive.Refine.Unknown u -> "unknown:" ^ Alive_smt.Solve.reason_slug u.reason
-    | Alive.Refine.Type_error _ -> "type-error"
-    | Alive.Refine.Unsupported_feature _ -> "unsupported"
-  in
   Json.Obj
-    (("verdict", Json.String name)
+    (("verdict", Json.String (Alive.Refine.verdict_name r.verdict))
     :: ( "detail",
          Json.String (Format.asprintf "%a" Alive.Refine.pp_verdict r.verdict) )
     :: Engine.stats_fields r.stats)
@@ -316,13 +308,8 @@ let handle_metrics_prom t =
 
 (* What originally decided a stored verdict, from its cost record. *)
 let origin_of (e : Store.entry) =
-  match e.cost with Some c when c.static -> "static" | _ -> "smt"
-
-let tier_rank = function
-  | "static" -> 0
-  | "cache" -> 1
-  | "store" -> 2
-  | _ -> 3
+  Alive.Refine.tier_name
+    (match e.cost with Some c when c.static -> Static | _ -> Smt)
 
 let handle_explain ?ctx t args =
   match arg_str args "digest" with
@@ -366,17 +353,10 @@ let handle_explain ?ctx t args =
           | Error e -> Error e
           | Ok probes ->
               let query_json (q : Alive.Refine.query_probe) =
-                let stored =
-                  Option.bind t.store (fun s -> Store.lookup s q.probe_digest)
-                in
-                let tier =
-                  if q.probe_static then "static"
-                  else if q.probe_cached then "cache"
-                  else if stored <> None then "store"
-                  else "smt"
-                in
                 let provenance =
-                  match stored with
+                  match
+                    Option.bind t.store (fun s -> Store.lookup s q.probe_digest)
+                  with
                   | None -> [ ("origin", Json.Null) ]
                   | Some e ->
                       [
@@ -384,15 +364,14 @@ let handle_explain ?ctx t args =
                         ("store", Store.entry_json q.probe_digest e);
                       ]
                 in
-                ( tier,
-                  Json.Obj
-                    ([
-                       ("at", Json.String q.probe_at);
-                       ("kind", Json.String q.probe_kind);
-                       ("digest", Json.String q.probe_digest);
-                       ("tier", Json.String tier);
-                     ]
-                    @ provenance) )
+                Json.Obj
+                  ([
+                     ("at", Json.String q.probe_at);
+                     ("kind", Json.String q.probe_kind);
+                     ("digest", Json.String q.probe_digest);
+                     ("tier", Json.String (Alive.Refine.tier_name q.probe_tier));
+                   ]
+                  @ provenance)
               in
               Ok
                 (Json.List
@@ -406,30 +385,26 @@ let handle_explain ?ctx t args =
                                 ("error", Json.String e);
                               ]
                         | Ok typings ->
-                            let per_typing =
-                              List.map (List.map query_json) typings
-                            in
                             (* The headline tier is the slowest tier any
-                               query needs: a transform is only as cheap
-                               as its least-covered query. *)
+                               query needs. *)
                             let overall =
                               List.fold_left
-                                (fun acc (tier, _) ->
-                                  if tier_rank tier > tier_rank acc then tier
-                                  else acc)
-                                "static"
-                                (List.concat per_typing)
+                                (fun acc (q : Alive.Refine.query_probe) ->
+                                  max acc q.probe_tier)
+                                Alive.Refine.Static (List.concat typings)
                             in
                             Json.Obj
                               [
                                 ("name", Json.String tr.name);
-                                ("tier", Json.String overall);
+                                ( "tier",
+                                  Json.String (Alive.Refine.tier_name overall)
+                                );
                                 ( "typings",
                                   Json.List
                                     (List.map
                                        (fun qs ->
-                                         Json.List (List.map snd qs))
-                                       per_typing) );
+                                         Json.List (List.map query_json qs))
+                                       typings) );
                               ])
                       probes))))
 

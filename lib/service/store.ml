@@ -395,6 +395,31 @@ let lookup t digest =
 
 let lookup_verdict t digest = Option.map (fun e -> e.verdict) (lookup t digest)
 
+(* The walk mirrors the verifier's scan order: within a typing, a stored
+   Invalid settles the entry (the original run stopped there, so later
+   digests were never stored); a missing digest means the entry's VCs
+   changed (or were never fully decided). *)
+let replay t = function
+  | Error _ -> None
+  | Ok typings ->
+      let rec scan_typings = function
+        | [] -> Some `Valid
+        | digests :: rest -> (
+            let rec scan = function
+              | [] -> `Typing_valid
+              | d :: more -> (
+                  match lookup_verdict t d with
+                  | None -> `Missing
+                  | Some `Valid -> scan more
+                  | Some (`Invalid _) -> `Typing_invalid)
+            in
+            match scan digests with
+            | `Missing -> None
+            | `Typing_invalid -> Some `Invalid
+            | `Typing_valid -> scan_typings rest)
+      in
+      scan_typings typings
+
 let mem t digest =
   Mutex.lock t.lock;
   let r = Hashtbl.mem t.table digest in

@@ -196,10 +196,15 @@ let to_requester k = function
       let from_canon = List.map (fun (a, b) -> (b, a)) k.to_canon in
       `Invalid (rename_model from_canon m)
 
-(* Counter-free membership probe of this domain's table only — used by the
-   daemon's [explain] op to attribute a verdict to the cache tier without
-   disturbing hit/miss statistics or consulting the backing store. *)
-let mem_local k = Hashtbl.mem (state ()).table k.key
+(* Where [find] would answer from, without counting a hit or a miss and
+   without adopting a backing entry: the daemon's [explain] op attributes
+   verdicts to their tier with it. *)
+let probe k =
+  if Hashtbl.mem (state ()).table k.key then Some Memory
+  else
+    match Atomic.get backing with
+    | Some b when b.lookup (digest k) <> None -> Some Backing
+    | _ -> None
 
 let find ~telemetry:(tl : Solve.telemetry) k =
   let st = state () in

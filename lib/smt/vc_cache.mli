@@ -52,10 +52,10 @@ val find :
     variable names. Counts the hit or miss, the store hit or miss, and an
     eviction caused by adopting a store hit into [telemetry]. *)
 
-val mem_local : keyed -> bool
-(** Is the key present in {e this} domain's table? Consults neither the
-    backing nor the counters — a side-effect-free probe for verdict
-    provenance ([explain]). *)
+val probe : keyed -> hit_source option
+(** Where {!find} would answer from right now — this domain's table, then
+    the backing — without counting anything or adopting a backing entry:
+    a side-effect-free probe for verdict provenance ([explain]). *)
 
 val store :
   telemetry:Solve.telemetry ->

@@ -666,6 +666,29 @@ let test_static_parity_sample () =
   in
   check_bool "the sample has statically proved queries" true (confirmed > 0)
 
+(* Tier 0's exact footprint over the whole corpus at the declared widths:
+   the walk behind [static_report] must neither lose nor duplicate a
+   typing or a query. A deliberate change to the VC encoding or the prover
+   moves these figures and must update them. *)
+let test_static_footprint () =
+  let add (c, t, q, d) (e : Alive_suite.Entry.t) =
+    match Refine.static_report ?widths:e.widths (Alive_suite.Entry.parse e) with
+    | Ok s ->
+        ( (if s.Refine.static_complete then c + 1 else c),
+          t + s.static_typings,
+          q + s.static_queries,
+          d + s.static_discharged )
+    | Error m -> Alcotest.failf "%s: %s" e.name m
+  in
+  let complete, typings, queries, discharged =
+    List.fold_left add (0, 0, 0, 0) Alive_suite.Registry.all
+  in
+  check_int "entries" 218 (List.length Alive_suite.Registry.all);
+  check_int "complete entries" 67 complete;
+  check_int "typings" 1769 typings;
+  check_int "queries" 5439 queries;
+  check_int "discharged queries" 4102 discharged
+
 let suite =
   ( "absint",
     [
@@ -699,4 +722,6 @@ let suite =
         test_static_coverage;
       Alcotest.test_case "static on/off verdict parity (sample)" `Quick
         test_static_parity_sample;
+      Alcotest.test_case "static tier's exact corpus footprint" `Quick
+        test_static_footprint;
     ] )

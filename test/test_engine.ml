@@ -142,17 +142,37 @@ let pool_tests =
         check_int "same query count" seq.stats.queries par.stats.queries);
     Alcotest.test_case "parallel counterexample is deterministic" `Quick
       (fun () ->
-        (* An invalid transform: the parallel reduction must pick the same
-           (lowest-index) typing's counterexample the sequential scan finds. *)
-        let text = "Name: bad\n%r = udiv %a, %b\n=>\n%r = lshr %a, 1\n" in
-        let seq = Refine.run (parse text) in
-        let par = Engine.check_parallel ~jobs:4 (parse text) in
-        match (seq.verdict, par.verdict) with
-        | Refine.Invalid c1, Refine.Invalid c2 ->
-            check_bool "same typing" true (c1.typing = c2.typing);
-            check_string "same location" c1.at c2.at;
-            check_bool "same kind" true (c1.kind = c2.kind)
-        | _ -> Alcotest.fail "expected Invalid from both");
+        (* Invalid transforms — a synthetic one and every expected-invalid
+           corpus entry at its declared widths: the parallel reduction must
+           pick the same (lowest-index) typing's counterexample the
+           sequential scan finds. *)
+        let inputs =
+          ( "bad",
+            None,
+            fun () ->
+              parse "Name: bad\n%r = udiv %a, %b\n=>\n%r = lshr %a, 1\n" )
+          :: List.filter_map
+               (fun (e : Alive_suite.Entry.t) ->
+                 if e.expected = Alive_suite.Entry.Expect_invalid then
+                   Some (e.name, e.widths, fun () -> Alive_suite.Entry.parse e)
+                 else None)
+               Alive_suite.Registry.all
+        in
+        check_int "one synthetic and 10 corpus inputs" 11 (List.length inputs);
+        List.iter
+          (fun (name, widths, t) ->
+            let seq = Refine.run ?widths (t ()) in
+            let par = Engine.check_parallel ~jobs:4 ?widths (t ()) in
+            check_string (name ^ ": same verdict")
+              (Refine.verdict_name seq.verdict)
+              (Refine.verdict_name par.verdict);
+            match (seq.verdict, par.verdict) with
+            | Refine.Invalid c1, Refine.Invalid c2 ->
+                check_bool (name ^ ": same typing") true (c1.typing = c2.typing);
+                check_string (name ^ ": same location") c1.at c2.at;
+                check_bool (name ^ ": same kind") true (c1.kind = c2.kind)
+            | _ -> Alcotest.failf "%s: expected Invalid from both" name)
+          inputs);
   ]
 
 (* --- Corpus-level behaviour --- *)

@@ -1000,7 +1000,59 @@ let ledger_tests =
               (second "service.requests.verify")));
   ]
 
+(* --- A transform with no feasible typing ---
+
+   [add %a, 1] has no typing at width 1, which [run] reports as a type
+   error. Every other reader of the same walk must say so too: the
+   digests, the explain probe, and so the store replay, which re-verifies
+   an entry whose digests are an error instead of replaying it as valid. *)
+
+let no_typing_tests =
+  [
+    Alcotest.test_case "no feasible typing is an error on every path" `Quick
+      (fun () ->
+        let text = "Name: nt\n%r = add %a, 1\n=>\n%r = add 1, %a\n" in
+        let tr = Alive.Parser.parse_transform text in
+        let widths = [ 1 ] in
+        check_string "run" "type-error"
+          (Alive.Refine.verdict_name (Alive.Refine.run ~widths tr).verdict);
+        let digests = Alive.Refine.query_digests ~widths tr in
+        check_bool "query_digests" true (Result.is_error digests);
+        check_bool "probe_queries" true
+          (Result.is_error (Alive.Refine.probe_queries ~widths tr));
+        check_bool "static_report" true
+          (Result.is_error (Alive.Refine.static_report ~widths tr));
+        with_temp_dir (fun dir ->
+            let store = open_rw dir in
+            check_bool "the store replay re-verifies it" true
+              (Store.replay store digests = None);
+            Store.close store);
+        with_temp_dir (fun dir ->
+            let d = one_worker_daemon dir in
+            let c, _, _ = d in
+            let row op =
+              let args =
+                Json.Obj
+                  [
+                    ("text", Json.String text);
+                    ("widths", Json.List [ Json.Int 1 ]);
+                  ]
+              in
+              match Client.call c ~op ~args () with
+              | Ok (Json.List [ j ]) -> j
+              | Ok _ -> Alcotest.failf "%s: response shape" op
+              | Error e -> Alcotest.failf "%s: %s" op e
+            in
+            check_string "daemon verify" "type-error"
+              (get (jstr (row "verify") "verdict"));
+            check_bool "digests row carries error" true
+              (jstr (row "digests") "error" <> None);
+            check_bool "explain row carries error" true
+              (jstr (row "explain") "error" <> None);
+            stop_daemon d));
+  ]
+
 let suite =
   ( "service",
     protocol_tests @ store_tests @ determinism_tests @ daemon_tests
-    @ telemetry_tests @ ledger_tests )
+    @ telemetry_tests @ ledger_tests @ no_typing_tests )

@@ -58,7 +58,8 @@ let counterexample_soundness =
         (fun (e : Alive_suite.Entry.t) ->
           if e.expected = Alive_suite.Entry.Expect_invalid then
             let t = Alive_suite.Entry.parse e in
-            match Alive.Refine.check_with_vc ?widths:e.widths t with
+            let r = Alive.Refine.run ?widths:e.widths t in
+            match (r.verdict, r.cex_vc) with
             | Alive.Refine.Invalid cex, Some (_typing, vc) when cex.at <> "memory"
               -> (
                 let module T = Alive_smt.Term in
