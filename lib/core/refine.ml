@@ -43,81 +43,56 @@ let verdict_name = function
 
 (* --- Per-check statistics --- *)
 
-type unknown_breakdown = {
-  by_timeout : int;
-  by_conflicts : int;
-  by_cegar : int;
-}
-
-let count_unknown b (r : Solve.reason) =
-  match r with
-  | Solve.Timeout -> { b with by_timeout = b.by_timeout + 1 }
-  | Solve.Conflict_limit -> { b with by_conflicts = b.by_conflicts + 1 }
-  | Solve.Cegar_limit _ -> { b with by_cegar = b.by_cegar + 1 }
-
 type stats = {
-  typings_done : int;
-  queries : int;  (** refinement criteria decided (one CEGAR solve each) *)
-  unknowns : int;  (** queries that exhausted their budget *)
-  unknown_reasons : unknown_breakdown;
-      (** the same queries, split by *why* the budget ran out *)
-  typing_s : float;  (** wall seconds enumerating feasible typings *)
-  vcgen_s : float;  (** wall seconds generating verification conditions *)
+  mutable typings_done : int;
+  mutable queries : int;
+  mutable unknown_timeout : int;
+  mutable unknown_conflicts : int;
+  mutable unknown_cegar : int;
+  mutable typing_s : float;
+  mutable vcgen_s : float;
   telemetry : Solve.telemetry;
-  elapsed : float;
+  mutable elapsed : float;
 }
 
 let empty_stats () =
   {
     typings_done = 0;
     queries = 0;
-    unknowns = 0;
-    unknown_reasons = { by_timeout = 0; by_conflicts = 0; by_cegar = 0 };
+    unknown_timeout = 0;
+    unknown_conflicts = 0;
+    unknown_cegar = 0;
     typing_s = 0.0;
     vcgen_s = 0.0;
     telemetry = Solve.telemetry ();
     elapsed = 0.0;
   }
 
-let merge_stats a b =
-  let telemetry = Solve.telemetry () in
-  Solve.add_telemetry ~into:telemetry a.telemetry;
-  Solve.add_telemetry ~into:telemetry b.telemetry;
-  {
-    typings_done = a.typings_done + b.typings_done;
-    queries = a.queries + b.queries;
-    unknowns = a.unknowns + b.unknowns;
-    unknown_reasons =
-      {
-        by_timeout = a.unknown_reasons.by_timeout + b.unknown_reasons.by_timeout;
-        by_conflicts =
-          a.unknown_reasons.by_conflicts + b.unknown_reasons.by_conflicts;
-        by_cegar = a.unknown_reasons.by_cegar + b.unknown_reasons.by_cegar;
-      };
-    typing_s = a.typing_s +. b.typing_s;
-    vcgen_s = a.vcgen_s +. b.vcgen_s;
-    telemetry;
-    elapsed = a.elapsed +. b.elapsed;
-  }
+let table =
+  Alive_trace.Metrics.Table.(
+    [
+      row "typings" "refine.typings" Sum
+        (fun s -> s.typings_done) (fun s v -> s.typings_done <- v);
+      row "queries" "refine.queries" Sum
+        (fun s -> s.queries) (fun s v -> s.queries <- v);
+      row "unknown_timeout" "refine.unknown.timeout" Sum
+        (fun s -> s.unknown_timeout) (fun s v -> s.unknown_timeout <- v);
+      row "unknown_conflicts" "refine.unknown.conflicts" Sum
+        (fun s -> s.unknown_conflicts) (fun s v -> s.unknown_conflicts <- v);
+      row "unknown_cegar" "refine.unknown.cegar" Sum
+        (fun s -> s.unknown_cegar) (fun s v -> s.unknown_cegar <- v);
+      row "typing_s" "refine.typing_s" Sum_seconds
+        (fun s -> s.typing_s) (fun s v -> s.typing_s <- v);
+      row "vcgen_s" "refine.vcgen_s" Sum_seconds
+        (fun s -> s.vcgen_s) (fun s v -> s.vcgen_s <- v);
+    ]
+    @ List.map (via (fun s -> s.telemetry)) Solve.table)
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "typings=%d queries=%d unknown=%d (timeout=%d conflicts=%d cegar=%d) \
-     typing=%.3fs vcgen=%.3fs"
-    s.typings_done s.queries s.unknowns s.unknown_reasons.by_timeout
-    s.unknown_reasons.by_conflicts s.unknown_reasons.by_cegar s.typing_s
-    s.vcgen_s;
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf " %s=%a" name Solve.pp_value v)
-    (Solve.report s.telemetry)
+let merge_stats ~into s =
+  Alive_trace.Metrics.Table.merge table ~into s;
+  into.elapsed <- into.elapsed +. s.elapsed
 
-(* Registered at module load, like the solver counters, so it exports
-   from the first scrape. *)
-let queries_c = Alive_trace.Metrics.counter "refine.queries"
-
-let publish s =
-  Solve.publish s.telemetry;
-  Alive_trace.Metrics.add queries_c s.queries
+let pp_stats = Alive_trace.Metrics.Table.pp table
 
 (* Instruction names to check: defined on both sides (the root always is,
    by the scoping rules). Checked in target order. *)
@@ -244,9 +219,8 @@ let check_typing ?budget ?share_memory_reads ?precise_pre (t : Ast.transform)
   @@ fun () ->
   let vcgen_t0 = Alive_trace.Clock.now () in
   let vc_result = typing_vc ?share_memory_reads ?precise_pre t typing in
-  let stats =
-    { (empty_stats ()) with vcgen_s = Alive_trace.Clock.now () -. vcgen_t0 }
-  in
+  let stats = empty_stats () in
+  stats.vcgen_s <- Alive_trace.Clock.now () -. vcgen_t0;
   match vc_result with
   | Error msg -> (Typing_unsupported msg, stats)
   | Ok vc ->
@@ -312,32 +286,32 @@ let check_typing ?budget ?share_memory_reads ?precise_pre (t : Ast.transform)
       (* A counterexample ends the typing; a budget exhaustion is recorded
          and the remaining criteria still run — a later query may produce a
          definite counterexample, which outranks Unknown. *)
-      let rec go stats gave_up = function
-        | [] ->
-            ( (match gave_up with
-              | Some (at, reason) -> Typing_unknown { at; reason }
-              | None -> Typing_ok),
-              stats )
+      let rec go gave_up = function
+        | [] -> (
+            match gave_up with
+            | Some (at, reason) -> Typing_unknown { at; reason }
+            | None -> Typing_ok)
         | (at, kind, formula) :: rest -> (
-            let stats = { stats with queries = stats.queries + 1 } in
+            stats.queries <- stats.queries + 1;
             match solve_query formula with
-            | `Valid -> go stats gave_up rest
+            | `Valid -> go gave_up rest
             | `Unknown reason ->
-                go
-                  {
-                    stats with
-                    unknowns = stats.unknowns + 1;
-                    unknown_reasons = count_unknown stats.unknown_reasons reason;
-                  }
-                  (if gave_up = None then Some (at, reason) else gave_up)
-                  rest
+                (match reason with
+                | Solve.Timeout ->
+                    stats.unknown_timeout <- stats.unknown_timeout + 1
+                | Solve.Conflict_limit ->
+                    stats.unknown_conflicts <- stats.unknown_conflicts + 1
+                | Solve.Cegar_limit _ ->
+                    stats.unknown_cegar <- stats.unknown_cegar + 1);
+                go (if gave_up = None then Some (at, reason) else gave_up) rest
             | `Invalid model ->
                 let cex =
                   { Counterexample.transform_name = t.name; kind; at; typing; model }
                 in
-                (Typing_cex (cex, vc), stats))
+                Typing_cex (cex, vc))
       in
-      go { stats with typings_done = 1 } None (typing_queries vc)
+      stats.typings_done <- 1;
+      (go None (typing_queries vc), stats)
 
 type result = {
   verdict : verdict;
@@ -370,30 +344,19 @@ let scan ~widths (t : Ast.transform) check =
   let t0 = Unix.gettimeofday () in
   let typing_t0 = Alive_trace.Clock.now () in
   let typings = feasible_typings ?widths t in
-  let typing_s = Alive_trace.Clock.now () -. typing_t0 in
-  let (verdict, cex_vc), stats =
+  let stats = empty_stats () in
+  stats.typing_s <- Alive_trace.Clock.now () -. typing_t0;
+  let verdict, cex_vc =
     match typings with
-    | Error e -> ((Type_error e, None), empty_stats ())
+    | Error e -> (Type_error e, None)
     | Ok typings ->
         let outcomes = check typings in
-        let stats =
-          List.fold_left
-            (fun acc (_, s) -> merge_stats acc s)
-            (empty_stats ()) outcomes
-        in
-        (scan_verdict t stats.typings_done (List.map fst outcomes), stats)
+        List.iter (fun (_, s) -> merge_stats ~into:stats s) outcomes;
+        scan_verdict t stats.typings_done (List.map fst outcomes)
   in
-  publish stats;
-  {
-    verdict;
-    stats =
-      {
-        stats with
-        elapsed = Unix.gettimeofday () -. t0;
-        typing_s = stats.typing_s +. typing_s;
-      };
-    cex_vc;
-  }
+  stats.elapsed <- Unix.gettimeofday () -. t0;
+  Alive_trace.Metrics.Table.publish table stats;
+  { verdict; stats; cex_vc }
 
 (* One typing after another, stopping after the first that decides the
    scan, so no later VC is generated. *)

@@ -49,33 +49,38 @@ val verdict_name : verdict -> string
 
 (** {1 Statistics} *)
 
-type unknown_breakdown = {
-  by_timeout : int;
-  by_conflicts : int;
-  by_cegar : int;
-}
-(** Budget-exhausted queries split by {e why} the budget ran out: wall
-    deadline, SAT conflict allowance, or the CEGAR iteration cap. *)
-
 type stats = {
-  typings_done : int;
-  queries : int;  (** refinement criteria decided (one CEGAR solve each) *)
-  unknowns : int;  (** queries that exhausted their budget *)
-  unknown_reasons : unknown_breakdown;
-      (** the same queries, split by reason; the three fields sum to
-          [unknowns] *)
-  typing_s : float;  (** wall seconds enumerating feasible typings *)
-  vcgen_s : float;  (** wall seconds generating verification conditions *)
+  mutable typings_done : int;
+  mutable queries : int;
+      (** refinement criteria decided (one CEGAR solve each) *)
+  mutable unknown_timeout : int;
+      (** queries whose wall deadline passed before they were decided *)
+  mutable unknown_conflicts : int;
+      (** ... whose SAT conflict allowance ran out *)
+  mutable unknown_cegar : int;  (** ... that hit the CEGAR iteration cap *)
+  mutable typing_s : float;  (** wall seconds enumerating feasible typings *)
+  mutable vcgen_s : float;
+      (** wall seconds generating verification conditions *)
   telemetry : Alive_smt.Solve.telemetry;
-  elapsed : float;  (** wall seconds for the whole check *)
+  mutable elapsed : float;  (** wall seconds for the whole check *)
 }
+
+val table : stats Alive_trace.Metrics.Table.row list
+(** The counter table of a check: every field but [elapsed] is a row —
+    [typings] ([refine.typings] in the registry), [queries],
+    [unknown_<reason>] ([refine.unknown.<reason>], with
+    {!Alive_smt.Solve.reason_slug}), [typing_s] and [vcgen_s] — followed by
+    {!Alive_smt.Solve.table}'s rows, read through [telemetry]. Merging,
+    printing, the JSON reports and publication are folds over it, so a new
+    count is a record field and one row. *)
 
 val empty_stats : unit -> stats
-val merge_stats : stats -> stats -> stats
+
+val merge_stats : into:stats -> stats -> unit
+(** Add every row of a record, and its [elapsed], into [into]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-(** [key=value] pairs: the check's own counts and times, then every solver
-    counter under its report name. *)
+(** Every row as [report=value]. *)
 
 (** {1 The tier ladder}
 
@@ -94,6 +99,21 @@ val tier_name : tier -> string
 
     The parallel engine schedules individual (transform × typing) tasks;
     these are the pieces {!run} is built from. *)
+
+val feasible_typings :
+  ?widths:int list -> Ast.transform -> (Typing.env list, Typing.error) Stdlib.result
+(** The feasible typings in scan order. A type error, or no feasible typing
+    in the width domain, is an [Error]: {!scan} reports it as
+    [Type_error]. *)
+
+val typing_vc :
+  ?share_memory_reads:bool ->
+  ?precise_pre:bool ->
+  Ast.transform ->
+  Typing.env ->
+  (Vcgen.vc, string) Stdlib.result
+(** One typing's VC ({!Vcgen.run}), or the unsupported construct that
+    stops it: {!scan} reports that as [Unsupported_feature]. *)
 
 type typing_outcome =
   | Typing_ok
@@ -133,10 +153,8 @@ val scan :
     may stop after the first [Typing_cex] or [Typing_unsupported]. The
     verdict rule: the lowest-index [Typing_cex] or [Typing_unsupported]
     wins, else the first [Typing_unknown], else [Valid]. The merged stats
-    go to the metrics registry once: the solver counters
-    ({!Alive_smt.Solve.publish}) and the query count, as
-    ["refine.queries"]. {!run} checks the typings one by one;
-    [Engine.check_parallel] on a domain pool. *)
+    go to the metrics registry once, every row of {!table}. {!run} checks
+    the typings one by one; [Engine.check_parallel] on a domain pool. *)
 
 val run :
   ?widths:int list ->

@@ -14,7 +14,6 @@
    instead of killing the batch. Workers only share the hash-consing table
    (serialized inside [Term]); every solver context is task-local. *)
 
-module Solve = Alive_smt.Solve
 module Refine = Alive.Refine
 module Trace = Alive_trace.Trace
 
@@ -279,14 +278,16 @@ let verify_corpus ?jobs ?budget ?on_result tasks =
       tasks
   in
   let results = List.map to_result outcomes in
-  let total, crashed =
+  let total = Refine.empty_stats () in
+  let crashed =
     List.fold_left
-      (fun (acc, crashed) r ->
+      (fun crashed r ->
         match r.outcome with
-        | Ok res -> (Refine.merge_stats acc res.Refine.stats, crashed)
-        | Error _ -> (acc, crashed + 1))
-      (Refine.empty_stats (), 0)
-      results
+        | Ok res ->
+            Refine.merge_stats ~into:total res.Refine.stats;
+            crashed
+        | Error _ -> crashed + 1)
+      0 results
   in
   { results; total; crashed; wall = Unix.gettimeofday () -. t0; jobs }
 
@@ -299,25 +300,15 @@ let verdict_name (r : task_result) =
 
 let print_table ?(oc = stdout) report =
   (* Column widths are computed from the data so long transform names don't
-     shear the numeric columns out of alignment. Numbers are right-justified
-     under their headers; each row ends with the task's non-zero solver
-     counters. *)
+     shear the columns out of alignment. Each row ends with the task's
+     non-zero counters. *)
   let row r =
     match r.outcome with
     | Ok res ->
-        let s = res.Refine.stats in
-        ( Printf.sprintf "%.3f" r.elapsed,
-          Printf.sprintf "%.3f" s.Refine.typing_s,
-          Printf.sprintf "%.3f" s.Refine.vcgen_s,
-          string_of_int s.Refine.queries,
-          List.filter_map
-            (fun (name, v) ->
-              match v with
-              | Solve.Count 0 | Solve.Seconds 0.0 -> None
-              | v -> Some (Format.asprintf "%s=%a" name Solve.pp_value v))
-            (Solve.report s.Refine.telemetry)
-          |> String.concat " " )
-    | Error _ -> (Printf.sprintf "%.3f" r.elapsed, "-", "-", "-", "")
+        Format.asprintf "%a"
+          (Alive_trace.Metrics.Table.pp ~nonzero:true Refine.table)
+          res.Refine.stats
+    | Error _ -> ""
   in
   let rows = List.map (fun r -> (r, row r)) report.results in
   let name_w =
@@ -330,12 +321,12 @@ let print_table ?(oc = stdout) report =
       (fun w (r, _) -> max w (String.length (verdict_name r)))
       (String.length "verdict") rows
   in
-  Printf.fprintf oc "%-*s  %-*s  %8s %9s %8s %8s  %s\n" name_w "transform"
-    verdict_w "verdict" "time(s)" "typing(s)" "vcgen(s)" "queries" "solver";
+  Printf.fprintf oc "%-*s  %-*s  %8s  %s\n" name_w "transform" verdict_w
+    "verdict" "time(s)" "counters";
   List.iter
-    (fun (r, (time, typing, vcgen, queries, solver)) ->
-      Printf.fprintf oc "%-*s  %-*s  %8s %9s %8s %8s  %s\n" name_w r.name
-        verdict_w (verdict_name r) time typing vcgen queries solver)
+    (fun (r, counters) ->
+      Printf.fprintf oc "%-*s  %-*s  %8.3f  %s\n" name_w r.name verdict_w
+        (verdict_name r) r.elapsed counters)
     rows;
   Printf.fprintf oc
     "total: %d tasks (%d crashed), wall %.2fs with %d job(s); %s\n"
@@ -344,28 +335,8 @@ let print_table ?(oc = stdout) report =
     (Format.asprintf "%a" Refine.pp_stats report.total)
 
 let stats_fields (s : Refine.stats) =
-  [
-    ("typings", Json.Int s.Refine.typings_done);
-    ("queries", Json.Int s.Refine.queries);
-    ("unknowns", Json.Int s.Refine.unknowns);
-    ( "unknown_reasons",
-      Json.Obj
-        [
-          ("timeout", Json.Int s.Refine.unknown_reasons.Refine.by_timeout);
-          ("conflicts", Json.Int s.Refine.unknown_reasons.Refine.by_conflicts);
-          ("cegar", Json.Int s.Refine.unknown_reasons.Refine.by_cegar);
-        ] );
-    ("elapsed_s", Json.Float s.Refine.elapsed);
-    ("typing_s", Json.Float s.Refine.typing_s);
-    ("vcgen_s", Json.Float s.Refine.vcgen_s);
-  ]
-  @ List.map
-      (fun (name, v) ->
-        ( name,
-          match v with
-          | Solve.Count n -> Json.Int n
-          | Solve.Seconds s -> Json.Float s ))
-      (Solve.report s.Refine.telemetry)
+  ("elapsed_s", Json.Float s.Refine.elapsed)
+  :: Alive_trace.Metrics.Table.json_fields Refine.table s
 
 let stats_json s = Json.Obj (stats_fields s)
 

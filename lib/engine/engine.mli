@@ -144,14 +144,13 @@ val verdict_name : task_result -> string
 
 val print_table : ?oc:out_channel -> report -> unit
 (** Per-task stats table plus a totals line. Column widths adapt to the
-    longest transform name; numeric columns are right-justified and include
-    per-phase wall time (typing, vcgen); each row ends with the task's
-    non-zero solver counters, and the totals line carries every counter
+    longest transform name; each row gives the task's wall time and its
+    non-zero counters, and the totals line carries every counter
     ({!Alive.Refine.pp_stats}). *)
 
 val stats_fields : Alive.Refine.stats -> (string * Json.t) list
-(** The check's counts and times, then every solver counter under its
-    report name ({!Alive_smt.Solve.report}). *)
+(** [elapsed_s], then every row of {!Alive.Refine.table} under its report
+    name. *)
 
 val stats_json : Alive.Refine.stats -> Json.t
 val report_json : report -> Json.t

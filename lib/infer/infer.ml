@@ -12,7 +12,6 @@ module T = Alive_smt.Term
 module Solve = Alive_smt.Solve
 module Model = Alive_smt.Model
 module Trace = Alive_trace.Trace
-module Metrics = Alive_trace.Metrics
 
 (* Per-transform caps: CEGAR rounds (one validation each), wall seconds,
    concrete tuples drawn per sampled typing, and typings sampled for
@@ -273,7 +272,7 @@ let debug_example name tag ex =
 let infer ?widths ?budget (t : transform) =
   Trace.with_span "infer" ~meta:[ ("transform", Trace.Str t.name) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let stats = ref (Refine.empty_stats ()) in
+  let stats = Refine.empty_stats () in
   let validations = ref 0 in
   let bare = { t with pre = Ptrue } in
   let finish ?inferred ?verdict ?(rounds = 0) ?(positives = 0) ?(negatives = 0)
@@ -287,22 +286,20 @@ let infer ?widths ?budget (t : transform) =
       negatives;
       atoms;
       validations = !validations;
-      stats = !stats;
+      stats;
       elapsed = Unix.gettimeofday () -. t0;
       note;
     }
   in
   let validate pre =
     incr validations;
-    let q0 = Unix.gettimeofday () in
     let r =
       Trace.with_span "infer.validate" @@ fun () ->
       (* precise_pre: a learned [Pnot (Pcall _)] must mean the fact is
          false, matching Concrete.eval_pred and compare_preds. *)
       Refine.run ?widths ~precise_pre:true ?budget { bare with pre }
     in
-    Metrics.observe_phase "infer.validate" (Unix.gettimeofday () -. q0);
-    stats := Refine.merge_stats !stats r.stats;
+    Refine.merge_stats ~into:stats r.stats;
     r
   in
   if Alive.Ast.has_memory_ops t then
@@ -325,17 +322,14 @@ let infer ?widths ?budget (t : transform) =
               ("unconditional check undecided: " ^ Solve.reason_to_string u.reason)
         | Refine.Invalid cex0 ->
             let atoms = Atoms.vocabulary t info in
+            (* [bare] was just refuted, so it has feasible typings. *)
             let typings =
-              match Typing.enumerate ?widths bare with
-              | Ok l -> l
-              | Error _ -> []
+              Result.value ~default:[] (Refine.feasible_typings ?widths bare)
             in
-            let s0 = Unix.gettimeofday () in
             let positives, sampled_negatives =
               Trace.with_span "infer.sample" @@ fun () ->
               sample_examples info bare typings
             in
-            Metrics.observe_phase "infer.sample" (Unix.gettimeofday () -. s0);
             let positives = ref positives in
             let negatives =
               ref
@@ -374,12 +368,10 @@ let infer ?widths ?budget (t : transform) =
               else if Unix.gettimeofday () -. t0 > max_wall_s then
                 fail ~rounds:round "wall budget exhausted"
               else
-                let l0 = Unix.gettimeofday () in
                 let learned =
                   Trace.with_span "infer.learn" @@ fun () ->
                   learn atoms !positives !negatives
                 in
-                Metrics.observe_phase "infer.learn" (Unix.gettimeofday () -. l0);
                 match learned with
                 | None ->
                     fail ~rounds:round
@@ -442,14 +434,18 @@ let cmp_name = function
   | Unknown_cmp -> "unknown"
 
 let compare_preds ?widths ?budget (t : transform) hand inferred =
-  match Typing.enumerate ?widths t with
-  | Error _ | Ok [] -> Unknown_cmp
+  match Refine.feasible_typings ?widths t with
+  | Error _ -> Unknown_cmp
   | Ok envs -> (
       try
         let dirs =
           List.map
             (fun env ->
-              let vc = Vcgen.run env t in
+              let vc =
+                match Refine.typing_vc t env with
+                | Ok vc -> vc
+                | Error _ -> raise Exit
+              in
               let lookup name =
                 match List.assoc_opt name vc.Vcgen.src.Vcgen.defs with
                 | Some iv -> iv.Semantics.value
@@ -476,4 +472,4 @@ let compare_preds ?widths ?budget (t : transform) hand inferred =
           | true, false -> Weaker
           | false, true -> Stronger
           | false, false -> Incomparable
-      with Vcgen.Unsupported _ | Invalid_argument _ | Not_found -> Unknown_cmp)
+      with Exit | Invalid_argument _ | Not_found -> Unknown_cmp)

@@ -193,12 +193,10 @@ let check_precondition ~file (t : transform) =
 
 (* ---- Family 2: cost / canonicality ---- *)
 
-(* Mirrors Ir.Cost's latency weights (TargetTransformInfo defaults), plus
-   weights for the memory fragment Ir.Cost never sees. *)
+(* Ir.Cost's latency weights, plus weights for the memory fragment Ir.Cost
+   never sees. *)
 let inst_latency = function
-  | Binop ((Add | Sub | And | Or | Xor | Shl | LShr | AShr), _, _, _) -> 1
-  | Binop (Mul, _, _, _) -> 4
-  | Binop ((UDiv | SDiv | URem | SRem), _, _, _) -> 20
+  | Binop (op, _, _, _) -> Cost.binop_cost (ir_binop op)
   | Icmp _ | Select _ | Conv _ -> 1
   | Copy _ -> 0
   | Gep _ -> 1

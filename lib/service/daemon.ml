@@ -64,20 +64,6 @@ let h_request = Metrics.histogram "service.request_s"
 let op_counter op = Metrics.counter ("service.requests." ^ op)
 let op_histogram op = Metrics.histogram ("service.request_s." ^ op)
 
-(* Satellite fix: the engine aggregates unknown-reason breakdowns in its
-   stats, but a live service only exposes the metrics registry — surface
-   the histogram per op so budget saturation is observable on a scrape. *)
-let count_unknown_reasons op (s : Alive.Refine.stats) =
-  let bump slug n =
-    if n > 0 then
-      Metrics.add
-        (Metrics.counter (Printf.sprintf "service.unknown.%s.%s" op slug))
-        n
-  in
-  bump "timeout" s.unknown_reasons.by_timeout;
-  bump "conflicts" s.unknown_reasons.by_conflicts;
-  bump "cegar" s.unknown_reasons.by_cegar
-
 (* --- Shared daemon state --- *)
 
 type t = {
@@ -141,7 +127,7 @@ let parse_transforms args =
 (* --- Handlers --- *)
 
 (* The verdict, then the same per-check stats an engine JSON report
-   carries: counts, times and every solver counter by report name. *)
+   carries: every row of [Refine.table] by report name. *)
 let verdict_json (r : Alive.Refine.result) =
   Json.Obj
     (("verdict", Json.String (Alive.Refine.verdict_name r.verdict))
@@ -203,10 +189,6 @@ let handle_verify ?ctx t args =
       with
       | Error e -> Error e
       | Ok results ->
-          List.iter
-            (fun (_, (r : Alive.Refine.result)) ->
-              count_unknown_reasons "verify" r.stats)
-            results;
           Ok
             (Json.List
                (List.map

@@ -84,105 +84,54 @@ let telemetry () =
 
 (* The counter table: each field declared once, with its report name
    (--stats, JSON reports, the daemon's verify response), its registry
-   name (Prometheus, the ledger), its accessor and how two values merge.
-   Everything that lists the counters is derived from it. *)
-
-type _ merge = Sum : int merge | Max : int merge | Sum_seconds : float merge
-
-type counter =
-  | Counter : {
-      name : string;
-      metric : string;
-      merge : 'a merge;
-      get : telemetry -> 'a;
-      set : telemetry -> 'a -> unit;
-      handle : Metrics.counter;
-    }
-      -> counter
-
-(* Registered at module load so every counter exports (at zero) from the
-   first Prometheus scrape. *)
-let row (type a) name metric (merge : a merge) get set =
-  let handle =
-    match merge with
-    | Sum -> Metrics.counter metric
-    | Max -> Metrics.peak metric
-    | Sum_seconds -> Metrics.seconds metric
-  in
-  Counter { name; metric; merge; get; set; handle }
+   name (Prometheus, the ledger), its merge rule and its accessor.
+   Everything that lists the solver counters is derived from it;
+   [Refine.table] reads the same rows through its stats record. *)
 
 let table =
-  [
-    row "sat_time_s" "solve.sat_s" Sum_seconds
-      (fun t -> t.sat_time) (fun t v -> t.sat_time <- v);
-    row "checks" "solve.checks" Sum
-      (fun t -> t.checks) (fun t v -> t.checks <- v);
-    row "conflicts" "solve.conflicts" Sum
-      (fun t -> t.conflicts) (fun t v -> t.conflicts <- v);
-    row "decisions" "solve.decisions" Sum
-      (fun t -> t.decisions) (fun t v -> t.decisions <- v);
-    row "propagations" "solve.propagations" Sum
-      (fun t -> t.propagations) (fun t v -> t.propagations <- v);
-    row "restarts" "solve.restarts" Sum
-      (fun t -> t.restarts) (fun t v -> t.restarts <- v);
-    row "clauses" "solve.clauses" Sum
-      (fun t -> t.clauses) (fun t v -> t.clauses <- v);
-    row "vars" "solve.vars" Sum (fun t -> t.vars) (fun t v -> t.vars <- v);
-    row "peak_clauses" "solve.peak_clauses" Max
-      (fun t -> t.peak_clauses) (fun t v -> t.peak_clauses <- v);
-    row "peak_vars" "solve.peak_vars" Max
-      (fun t -> t.peak_vars) (fun t v -> t.peak_vars <- v);
-    row "cegar_iterations" "solve.cegar_iterations" Sum
-      (fun t -> t.cegar_iterations) (fun t v -> t.cegar_iterations <- v);
-    row "cache_hits" "vc_cache.hits" Sum
-      (fun t -> t.cache_hits) (fun t v -> t.cache_hits <- v);
-    row "cache_misses" "vc_cache.misses" Sum
-      (fun t -> t.cache_misses) (fun t v -> t.cache_misses <- v);
-    row "cache_evictions" "vc_cache.evictions" Sum
-      (fun t -> t.cache_evictions) (fun t v -> t.cache_evictions <- v);
-    row "store_hits" "vc_cache.store_hits" Sum
-      (fun t -> t.store_hits) (fun t v -> t.store_hits <- v);
-    row "store_misses" "vc_cache.store_misses" Sum
-      (fun t -> t.store_misses) (fun t v -> t.store_misses <- v);
-    row "static_proved" "refine.static_proved" Sum
-      (fun t -> t.static_proved) (fun t v -> t.static_proved <- v);
-    row "aig_nodes_in" "solve.aig_nodes_in" Sum
-      (fun t -> t.aig_nodes_in) (fun t v -> t.aig_nodes_in <- v);
-    row "aig_nodes_out" "solve.aig_nodes_out" Sum
-      (fun t -> t.aig_nodes_out) (fun t v -> t.aig_nodes_out <- v);
-  ]
+  Metrics.Table.
+    [
+      row "sat_time_s" "solve.sat_s" Sum_seconds
+        (fun t -> t.sat_time) (fun t v -> t.sat_time <- v);
+      row "checks" "solve.checks" Sum
+        (fun t -> t.checks) (fun t v -> t.checks <- v);
+      row "conflicts" "solve.conflicts" Sum
+        (fun t -> t.conflicts) (fun t v -> t.conflicts <- v);
+      row "decisions" "solve.decisions" Sum
+        (fun t -> t.decisions) (fun t v -> t.decisions <- v);
+      row "propagations" "solve.propagations" Sum
+        (fun t -> t.propagations) (fun t v -> t.propagations <- v);
+      row "restarts" "solve.restarts" Sum
+        (fun t -> t.restarts) (fun t v -> t.restarts <- v);
+      row "clauses" "solve.clauses" Sum
+        (fun t -> t.clauses) (fun t v -> t.clauses <- v);
+      row "vars" "solve.vars" Sum (fun t -> t.vars) (fun t v -> t.vars <- v);
+      row "peak_clauses" "solve.peak_clauses" Max
+        (fun t -> t.peak_clauses) (fun t v -> t.peak_clauses <- v);
+      row "peak_vars" "solve.peak_vars" Max
+        (fun t -> t.peak_vars) (fun t v -> t.peak_vars <- v);
+      row "cegar_iterations" "solve.cegar_iterations" Sum
+        (fun t -> t.cegar_iterations) (fun t v -> t.cegar_iterations <- v);
+      row "cache_hits" "vc_cache.hits" Sum
+        (fun t -> t.cache_hits) (fun t v -> t.cache_hits <- v);
+      row "cache_misses" "vc_cache.misses" Sum
+        (fun t -> t.cache_misses) (fun t v -> t.cache_misses <- v);
+      row "cache_evictions" "vc_cache.evictions" Sum
+        (fun t -> t.cache_evictions) (fun t v -> t.cache_evictions <- v);
+      row "store_hits" "vc_cache.store_hits" Sum
+        (fun t -> t.store_hits) (fun t v -> t.store_hits <- v);
+      row "store_misses" "vc_cache.store_misses" Sum
+        (fun t -> t.store_misses) (fun t v -> t.store_misses <- v);
+      row "static_proved" "refine.static_proved" Sum
+        (fun t -> t.static_proved) (fun t v -> t.static_proved <- v);
+      row "aig_nodes_in" "solve.aig_nodes_in" Sum
+        (fun t -> t.aig_nodes_in) (fun t v -> t.aig_nodes_in <- v);
+      row "aig_nodes_out" "solve.aig_nodes_out" Sum
+        (fun t -> t.aig_nodes_out) (fun t v -> t.aig_nodes_out <- v);
+    ]
 
-let combine (type a) (merge : a merge) (x : a) (y : a) : a =
-  match merge with Sum -> x + y | Max -> max x y | Sum_seconds -> x +. y
-
-let add_telemetry ~into t =
-  List.iter
-    (fun (Counter c) -> c.set into (combine c.merge (c.get into) (c.get t)))
-    table
-
-let publish t =
-  List.iter
-    (fun (Counter c) ->
-      let v = c.get t in
-      match c.merge with
-      | Sum -> Metrics.add c.handle v
-      | Max -> Metrics.raise_to c.handle v
-      | Sum_seconds -> Metrics.add_seconds c.handle v)
-    table
-
-type value = Count of int | Seconds of float
-
-let value (type a) (merge : a merge) (v : a) =
-  match merge with Sum -> Count v | Max -> Count v | Sum_seconds -> Seconds v
-
-let report t =
-  List.map (fun (Counter c) -> (c.name, value c.merge (c.get t))) table
-
-let counters = List.map (fun (Counter c) -> (c.name, c.metric)) table
-
-let pp_value ppf = function
-  | Count n -> Format.pp_print_int ppf n
-  | Seconds s -> Format.fprintf ppf "%.3f" s
+let add_telemetry ~into t = Metrics.Table.merge table ~into t
+let counters = Metrics.Table.names table
 
 (* The cost of deciding one query: the provenance a verdict store files
    with the verdict. *)
@@ -228,7 +177,7 @@ let owned sink f =
   | None ->
       let t = telemetry () in
       let r = f t in
-      publish t;
+      Metrics.Table.publish table t;
       r
 
 module Trace = Alive_trace.Trace

@@ -42,11 +42,13 @@ val budget :
     were passed it; create one per unit of reporting (per transformation,
     per run) and sum with {!add_telemetry}.
 
-    Each field but [cubes_spawned] is declared once more, as a row of the
-    counter table in [solve.ml]: its report name, its registry name, its
-    accessor and its merge rule. Summing, printing, JSON and publication into the
+    Each field but [cubes_spawned] is declared once more, as a row of
+    {!table}: its report name, its registry name, its merge rule and its
+    accessor. Summing, printing, JSON and publication into the
     {!Alive_trace.Metrics} registry are all derived from that table, so a
-    new counter is a record field, its zero in {!telemetry} and one row. *)
+    new counter is a record field, its zero in {!telemetry} and one row.
+    A query function called without a [telemetry] publishes its own
+    record when it returns. *)
 
 type telemetry = {
   mutable checks : int;  (** SAT solver invocations *)
@@ -87,26 +89,15 @@ type telemetry = {
 val telemetry : unit -> telemetry
 (** A fresh all-zero record. *)
 
+val table : telemetry Alive_trace.Metrics.Table.row list
+(** The counter table: one row per field but [cubes_spawned]. *)
+
 val add_telemetry : into:telemetry -> telemetry -> unit
 (** [add_telemetry ~into t] merges every counter of [t] into [into]: a
     sum, or the larger value for the two peaks. *)
 
-val publish : telemetry -> unit
-(** Add a finished unit of solver work to the registry: sums by addition,
-    peaks as high-water marks, [sat_time] as a seconds counter. Publish
-    each record once, when its work is done. The query functions below
-    publish for themselves when called without a [telemetry]. *)
-
-type value = Count of int | Seconds of float
-
-val report : telemetry -> (string * value) list
-(** Every counter's report name and value, in table order. *)
-
 val counters : (string * string) list
 (** Every counter's report name and registry name, in table order. *)
-
-val pp_value : Format.formatter -> value -> unit
-(** An integer, or seconds to the millisecond. *)
 
 type cost = {
   sat_s : float;

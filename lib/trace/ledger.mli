@@ -23,7 +23,7 @@ type record = {
   counters : (string * float) list;
       (** sorted by name: every registry counter's change over the run
           (registry names, e.g. ["solve.conflicts"]), plus the named
-          extras the run supplied (e.g. ["opt_match_per_s"], ["infer_s"]) *)
+          extras the run supplied (e.g. ["opt_match_per_s"]) *)
   verdicts : (string * int) list;
   phases : phase_total list;
       (** every histogram that recorded during the run: span phases and

@@ -103,7 +103,6 @@ type gauge = { gname : string; glevel : int Atomic.t }
 
 let set_gauge g n = Atomic.set g.glevel n
 let add_gauge g n = ignore (Atomic.fetch_and_add g.glevel n)
-let gauge_value g = Atomic.get g.glevel
 
 (* --- Registry --- *)
 
@@ -184,6 +183,86 @@ let reset () =
               Mutex.unlock h.hlock)
         registry)
 
+(* --- Counter tables: a record's counters declared once, as rows --- *)
+
+module Table = struct
+  type _ merge = Sum : int merge | Max : int merge | Sum_seconds : float merge
+
+  type 'r row =
+    | Row : {
+        name : string;
+        metric : string;
+        merge : 'a merge;
+        get : 'r -> 'a;
+        set : 'r -> 'a -> unit;
+        handle : counter;
+      }
+        -> 'r row
+
+  (* Registered when the row is made, so every row exports (at zero)
+     from the first scrape. *)
+  let row (type a) name metric (merge : a merge) get set =
+    let handle =
+      match merge with
+      | Sum -> counter metric
+      | Max -> peak metric
+      | Sum_seconds -> seconds metric
+    in
+    Row { name; metric; merge; get; set; handle }
+
+  let via outer (Row r) =
+    Row
+      {
+        r with
+        get = (fun x -> r.get (outer x));
+        set = (fun x v -> r.set (outer x) v);
+      }
+
+  let combine (type a) (merge : a merge) (x : a) (y : a) : a =
+    match merge with Sum -> x + y | Max -> max x y | Sum_seconds -> x +. y
+
+  let merge rows ~into r =
+    List.iter
+      (fun (Row c) -> c.set into (combine c.merge (c.get into) (c.get r)))
+      rows
+
+  let publish rows r =
+    List.iter
+      (fun (Row c) ->
+        let v = c.get r in
+        match c.merge with
+        | Sum -> add c.handle v
+        | Max -> raise_to c.handle v
+        | Sum_seconds -> add_seconds c.handle v)
+      rows
+
+  type value = Count of int | Seconds of float
+
+  let value (type a) (merge : a merge) (v : a) =
+    match merge with Sum -> Count v | Max -> Count v | Sum_seconds -> Seconds v
+
+  let report rows r =
+    List.map (fun (Row c) -> (c.name, value c.merge (c.get r))) rows
+
+  let names rows = List.map (fun (Row c) -> (c.name, c.metric)) rows
+
+  let pp ?(nonzero = false) rows ppf r =
+    report rows r
+    |> List.filter (fun (_, v) ->
+           not (nonzero && (v = Count 0 || v = Seconds 0.0)))
+    |> List.iteri (fun i (name, v) ->
+           Format.fprintf ppf "%s%s=%s" (if i = 0 then "" else " ") name
+             (match v with
+             | Count n -> string_of_int n
+             | Seconds s -> Printf.sprintf "%.3f" s))
+
+  let json_fields rows r =
+    List.map
+      (fun (name, v) ->
+        (name, match v with Count n -> Json.Int n | Seconds s -> Json.Float s))
+      (report rows r)
+end
+
 (* --- Snapshots and rendering --- *)
 
 type hist_snapshot = {
@@ -257,17 +336,6 @@ let render_table ?(oc = stdout) () =
   let live = List.filter (fun h -> h.count > 0) snap.histograms in
   if live = [] then output_string oc "no phase metrics recorded\n"
   else begin
-    let name_w =
-      List.fold_left (fun w h -> max w (String.length h.name)) 5 live
-    in
-    Printf.fprintf oc "%-*s %9s %11s %10s %10s %10s %10s\n" name_w "phase"
-      "count" "total(s)" "p50(ms)" "p90(ms)" "p95(ms)" "max(ms)";
-    List.iter
-      (fun h ->
-        Printf.fprintf oc "%-*s %9d %11.3f %10.3f %10.3f %10.3f %10.3f\n"
-          name_w h.name h.count h.total_s (ms h.p50_s) (ms h.p90_s)
-          (ms h.p95_s) (ms h.max_s))
-      live;
     let nonzero =
       by_name
         (List.filter_map
@@ -278,13 +346,29 @@ let render_table ?(oc = stdout) () =
               if v = 0.0 then None else Some (n, Printf.sprintf "%.3f" v))
             snap.seconds)
     in
+    let gauges = List.filter (fun (_, v) -> v <> 0) snap.gauges in
+    (* One name column for phases, counters and gauges alike. *)
+    let name_w =
+      List.fold_left
+        (fun w n -> max w (String.length n))
+        5
+        (List.map (fun h -> h.name) live
+        @ List.map fst nonzero @ List.map fst gauges)
+    in
+    Printf.fprintf oc "%-*s %9s %11s %10s %10s %10s %10s\n" name_w "phase"
+      "count" "total(s)" "p50(ms)" "p90(ms)" "p95(ms)" "max(ms)";
+    List.iter
+      (fun h ->
+        Printf.fprintf oc "%-*s %9d %11.3f %10.3f %10.3f %10.3f %10.3f\n"
+          name_w h.name h.count h.total_s (ms h.p50_s) (ms h.p90_s)
+          (ms h.p95_s) (ms h.max_s))
+      live;
     if nonzero <> [] then begin
       Printf.fprintf oc "counters:\n";
       List.iter
         (fun (name, v) -> Printf.fprintf oc "  %-*s %12s\n" name_w name v)
         nonzero
     end;
-    let gauges = List.filter (fun (_, v) -> v <> 0) snap.gauges in
     if gauges <> [] then begin
       Printf.fprintf oc "gauges:\n";
       List.iter

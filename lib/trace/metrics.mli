@@ -37,10 +37,10 @@ val observe_phase : string -> float -> unit
 
 (** {1 Counters}
 
-    A counter is one atomic int, of one of three kinds: a total grows by
-    {!add}; a peak is a high-water mark, moved by {!raise_to}; a seconds
-    counter sums durations ({!add_seconds}), held as integer nanoseconds
-    and reported in seconds. *)
+    A counter is one atomic int. A total, found or registered by
+    {!counter}, grows by {!add}. Peaks (high-water marks) and seconds
+    counters (durations held as integer nanoseconds, reported in seconds)
+    are the rows of a {!Table} that merge by [Max] and [Sum_seconds]. *)
 
 type counter
 
@@ -48,24 +48,9 @@ val counter : string -> counter
 (** Find or register the total with this name.
     @raise Invalid_argument if the name is registered as anything else. *)
 
-val peak : string -> counter
-(** Find or register the high-water mark with this name. *)
-
-val seconds : string -> counter
-(** Find or register the seconds counter with this name. *)
-
 val add : counter -> int -> unit
 val incr : counter -> unit
-
-val add_seconds : counter -> float -> unit
-(** Add a duration in seconds (rounded to the nanosecond). *)
-
-val raise_to : counter -> int -> unit
-(** Raise a peak to at least this value. *)
-
 val counter_value : counter -> int
-(** The raw cell: a total or a peak as is, a seconds counter in
-    nanoseconds. *)
 
 (** {1 Gauges}
 
@@ -83,7 +68,54 @@ val set_gauge : gauge -> int -> unit
 val add_gauge : gauge -> int -> unit
 (** Move the level by a (possibly negative) delta. *)
 
-val gauge_value : gauge -> int
+(** {1 Counter tables}
+
+    A record of counters is declared once, as a list of rows. A row gives
+    one field a report name ([--stats], the JSON reports, the daemon's
+    responses), a registry name (Prometheus, the ledger), a merge rule
+    and an accessor. Merging, printing, JSON and publication are folds
+    over the rows, so a new counter is a record field and one row. *)
+
+module Table : sig
+  type _ merge =
+    | Sum : int merge  (** a total *)
+    | Max : int merge  (** a high-water mark, exported as a gauge *)
+    | Sum_seconds : float merge  (** a duration *)
+
+  type 'r row
+  (** One counter of a record of type ['r]. *)
+
+  val row :
+    string -> string -> 'a merge -> ('r -> 'a) -> ('r -> 'a -> unit) -> 'r row
+  (** [row report registry merge get set]. The registry instrument is
+      registered at once, so every row exports (at zero) from the first
+      scrape. *)
+
+  val via : ('r -> 's) -> 's row -> 'r row
+  (** The same counter, in a record reached through [('r -> 's)]. *)
+
+  val merge : 'r row list -> into:'r -> 'r -> unit
+  (** Add every row of a record into [into]: a sum, or the larger value. *)
+
+  val publish : 'r row list -> 'r -> unit
+  (** Add a finished unit of work to the registry. Publish each record
+      once, when its work is done. *)
+
+  type value = Count of int | Seconds of float
+
+  val report : 'r row list -> 'r -> (string * value) list
+  (** Every row's report name and value, in table order. *)
+
+  val names : 'r row list -> (string * string) list
+  (** Every row's report name and registry name, in table order. *)
+
+  val pp : ?nonzero:bool -> 'r row list -> Format.formatter -> 'r -> unit
+  (** Space-separated [report=value] pairs, seconds to the millisecond;
+      with [nonzero], only the rows that are not zero. *)
+
+  val json_fields : 'r row list -> 'r -> (string * Json.t) list
+  (** {!report} as JSON fields: integers, or seconds as floats. *)
+end
 
 (** {1 Snapshots} *)
 

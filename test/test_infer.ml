@@ -238,7 +238,34 @@ let rederivation_test =
            precondition (need >= 10)"
           (List.length ok) (List.length eligible))
 
+(* ---- Phase histograms ---- *)
+
+let phase_count_test =
+  Alcotest.test_case "each inference phase is observed once" `Quick
+    (fun () ->
+      let module Metrics = Alive_trace.Metrics in
+      let count phase =
+        List.fold_left
+          (fun n (h : Metrics.hist_snapshot) ->
+            if h.name = phase then h.count else n)
+          0 (Metrics.snapshot ()).histograms
+      in
+      let validate0 = count "infer.validate" and sample0 = count "infer.sample" in
+      let was_on = Metrics.phase_timing_on () in
+      Metrics.set_phase_timing true;
+      let o =
+        Fun.protect
+          ~finally:(fun () -> Metrics.set_phase_timing was_on)
+          (fun () ->
+            Infer.infer ~widths:[ 4 ] ~budget
+              (parse "Name: udiv-shift\n%r = udiv %x, C\n=>\n%r = lshr %x, log2(C)\n"))
+      in
+      Alcotest.(check bool) "inferred" true (o.inferred <> None);
+      Alcotest.(check int) "infer.validate" o.validations
+        (count "infer.validate" - validate0);
+      Alcotest.(check int) "infer.sample" 1 (count "infer.sample" - sample0))
+
 let suite =
   ( "infer",
     lowering_tests @ infer_tests @ cmp_tests
-    @ [ vacuous_test; rederivation_test ] )
+    @ [ vacuous_test; rederivation_test; phase_count_test ] )

@@ -833,12 +833,10 @@ let telemetry_tests =
                 let counters =
                   Option.value ~default:Json.Null (Json.member "counters" m)
                 in
-                check_bool "unknown-reason counter per op" true
+                check_bool "unknown-reason counter" true
                   (List.exists
                      (fun slug ->
-                       match
-                         jint counters ("service.unknown.verify." ^ slug)
-                       with
+                       match jint counters ("refine.unknown." ^ slug) with
                        | Some n -> n > 0
                        | None -> false)
                      [ "timeout"; "conflicts"; "cegar" ])
