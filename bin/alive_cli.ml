@@ -688,7 +688,7 @@ let client_cmd =
         Some (In_channel.input_all stdin)
     | Some path -> Some (In_channel.with_open_text path In_channel.input_all)
   in
-  let run socket op file name rid timeout conflict_limit =
+  let run socket op file name rid widths timeout conflict_limit =
     let timeout = if timeout > 0.0 then Some timeout else None in
     let conflict_limit =
       if conflict_limit > 0 then Some conflict_limit else None
@@ -727,14 +727,14 @@ let client_cmd =
             | "lint" -> Result.bind (text ()) (fun text -> Client.lint c ~text)
             | "digests" ->
                 Result.bind (text ()) (fun text ->
-                    Client.digests c ?name ~text ())
+                    Client.digests c ?name ?widths ~text ())
             | "explain" ->
                 Result.bind (text ()) (fun text ->
-                    Client.explain c ?rid ?name ~text ())
+                    Client.explain c ?rid ?name ?widths ~text ())
             | "verify" ->
                 Result.bind (text ()) (fun text ->
-                    Client.verify c ?rid ?name ?timeout ?conflict_limit
-                      ~text ())
+                    Client.verify c ?rid ?name ?widths ?timeout
+                      ?conflict_limit ~text ())
             | "infer-pre" ->
                 Result.bind (text ()) (fun text ->
                     Client.infer_pre c ?name ?timeout ?conflict_limit
@@ -802,8 +802,8 @@ let client_cmd =
          (Cmd.Exit.info 1 ~doc:"connection or request failed."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ socket_arg $ op $ file $ name_arg $ rid_arg $ timeout_arg
-      $ conflict_limit_arg)
+      const run $ socket_arg $ op $ file $ name_arg $ rid_arg $ widths_arg
+      $ timeout_arg $ conflict_limit_arg)
 
 let explain_cmd =
   let module Client = Alive_service.Client in

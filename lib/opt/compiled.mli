@@ -33,9 +33,10 @@ val cyclic_count : t -> int
 (** {1 Matching} *)
 
 type ctx
-(** Per-function matching state: a name → definition index plus a token
-    scratch buffer. Build it with {!context}, or bring it up to date with
-    {!update} after the function changes. *)
+(** Per-function matching state: the function and its name → definition
+    index, which the trie walk and the matcher read. Build it with
+    {!context}, or bring it up to date with {!update} after the function
+    changes. *)
 
 val context : t -> Ir.func -> ctx
 
@@ -48,10 +49,20 @@ val find_def : ctx -> string -> Ir.def option
 
 val candidates : ctx -> Ir.def -> Matcher.rule list
 (** Rules whose source shape can match at the definition, in registry
-    order — the trie walk without the final [match_at] verification. It
+    order — the trie walk over the definition's operand DAG, without the
+    final [match_at] verification. It
     contains every rule {!Matcher.match_at} accepts there, which makes the
     pass's first firing rule the per-rule scan's; test/test_compiled.ml
     checks both against that scan. *)
 
+val match_rule :
+  ctx ->
+  Matcher.rule ->
+  Ir.def ->
+  (Matcher.match_result, Matcher.failure) result
+(** {!Matcher.match_root} at the definition, through the context's index:
+    what {!Matcher.match_at} gives at its name, and why not when it gives
+    [None]. *)
+
 val match_def : ctx -> Ir.def -> (Matcher.rule * Matcher.match_result) option
-(** First candidate (registry order) accepted by {!Matcher.match_at}. *)
+(** First candidate (registry order) accepted by {!match_rule}. *)

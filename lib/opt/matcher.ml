@@ -1,13 +1,24 @@
 open Alive.Ast
 
-type rule = { rule_name : string; transform : Alive.Ast.transform }
+type rule = {
+  rule_name : string;
+  transform : Alive.Ast.transform;
+  src_defs : (string * Alive.Ast.inst) list;
+  template_root : string;
+}
 
-type match_result = { bindings : Concrete.env; root : string }
+type match_result = {
+  bindings : Concrete.env;
+  root : string;
+  find : string -> Ir.def option;
+}
+
+type failure = Shape | Precondition
 
 let rule_of_transform (t : Alive.Ast.transform) =
   match Alive.Scoping.check t with
   | Error e -> Error e
-  | Ok _ ->
+  | Ok _ -> (
       let executable =
         let inst_ok = function
           | Binop _ | Icmp _ | Select _ | Copy _ -> true
@@ -25,8 +36,18 @@ let rule_of_transform (t : Alive.Ast.transform) =
              (function Def (_, _, Copy _) -> false | _ -> true)
              t.src
       in
-      if executable then Ok { rule_name = t.name; transform = t }
-      else Error "outside the executable integer fragment"
+      (* Scoping gives an executable source a root, and the target the
+         same one. *)
+      match root_of t.src with
+      | Some root when executable ->
+          Ok
+            {
+              rule_name = t.name;
+              transform = t;
+              src_defs = def_insts t.src;
+              template_root = root;
+            }
+      | Some _ | None -> Error "outside the executable integer fragment")
 
 let corpus_rules () =
   List.filter_map
@@ -254,14 +275,28 @@ let cyclic_sccs (rules : rule array) =
        | [] -> false)
   |> List.map (List.sort Int.compare)
 
-(* --- Matching --- *)
+(* --- Matching ---
+
+   A match reads the subject through [find], a name table of its
+   function's definitions: the pass hands in its compiled context's
+   index, [match_at] a scan of the body. *)
 
 type mstate = {
   func : Ir.func;
+  find : string -> Ir.def option;
   src_defs : (string * Alive.Ast.inst) list;
   mutable consts : (string * Bitvec.t) list;
   mutable values : (string * Ir.value) list;
 }
+
+(* [Ir.value_width] with definitions looked up in [find]. *)
+let width_in ~find (func : Ir.func) = function
+  | Ir.Var n -> (
+      match List.assoc_opt n func.Ir.params with
+      | Some w -> w
+      | None -> (
+          match find n with Some d -> d.Ir.width | None -> raise Not_found))
+  | (Ir.Const _ | Ir.Undef _) as v -> Ir.value_width func v
 
 let value_equal a b =
   match (a, b) with
@@ -296,7 +331,7 @@ let rec match_operand st (top : toperand) (v : Ir.value) ~width =
          matches the corresponding template definition. *)
       match v with
       | Ir.Var ir_name -> (
-          match Ir.def_of st.func ir_name with
+          match st.find ir_name with
           | Some d -> match_def st name d && bind_value st name v
           | None -> false)
       | Ir.Const _ | Ir.Undef _ -> false)
@@ -339,7 +374,7 @@ and match_def st template_name (d : Ir.def) =
           | Icmp (c, a, b), Ir.Icmp (c', x, y) ->
               ir_cond c = c'
               &&
-              let w = Ir.value_width st.func x in
+              let w = width_in ~find:st.find st.func x in
               match_operand st a x ~width:w && match_operand st b y ~width:w
           | Select (c, a, b), Ir.Select (cx, x, y) ->
               match_operand st c cx ~width:1
@@ -347,36 +382,25 @@ and match_def st template_name (d : Ir.def) =
               && match_operand st b y ~width:d.width
           | Conv (cv, a, _), Ir.Conv (cv', x) ->
               ir_conv cv = Some cv'
-              && match_operand st a x ~width:(Ir.value_width st.func x)
+              && match_operand st a x ~width:(width_in ~find:st.find st.func x)
           | _ -> false))
+
+let match_root (rule : rule) ~find func (root : Ir.def) =
+  let st = { func; find; src_defs = rule.src_defs; consts = []; values = [] } in
+  if not (match_def st rule.template_root root) then Error Shape
+  else begin
+    ignore (bind_value st rule.template_root (Ir.Var root.Ir.name));
+    let env = { Concrete.func; consts = st.consts; values = st.values } in
+    if Concrete.pred env rule.transform.pre then
+      Ok { bindings = env; root = root.Ir.name; find }
+    else Error Precondition
+  end
 
 let match_at rule func root_name =
   match Ir.def_of func root_name with
   | None -> None
-  | Some root_def ->
-      let st =
-        {
-          func;
-          src_defs = def_insts rule.transform.src;
-          consts = [];
-          values = [];
-        }
-      in
-      let root_template =
-        match Alive.Ast.root_of rule.transform.src with
-        | Some r -> r
-        | None -> assert false (* rejected by rule_of_transform *)
-      in
-      if match_def st root_template root_def then begin
-        ignore (bind_value st root_template (Ir.Var root_def.name));
-        let env =
-          { Concrete.func = func; consts = st.consts; values = st.values }
-        in
-        if Concrete.pred env rule.transform.pre then
-          Some { bindings = env; root = root_name }
-        else None
-      end
-      else None
+  | Some root ->
+      Result.to_option (match_root rule ~find:(Ir.def_of func) func root)
 
 (* --- Rewriting --- *)
 
@@ -395,13 +419,9 @@ type plan = { root : string; defs : Ir.def list; replacement : replacement }
 let plan rule func (m : match_result) =
   let ( let* ) = Option.bind in
   let root_def =
-    match Ir.def_of func m.root with Some d -> d | None -> assert false
+    match m.find m.root with Some d -> d | None -> assert false
   in
-  let tgt_root =
-    match Alive.Ast.root_of rule.transform.tgt with
-    | Some r -> r
-    | None -> assert false
-  in
+  let tgt_root = rule.template_root in
   (* Values visible to target instructions: the match bindings plus target
      temporaries as they are created. *)
   let env = ref m.bindings in
@@ -414,7 +434,8 @@ let plan rule func (m : match_result) =
     | Ir.Var n -> (
         match List.assoc_opt n !new_widths with
         | Some w -> Some w
-        | None -> ( try Some (Ir.value_width func v) with Not_found -> None))
+        | None -> (
+            try Some (width_in ~find:m.find func v) with Not_found -> None))
     | Ir.Const _ | Ir.Undef _ -> Some (Ir.value_width func v)
   in
   let operand_value (top : toperand) ~width =

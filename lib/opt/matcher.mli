@@ -8,6 +8,9 @@
 type rule = {
   rule_name : string;
   transform : Alive.Ast.transform;
+  src_defs : (string * Alive.Ast.inst) list;
+      (** the source template's definitions, by name *)
+  template_root : string;  (** the variable both templates define last *)
 }
 
 val rule_of_transform : Alive.Ast.transform -> (rule, string) result
@@ -23,11 +26,35 @@ val corpus_rules : unit -> rule list
 type match_result = {
   bindings : Concrete.env;
   root : string;  (** the matched root definition's name *)
+  find : string -> Ir.def option;
+      (** the name table the match read the function through; {!plan}
+          reads it too *)
 }
 
+(** Why a rule does not match at a definition. *)
+type failure =
+  | Shape
+      (** an opcode, attribute, constant, width or repeated name differs:
+          a fact of the operand DAG within the pattern's depth *)
+  | Precondition
+      (** the source matches but the precondition is not proven; the
+          analysis reads the whole operand cone and [hasOneUse] the use
+          counts, so this can change when the function changes elsewhere *)
+
+val match_root :
+  rule ->
+  find:(string -> Ir.def option) ->
+  Ir.func ->
+  Ir.def ->
+  (match_result, failure) result
+(** Match the rule's source template rooted at the given definition of the
+    function, reading its other definitions through [find] (which must
+    agree with the function's body), and check the precondition
+    concretely. *)
+
 val match_at : rule -> Ir.func -> string -> match_result option
-(** Try to match the rule's source template rooted at the named definition,
-    checking the precondition concretely. *)
+(** {!match_root} at the named definition, with definitions looked up by
+    scanning the body. *)
 
 (** {1 Template-level unification (lint support)}
 

@@ -125,10 +125,11 @@ let score uses ctx (root : Ir.def) (p : Matcher.plan) =
    definitions whose operand DAG changed are re-examined: the new and
    changed definitions themselves plus their users up to the compiled
    pattern depth, since a rewrite at %r can only create a match whose
-   pattern reaches %r. A final full sweep re-validates the fixpoint before
+   pattern reaches %r. A final sweep re-validates the fixpoint before
    returning (also covering cost-guard interactions: a rewrite rejected as
    cost-increasing can become acceptable after later shrinking), so the
-   result is exactly "no rule fires anywhere".
+   result is exactly "no rule fires anywhere"; it re-tries only the defs
+   whose last try could come out differently (see [retry]).
 
    A candidate is accepted when the DCE'd result does not cost more than
    the current function. Until the first accepted rewrite the function may
@@ -143,6 +144,7 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   let budget_out = ref false in
   let cycle_cut = ref false in
   let budget = ref max_rewrites in
+  (* Firings per (def, rule), kept for the rules in a cyclic SCC only. *)
   let fired_at : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
   let cur = ref f in
   let cur_cost = ref (Cost.func_cost f) in
@@ -223,6 +225,13 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
     push_affected suffix changed;
     defs
   in
+  (* The defs whose last try could come out differently on a later one:
+     it ended in anything but shape failures (an unproven precondition, a
+     plan that does not evaluate, the cost guard, the cycle cap, a firing).
+     A try that every candidate refused on shape alone is refused again
+     until a def within [max_depth] of its root changes, and
+     [push_affected] requeues the def then. *)
+  let retry : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   (* Try to fire the first acceptable rule at [d]; [true] if the function
      changed. A match is acceptable when the rewrite evaluates, the
      DCE'd result does not cost more than the current function (a rule's
@@ -234,28 +243,32 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
       false
     end
     else
+      let changeable = ref false in
       let fired =
         List.find_map
           (fun rule ->
-            let key = (d.Ir.name, rule.Matcher.rule_name) in
-            let fires =
-              Option.value ~default:0 (Hashtbl.find_opt fired_at key)
-            in
+            let cyclic = Compiled.in_cycle tree rule.Matcher.rule_name in
             if
-              fires >= cycle_fire_cap
-              && Compiled.in_cycle tree rule.Matcher.rule_name
+              cyclic
+              && count fired_at (d.Ir.name, rule.Matcher.rule_name)
+                 >= cycle_fire_cap
             then begin
               (* The guard is cutting a live rewrite cycle short exactly
                  when the capped rule still matches — report that the same
                  way budget exhaustion does. *)
-              if Option.is_some (Matcher.match_at rule !cur d.Ir.name) then
+              changeable := true;
+              if Result.is_ok (Compiled.match_rule !ctx rule d) then
                 cycle_cut := true;
               None
             end
             else
-              match Matcher.match_at rule !cur d.Ir.name with
-              | None -> None
-              | Some m -> (
+              match Compiled.match_rule !ctx rule d with
+              | Error Matcher.Shape -> None
+              | Error Matcher.Precondition ->
+                  changeable := true;
+                  None
+              | Ok m -> (
+                  changeable := true;
                   match (Matcher.plan rule !cur m, !uses) with
                   | None, _ -> None
                   | Some p, None ->
@@ -264,20 +277,23 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
                       in
                       let c = Cost.func_cost f' in
                       if c > !cur_cost then None
-                      else Some (rule, key, `Whole (f', c))
+                      else Some (rule, cyclic, `Whole (f', c))
                   | Some p, Some u ->
                       let s = score u !ctx d p in
                       if s.cost > 0 then None
-                      else Some (rule, key, `Scored (u, p, s))))
+                      else Some (rule, cyclic, `Scored (u, p, s))))
           (Compiled.candidates !ctx d)
       in
+      (* A def that fires stays in [retry]: its rewrite may leave its own
+         instruction as it was, and then [install] does not requeue it. *)
+      if !changeable then Hashtbl.replace retry d.Ir.name ()
+      else Hashtbl.remove retry d.Ir.name;
       match fired with
       | None -> false
-      | Some (rule, key, edit) ->
+      | Some (rule, cyclic, edit) ->
           decr budget;
           stats := bump !stats rule.Matcher.rule_name;
-          Hashtbl.replace fired_at key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt fired_at key));
+          if cyclic then add fired_at 1 (d.Ir.name, rule.Matcher.rule_name);
           (match edit with
           | `Whole (f', c) ->
               ignore (install f');
@@ -309,9 +325,15 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
         if not !budget_out then process ()
     | None ->
         (* Fixpoint verification sweep: if anything can still fire, fire
-           it (seeding the worklist with its fallout) and keep going. *)
-        if (not !budget_out) && List.exists try_fire !cur.Ir.body then
-          process ()
+           it (seeding the worklist with its fallout) and keep going. Only
+           the defs in [retry] can, so only they are tried, in body order;
+           with no budget left the first try would have ended the pass. *)
+        if !budget = 0 then budget_out := !cur.Ir.body <> []
+        else if
+          List.exists
+            (fun (d : Ir.def) -> Hashtbl.mem retry d.Ir.name && try_fire d)
+            !cur.Ir.body
+        then process ()
   in
   List.iter (fun (d : Ir.def) -> push d.Ir.name) f.Ir.body;
   process ();

@@ -30,8 +30,12 @@ val run_guarded :
 (** Like {!run}, but reports whether the fixpoint was actually reached or
     the budget cut a (probable) rewrite cycle short. After a rewrite only
     the changed definitions and their users within the compiled pattern
-    depth are re-examined; a final full sweep re-validates the fixpoint,
-    so a body-shrinking rewrite can never skip its successor. Rules in a
+    depth are re-examined; a final sweep re-validates the fixpoint, so a
+    body-shrinking rewrite can never skip its successor. The sweep
+    re-tries the definitions whose last try was refused by something
+    other than shape (an unproven precondition, the cost guard, the cycle
+    cap) or fired; one refused on shape alone is requeued when a
+    definition its patterns can reach changes. Rules in a
     cyclic SCC of the rewrite graph are additionally capped per
     (definition, rule) site. A rewrite is accepted when the DCE'd result
     costs no more; once one is accepted, candidates are scored from use

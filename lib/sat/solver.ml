@@ -474,16 +474,21 @@ let pick_branch_var t =
 
 exception Result of bool
 exception Deadline_hit
+exception Cap_hit
 
 (* Search with a conflict budget; raises [Result] on a definite answer,
-   returns () when the budget is exhausted (restart). The wall-clock
-   deadline is sampled every 128 conflicts — cheap enough to be noise, and
-   conflicts are the only place a hard instance spends unbounded time. *)
-let search t ~assumptions ~budget ~deadline =
+   returns () when the budget is exhausted (restart). The budget is checked
+   at the next decision, so a run of conflicts can overshoot it; [cap] is
+   the hard bound: a conflict past it is not counted and raises [Cap_hit].
+   The wall-clock deadline is sampled every 128 conflicts — cheap enough to
+   be noise, and conflicts are the only place a hard instance spends
+   unbounded time. *)
+let search t ~assumptions ~budget ~cap ~deadline =
   let conflict_count = ref 0 in
   while true do
     match propagate t with
     | Some confl ->
+        if !conflict_count >= cap then raise Cap_hit;
         t.conflicts <- t.conflicts + 1;
         incr conflict_count;
         if
@@ -543,23 +548,29 @@ let solve_untraced ?(assumptions = []) ?(conflict_limit = max_int) ?deadline t =
     let result = ref None in
     let restarts = ref 0 in
     while !result = None do
-      if t.conflicts - start_conflicts > conflict_limit then begin
-        cancel_until t 0;
-        raise (Budget_exceeded Conflicts)
-      end;
       if deadline > 0.0 && Unix.gettimeofday () > deadline then begin
         cancel_until t 0;
         raise (Budget_exceeded Deadline)
       end;
-      let budget = int_of_float (luby 2.0 !restarts *. 100.0) in
+      (* Each restart's search may spend at most the conflicts left, so the
+         call spends at most [conflict_limit]; with no limit that never
+         shortens a restart. With none left, the search still decides until
+         its first conflict. *)
+      let left = conflict_limit - (t.conflicts - start_conflicts) in
+      let budget =
+        max 1 (min left (int_of_float (luby 2.0 !restarts *. 100.0)))
+      in
       incr restarts;
       t.restarts <- t.restarts + 1;
       t.max_learnts <-
         Float.max t.max_learnts
           (float_of_int t.clauses.Cvec.size *. 0.3 +. 1000.0);
-      (try search t ~assumptions ~budget ~deadline with
+      (try search t ~assumptions ~budget ~cap:left ~deadline with
       | Result r -> result := Some r
       | Exit -> ()
+      | Cap_hit ->
+          cancel_until t 0;
+          raise (Budget_exceeded Conflicts)
       | Deadline_hit ->
           cancel_until t 0;
           raise (Budget_exceeded Deadline))

@@ -44,7 +44,10 @@ val solve :
   ?assumptions:lit list -> ?conflict_limit:int -> ?deadline:float -> t -> bool
 (** [solve s] is [true] iff the clauses (under the assumptions) are
     satisfiable. The solver can be re-used: later [add_clause] and [solve]
-    calls see all previously added clauses. [deadline] is an absolute
+    calls see all previously added clauses. The call spends at most
+    [conflict_limit] conflicts: each restart searches with at most the
+    conflicts left, and the conflict past the limit raises
+    [Budget_exceeded Conflicts]. [deadline] is an absolute
     wall-clock time ([Unix.gettimeofday] scale); it is sampled every 128
     conflicts and at every restart, so enforcement granularity is the time
     the instance takes to hit 128 conflicts. *)

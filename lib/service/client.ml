@@ -122,10 +122,14 @@ let parse t ~text =
 let lint t ~text =
   call t ~op:"lint" ~args:(Json.Obj [ ("text", Json.String text) ]) ()
 
-let digests t ?name ~text () =
+let digests t ?name ?widths ~text () =
   let args =
     [ ("text", Json.String text) ]
-    @ match name with Some n -> [ ("name", Json.String n) ] | None -> []
+    @ (match name with Some n -> [ ("name", Json.String n) ] | None -> [])
+    @
+    match widths with
+    | Some ws -> [ ("widths", Json.List (List.map (fun w -> Json.Int w) ws)) ]
+    | None -> []
   in
   call t ~op:"digests" ~args:(Json.Obj args) ()
 

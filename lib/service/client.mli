@@ -77,9 +77,15 @@ val parse : t -> text:string -> (Json.t, string) result
 val lint : t -> text:string -> (Json.t, string) result
 
 val digests :
-  t -> ?name:string -> text:string -> unit -> (Json.t, string) result
+  t ->
+  ?name:string ->
+  ?widths:int list ->
+  text:string ->
+  unit ->
+  (Json.t, string) result
 (** Canonical query digests (the verdict-store keys) of every typing of the
-    transformations in [text], without solving anything. *)
+    transformations in [text] in the width domain [widths] (the daemon's
+    default without it), without solving anything. *)
 
 val infer_pre :
   t ->

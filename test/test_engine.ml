@@ -41,6 +41,19 @@ let budget_tests =
         | v ->
             Alcotest.failf "expected Unknown, got %s"
               (Format.asprintf "%a" Refine.pp_verdict v));
+    Alcotest.test_case "a query spends at most its conflict limit" `Quick
+      (fun () ->
+        (* The limit binds mid-restart: the first Luby restart alone may
+           spend 100 conflicts. *)
+        List.iter
+          (fun n ->
+            let budget = Solve.budget ~conflict_limit:n () in
+            let r = Refine.run ~widths:[ 16 ] ~budget (parse hard_text) in
+            let spent = r.stats.telemetry.Solve.conflicts in
+            check_bool
+              (Printf.sprintf "%d conflicts under a limit of %d" spent n)
+              true (spent <= n))
+          [ 10; 50; 1000 ]);
     Alcotest.test_case "expired deadline yields Unknown Timeout" `Quick
       (fun () ->
         (* A deadline in the past: the first restart-boundary check fires

@@ -592,11 +592,36 @@ let outcome_text (o : Alive_opt.Pass.outcome) =
 
 (* Which rule fires where, and in what order, is the pass's output: the
    seed-1 totals and table digest are perfbench optimize-zipf's counts line,
-   and the seed-83 digest covers the function after every prefix of the
-   firing sequence (the budget cuts the pass after k firings). *)
+   seeds 2, 4 and 5 pin every outcome, and the seed-83 digest covers the
+   function after every prefix of the firing sequence (the budget cuts the
+   pass after k firings). *)
 let pinned_output =
   Alcotest.test_case "pass output is pinned" `Slow (fun () ->
       let run = Alive_opt.Pass.run_guarded ~rules:valid_rules in
+      List.iter
+        (fun (seed, fires, cost_out, saturated, md5) ->
+          let outcomes =
+            List.map run
+              (Alive_opt.Workload.generate
+                 { Alive_opt.Workload.default with seed; functions = 1000 }
+                 valid_rules)
+          in
+          let sum g = List.fold_left (fun a o -> a + g o) 0 outcomes in
+          let at what = Printf.sprintf "seed %d %s" seed what in
+          check_int (at "firings") fires (sum firings);
+          check_int (at "cost_out") cost_out
+            (sum (fun (o : Alive_opt.Pass.outcome) -> Cost.func_cost o.func));
+          check_int (at "saturated") saturated
+            (sum (fun (o : Alive_opt.Pass.outcome) -> Bool.to_int o.saturated));
+          let text = String.concat "" (List.map outcome_text outcomes) in
+          Alcotest.(check string)
+            (at "outcomes") md5
+            (Digest.to_hex (Digest.string text)))
+        [
+          (2, 19114, 41243, 4, "9b684eebb6f3a6399686572aca745acb");
+          (4, 19323, 41125, 3, "b2cd4aa7a239ed28f3d8b05234e4255b");
+          (5, 18940, 41104, 3, "2fb2b19f75d0809f12b0249670b2277f");
+        ];
       let inputs = Lazy.force seed1_inputs in
       let outcomes = List.map run inputs in
       let sum g = List.fold_left (fun a o -> a + g o) 0 outcomes in

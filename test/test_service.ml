@@ -1048,6 +1048,32 @@ let no_typing_tests =
             check_bool "explain row carries error" true
               (jstr (row "explain") "error" <> None);
             stop_daemon d));
+    Alcotest.test_case "client digests take a width domain" `Quick (fun () ->
+        let text = "Name: e\n%r = add %a, 0\n=>\n%r = %a\n" in
+        let typings widths =
+          match
+            Alive.Refine.query_digests ?widths
+              (Alive.Parser.parse_transform text)
+          with
+          | Ok ts ->
+              let strings ds = Json.List (List.map (fun d -> Json.String d) ds) in
+              Some (Json.List (List.map strings ts))
+          | Error e -> Alcotest.fail e
+        in
+        with_temp_dir (fun dir ->
+            let d = one_worker_daemon dir in
+            let c, _, _ = d in
+            let digests widths =
+              match Client.digests c ?widths ~text () with
+              | Ok (Json.List [ row ]) -> Json.member "typings" row
+              | Ok _ -> Alcotest.fail "digests: response shape"
+              | Error e -> Alcotest.failf "digests: %s" e
+            in
+            check_bool "the daemon's digests at i8 are Refine's" true
+              (digests (Some [ 8 ]) = typings (Some [ 8 ]));
+            check_bool "and differ from the default domain's" true
+              (digests (Some [ 8 ]) <> digests None);
+            stop_daemon d));
   ]
 
 let suite =
