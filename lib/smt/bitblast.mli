@@ -4,8 +4,17 @@
     models of the asserted formulas, and counterexamples are read off them
     directly.
 
-    A context owns a SAT solver and memoization tables keyed by term id, so
-    shared subterms are encoded once. Formulas are asserted incrementally;
+    The word-level circuits (adders, comparators, the multiplier, shifts)
+    and the walk over the core fragment are written once, over a gate set,
+    and instantiated with two: the AIG's gates (hash-consed, two-level
+    rewriting, CNF emitted cone by cone from the reduced graph with MUX/XOR
+    recognition) and the direct gates (one SAT variable per gate). The two
+    paths differ in that AIG layer only; the direct gates are the reference
+    it is checked against.
+
+    A context owns a SAT solver and one encoder: the circuits over one gate
+    set, with memoization tables keyed by term id, so shared subterms are
+    encoded once. Formulas are asserted incrementally;
     [check] may be called repeatedly (the CEGAR loop's outer context adds a
     formula per round).
 
@@ -15,8 +24,8 @@
 type t
 
 val create : unit -> t
-(** A fresh context, with the AIG pass on or off as {!set_simplify} says
-    when it is created. *)
+(** A fresh context over the gate set {!set_simplify} selects when it is
+    created: the AIG's gates when on, the direct gates when off. *)
 
 val set_simplify : bool -> unit
 (** Process-wide default for AIG structural simplification: when on (the

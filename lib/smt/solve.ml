@@ -343,22 +343,28 @@ let checked ~query formulas model =
 
 (* --- Queries: one context, one metered check --- *)
 
-let check_sat_into sink budget formulas =
+(* Blast [formulas] into a fresh context and run one metered check; a
+   model binds their free variables and is checked against them. *)
+let solve_in m ~query formulas =
   let ctx = Bitblast.create () in
   List.iter (Bitblast.assert_formula ctx) formulas;
-  let m = start_meter sink budget in
   let result =
     match metered_check m ctx with
-    | `Unsat -> Unsat
-    | `Unknown r -> Unknown r
     | `Sat ->
         let vars =
           List.sort_uniq Stdlib.compare (List.concat_map Term.vars formulas)
         in
-        Sat (checked ~query:"check_sat" formulas (extract_model ctx vars))
+        `Sat (checked ~query formulas (extract_model ctx vars))
+    | (`Unsat | `Unknown _) as r -> r
   in
   retire_ctx m ctx;
   result
+
+let check_sat_into sink budget formulas =
+  match solve_in (start_meter sink budget) ~query:"check_sat" formulas with
+  | `Sat model -> Sat model
+  | `Unsat -> Unsat
+  | `Unknown r -> Unknown r
 
 let check_sat ?(budget = no_budget) ?telemetry formulas =
   owned telemetry (fun sink -> check_sat_into sink budget formulas)
@@ -403,23 +409,6 @@ let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
       (* Seed with the all-zero candidate. *)
       add_candidate
         (Model.of_list (List.map (fun (n, s) -> (n, default_value s)) exists));
-      (* The inner ∃E check: each round blasts its instantiation f[O:=oᵢ]
-         into a fresh context. *)
-      let solve_inner f_inner =
-        let inner = Bitblast.create () in
-        Bitblast.assert_formula inner f_inner;
-        let r =
-          match metered_check m inner with
-          | `Sat ->
-              let vars = List.sort_uniq Stdlib.compare (Term.vars f_inner) in
-              `Sat
-                (checked ~query:"CEGAR inner" [ f_inner ]
-                   (extract_model inner vars))
-          | (`Unsat | `Unknown _) as r -> r
-        in
-        retire_ctx m inner;
-        r
-      in
       (* One refinement round under its own span, so iterations render as
          sibling slices rather than one ever-deepening nest. The recursion
          happens outside the span. *)
@@ -434,13 +423,16 @@ let check_valid_ef ?(budget = no_budget) ?telemetry ?max_iterations ~exists f =
                   checked ~query:"CEGAR outer" !outer_formulas
                     (extract_model outer outer_vars)
                 in
-                (* Does some E satisfy f under this O? *)
+                (* Does some E satisfy f under this O? The inner check
+                   blasts f[O:=oᵢ] into a fresh context. *)
                 let o_bindings =
                   List.map
                     (fun (n, _) -> (n, value_to_term (Model.find_exn o_model n)))
                     outer_vars
                 in
-                match solve_inner (Term.subst o_bindings f) with
+                match
+                  solve_in m ~query:"CEGAR inner" [ Term.subst o_bindings f ]
+                with
                 | `Unknown r -> `Stop (`Unknown r)
                 | `Unsat -> `Stop (`Invalid o_model)
                 | `Sat e_model ->

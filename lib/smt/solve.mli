@@ -118,6 +118,10 @@ val with_cost : telemetry -> (unit -> 'a) -> 'a * cost
     call. The CEGAR loop of {!check_valid_ef} keeps one outer context and
     blasts each round's inner instantiation into a fresh context.
 
+    A query's deadline is fixed when the query starts, before its first
+    formula is blasted, so lowering and encoding count against the
+    timeout: for {!check_sat} and {!is_valid} as for every CEGAR round.
+
     Before a model is returned, it is evaluated against the formulas
     asserted in its context, as they were before lowering. A model that
     falsifies them raises {!Model_mismatch}. A formula whose evaluation

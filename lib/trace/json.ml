@@ -28,6 +28,15 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* The shortest of 15, 16 and 17 significant digits that reads back as
+   the same float; 17 always does. *)
+let float_digits f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  go 15
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -35,7 +44,7 @@ let rec write buf = function
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      else Buffer.add_string buf (float_digits f)
   | String s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);

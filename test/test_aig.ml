@@ -62,19 +62,39 @@ let aig_differential_tests =
               if ws = [] then None else Some ws
         in
         let run () =
-          List.filter_map
-            (fun (e : Entry.t) ->
-              match widths_of e with
-              | None -> None
-              | Some widths ->
-                  let v = Refine.check ~widths (Entry.parse e) in
-                  Some (e.name, fingerprint v))
-            Alive_suite.Registry.all
+          let sum = Solve.telemetry () in
+          let verdicts =
+            List.filter_map
+              (fun (e : Entry.t) ->
+                match widths_of e with
+                | None -> None
+                | Some widths ->
+                    let r = Refine.run ~widths (Entry.parse e) in
+                    Solve.add_telemetry ~into:sum r.stats.telemetry;
+                    Some (e.name, fingerprint r.verdict))
+              Alive_suite.Registry.all
+          in
+          (verdicts, sum)
         in
-        let on = with_aig true run in
-        let off = with_aig false run in
+        let on, on_sum = with_aig true run in
+        let off, off_sum = with_aig false run in
         check_bool "corpus slice is non-trivial" true (List.length on > 150);
-        check_parity on off);
+        check_parity on off;
+        (* What the solver did with each path's CNF, summed over every
+           query the slice solves: this pins the clauses of each gate set
+           on the whole corpus, where the golden digests below pin four
+           queries. *)
+        let counts (t : Solve.telemetry) =
+          [ t.checks; t.conflicts; t.decisions; t.clauses; t.vars;
+            t.aig_nodes_in; t.aig_nodes_out ]
+        in
+        let label = "checks, conflicts, decisions, clauses, vars, AIG in, out" in
+        Alcotest.(check (list int)) ("AIG path: " ^ label)
+          [ 779; 24_876; 49_534; 139_189; 44_821; 183_092; 70_235 ]
+          (counts on_sum);
+        Alcotest.(check (list int)) ("direct path: " ^ label)
+          [ 779; 31_192; 69_259; 164_261; 46_007; 0; 0 ]
+          (counts off_sum));
     Alcotest.test_case "AIG pass actually reduces gates" `Quick (fun () ->
         (* Distribution over multiplication circuits has plenty of
            reconvergent structure; the pass must strictly shrink it.
@@ -293,8 +313,9 @@ let dump_tests =
 
    Conflict counts, the benchmark's exact-count checks and the committed
    ledger baselines all depend on the exact clauses, and their order, that
-   the encoders emit. These digests of [Bitblast.export] for three i8
-   queries pin both the AIG path and the direct path. A deliberate
+   the encoders emit. These digests of [Bitblast.export] for four i8
+   queries pin both the AIG path and the direct path; the fourth reaches
+   every construct of the core fragment the first three miss. A deliberate
    encoding change must update these values — and by doing so declares
    every recorded count stale, so re-record the ledger baselines with it. *)
 
@@ -315,6 +336,22 @@ let golden_cnf_tests =
           (Term.eq
              (Term.lshr (Term.shl x y) y)
              (Term.band x (Term.lshr (Term.all_ones 8) y))) );
+      ( "Booleans and casts",
+        let b = Term.var "b" Term.Bool in
+        Term.and_
+          [
+            Term.or_ [ b; Term.slt (Term.sext x 16) (Term.zext y 16) ];
+            Term.eq b
+              (Term.ult
+                 (Term.bxor x (Term.bnot z))
+                 (Term.bor y (Term.ashr z (Term.const_int ~width:8 3))));
+            Term.not_
+              (Term.eq
+                 (Term.concat
+                    (Term.extract ~hi:3 ~lo:0 x)
+                    (Term.extract ~hi:7 ~lo:4 y))
+                 (Term.ite b (Term.sub z x) y));
+          ] );
     ]
   in
   let golden =
@@ -322,9 +359,11 @@ let golden_cnf_tests =
       (true, "mul", "aaaab5c73c97a52dec2b0845701e7cf0");
       (true, "udiv", "a031812d5d14787aa6d8c43cc7fff7a8");
       (true, "variable shift", "98a724e2cd47dfa6ce05904551cc8cdb");
+      (true, "Booleans and casts", "72f9ed2ab028ab250ab288a8f086a9e5");
       (false, "mul", "5c377df585f11cb3d5594b4602de65c3");
       (false, "udiv", "1ad3f472fe50accfc40b219479a475fa");
       (false, "variable shift", "238dfd66f49e6ad2d50da8b22601bc7a");
+      (false, "Booleans and casts", "58518c217bf1ffe7064f255dc6aee9b2");
     ]
   in
   [

@@ -317,6 +317,7 @@ let json_tests =
               ("s", Json.String "a\"b\\c\nd\x01e");
               ("n", Json.Int (-42));
               ("f", Json.Float 1.5);
+              ("g", Json.Float 1.234567);
               ("t", Json.Bool true);
               ("nil", Json.Null);
               ("l", Json.List [ Json.Int 1; Json.String "x"; Json.Obj [] ]);
@@ -427,7 +428,12 @@ let regressed (d : Ledger.diff) =
 let ledger_tests =
   [
     Alcotest.test_case "record JSON round-trips" `Quick (fun () ->
-        let r = sample_record ~counters:[ ("solve.sat_s", 1.48909) ] () in
+        let r =
+          sample_record
+            ~counters:
+              [ ("solve.sat_s", 1.48909); ("opt_match_per_s", 1247448.5) ]
+            ()
+        in
         match Ledger.of_json (parse_ok (Json.to_string (Ledger.to_json r))) with
         | Error e -> Alcotest.fail e
         | Ok r' -> check_bool "identical" true (r = r'));
