@@ -59,6 +59,6 @@ let run ~rules f =
     let f1, s1 = Pass.run ~rules f in
     let f2, folds = fold_constants f1 in
     let stats = Pass.merge_stats stats s1 in
-    if folds = 0 then (Pass.dce f2, stats) else go (Pass.dce f2) stats
+    if folds = 0 then (f2, stats) else go f2 stats
   in
   go f []

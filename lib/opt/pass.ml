@@ -58,12 +58,14 @@ let cycle_fire_cap = 8
 let count tbl n = Option.value ~default:0 (Hashtbl.find_opt tbl n)
 let add tbl k n = Hashtbl.replace tbl n (k + count tbl n)
 
-(* A planned rewrite of a dead-free function, scored from use counts
-   (operands plus [ret], as [Ir.uses_of]) before anything is spliced:
-   [delta] is the change of every count it touches, [dead] the defs whose
-   count reaches 0 (the old root's operands, new defs nobody uses, and
-   what only they used), [cost] the change of [Cost.func_cost]. Exact
-   because the def-use graph is acyclic and every def reaches [ret]. *)
+(* A planned rewrite of a dead-free function (the pass removes its input's
+   dead code on entry, and every accepted rewrite drops what it kills),
+   scored from use counts (operands plus [ret], as [Ir.uses_of]) before
+   anything is spliced: [delta] is the change of every count it touches,
+   [dead] the defs whose count reaches 0 (the old root's operands, new defs
+   nobody uses, and what only they used), [cost] the change of
+   [Cost.func_cost]. Exact because the def-use graph is acyclic and every
+   def reaches [ret]. *)
 type score = {
   delta : (string, int) Hashtbl.t;
   dead : (string, unit) Hashtbl.t;
@@ -131,13 +133,13 @@ let score uses ctx (root : Ir.def) (p : Matcher.plan) =
    result is exactly "no rule fires anywhere"; it re-tries only the defs
    whose last try could come out differently (see [retry]).
 
-   A candidate is accepted when the DCE'd result does not cost more than
-   the current function. Until the first accepted rewrite the function may
-   hold dead code, so a candidate is spliced, DCE'd and costed whole. From
-   then on the function is dead-free and the pass keeps its use counts: a
-   candidate is scored from them (see [score]), only accepted ones are
-   spliced, and the per-function state (use counts, cost, the compiled
-   context's name table) is patched rather than rebuilt. *)
+   The pass removes its input's dead code on entry, as InstCombine erases
+   a trivially dead instruction instead of combining it, and every rewrite
+   keeps the function dead-free. So each candidate is scored from the use
+   counts (see [score]) and accepted when the DCE'd result does not cost
+   more than the current function; only accepted ones are spliced, and the
+   per-function state (use counts, the compiled context's name table) is
+   patched rather than rebuilt. *)
 let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   let tree = compiled_for rules in
   let stats = ref [] in
@@ -146,10 +148,10 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   let budget = ref max_rewrites in
   (* Firings per (def, rule), kept for the rules in a cyclic SCC only. *)
   let fired_at : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
+  let f = dce f in
   let cur = ref f in
-  let cur_cost = ref (Cost.func_cost f) in
-  let ctx = ref (Compiled.context tree f) in
-  let uses = ref None in
+  let ctx = Compiled.context tree f in
+  let uses = Ir.uses_of f in
   let queue = Queue.create () in
   let queued : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let push name =
@@ -194,16 +196,15 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
     in
     up 0 names
   in
-  (* Install [f'], the accepted rewrite of [!cur], and queue what it
-     affects: the defs that are new or redefined relative to the
-     pre-rewrite context (the in-place root replacement, fresh target
-     defs, and every user rewritten by a copy-root substitution), in body
-     order. [Matcher.splice] and [dce] keep every other def as the same
-     physical value. Returns the defs to re-index. *)
-  let install f' =
-    let old = !ctx in
+  (* Install [f'], the accepted rewrite of [!cur] that drops the defs
+     named [removed], and queue what it affects: the defs that are new or
+     redefined relative to the pre-rewrite context (the in-place root
+     replacement, fresh target defs, and every user rewritten by a
+     copy-root substitution), in body order. [Matcher.splice] keeps every
+     other def as the same physical value, so only these are re-indexed. *)
+  let install f' ~removed =
     let fresh (d : Ir.def) =
-      match Compiled.find_def old d.Ir.name with
+      match Compiled.find_def ctx d.Ir.name with
       | Some o -> o != d
       | None -> true
     in
@@ -216,14 +217,14 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
     let changed =
       List.filter_map
         (fun (d : Ir.def) ->
-          match Compiled.find_def old d.Ir.name with
+          match Compiled.find_def ctx d.Ir.name with
           | Some o when o.Ir.inst = d.Ir.inst -> None
           | _ -> Some d.Ir.name)
         defs
     in
     cur := f';
     push_affected suffix changed;
-    defs
+    Compiled.update ctx f' ~removed ~defs
   in
   (* The defs whose last try could come out differently on a later one:
      it ended in anything but shape failures (an unproven precondition, a
@@ -257,32 +258,24 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
                  when the capped rule still matches — report that the same
                  way budget exhaustion does. *)
               changeable := true;
-              if Result.is_ok (Compiled.match_rule !ctx rule d) then
+              if Result.is_ok (Compiled.match_rule ctx rule d) then
                 cycle_cut := true;
               None
             end
             else
-              match Compiled.match_rule !ctx rule d with
+              match Compiled.match_rule ctx rule d with
               | Error Matcher.Shape -> None
               | Error Matcher.Precondition ->
                   changeable := true;
                   None
               | Ok m -> (
                   changeable := true;
-                  match (Matcher.plan rule !cur m, !uses) with
-                  | None, _ -> None
-                  | Some p, None ->
-                      let f' =
-                        dce (Matcher.splice ~dead:(fun _ -> false) !cur p)
-                      in
-                      let c = Cost.func_cost f' in
-                      if c > !cur_cost then None
-                      else Some (rule, cyclic, `Whole (f', c))
-                  | Some p, Some u ->
-                      let s = score u !ctx d p in
-                      if s.cost > 0 then None
-                      else Some (rule, cyclic, `Scored (u, p, s))))
-          (Compiled.candidates !ctx d)
+                  match Matcher.plan rule !cur m with
+                  | None -> None
+                  | Some p ->
+                      let s = score uses ctx d p in
+                      if s.cost > 0 then None else Some (rule, cyclic, p, s)))
+          (Compiled.candidates ctx d)
       in
       (* A def that fires stays in [retry]: its rewrite may leave its own
          instruction as it was, and then [install] does not requeue it. *)
@@ -290,37 +283,27 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
       else Hashtbl.remove retry d.Ir.name;
       match fired with
       | None -> false
-      | Some (rule, cyclic, edit) ->
+      | Some (rule, cyclic, p, s) ->
           decr budget;
           stats := bump !stats rule.Matcher.rule_name;
           if cyclic then add fired_at 1 (d.Ir.name, rule.Matcher.rule_name);
-          (match edit with
-          | `Whole (f', c) ->
-              ignore (install f');
-              cur_cost := c;
-              ctx := Compiled.context tree f';
-              uses := Some (Ir.uses_of f')
-          | `Scored (u, p, s) ->
-              let f' = Matcher.splice ~dead:(Hashtbl.mem s.dead) !cur p in
-              let defs = install f' in
-              let removed =
-                Hashtbl.fold (fun n () acc -> n :: acc) s.dead
-                  (match p.Matcher.replacement with
-                  | Matcher.Copy _ -> [ p.Matcher.root ]
-                  | Matcher.Inst _ -> [])
-              in
-              Compiled.update !ctx f' ~removed ~defs;
-              Hashtbl.iter (fun n k -> add u k n) s.delta;
-              List.iter (Hashtbl.remove u) removed;
-              cur_cost := !cur_cost + s.cost);
+          let removed =
+            Hashtbl.fold (fun n () acc -> n :: acc) s.dead
+              (match p.Matcher.replacement with
+              | Matcher.Copy _ -> [ p.Matcher.root ]
+              | Matcher.Inst _ -> [])
+          in
+          install (Matcher.splice ~dead:(Hashtbl.mem s.dead) !cur p) ~removed;
+          Hashtbl.iter (fun n k -> add uses k n) s.delta;
+          List.iter (Hashtbl.remove uses) removed;
           true
   in
   let rec process () =
     match Queue.take_opt queue with
     | Some name ->
         Hashtbl.remove queued name;
-        (match Compiled.find_def !ctx name with
-        | None -> () (* rewritten away or DCE'd since it was queued *)
+        (match Compiled.find_def ctx name with
+        | None -> () (* rewritten away or dead since it was queued *)
         | Some d -> ignore (try_fire d));
         if not !budget_out then process ()
     | None ->
@@ -338,7 +321,7 @@ let run_guarded ~rules ?(max_rewrites = 1000) (f : Ir.func) =
   List.iter (fun (d : Ir.def) -> push d.Ir.name) f.Ir.body;
   process ();
   {
-    func = dce !cur;
+    func = !cur;
     stats = List.sort (fun (_, a) (_, b) -> Int.compare b a) !stats;
     saturated = !budget_out || !cycle_cut;
   }

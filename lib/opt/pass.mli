@@ -1,7 +1,7 @@
-(** The optimization pass driver: a worklist rescan fixpoint
-    over the {!Compiled} decision tree (first match wins in registry
-    order, as in the generated C++ pass of §4), then dead-code removal.
-    Firing counts feed the Fig. 9 experiment. *)
+(** The optimization pass: dead-code removal, then a worklist
+    rescan fixpoint over the {!Compiled} decision tree (first match wins in
+    registry order, as in the generated C++ pass of §4) that keeps the
+    function dead-free. Firing counts feed the Fig. 9 experiment. *)
 
 type stats = (string * int) list
 (** Rule name → number of firings, descending. *)
@@ -37,10 +37,12 @@ val run_guarded :
     cap) or fired; one refused on shape alone is requeued when a
     definition its patterns can reach changes. Rules in a
     cyclic SCC of the rewrite graph are additionally capped per
-    (definition, rule) site. A rewrite is accepted when the DCE'd result
-    costs no more; once one is accepted, candidates are scored from use
-    counts and rewritten in place. The body must list each definition
-    before its uses; the input is never mutated. *)
+    (definition, rule) site. The input's dead code is removed first, so
+    no rule fires at a dead definition and the output is dead-free. A
+    rewrite is accepted when the DCE'd result costs no more, which is
+    scored from use counts before the function is rewritten in place. The
+    body must list each definition before its uses; the input is never
+    mutated. *)
 
 val run :
   rules:Matcher.rule list ->
