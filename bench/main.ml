@@ -246,8 +246,11 @@ let verify_time () =
   let nth k = List.nth sorted k in
   let total = List.fold_left ( +. ) 0.0 times in
   Printf.printf
-    "  %d transformations: median %.3fs, p90 %.3fs, max %.2fs, total %.1fs\n" n
-    (nth (n / 2)) (nth (n * 9 / 10)) (nth (n - 1)) total;
+    "  %d transformations: median %.2f ms, p90 %.2f ms, max %.2fs, total %.1fs\n"
+    n
+    (1000.0 *. nth (n / 2))
+    (1000.0 *. nth (n * 9 / 10))
+    (nth (n - 1)) total;
   Printf.printf "  (paper: \"usually a few seconds\"; division/multiplication slowest)\n";
   record_json "verify_time"
     (Json.Obj

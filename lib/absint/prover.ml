@@ -25,6 +25,11 @@
      is asserted by ψ, so the guarded fact propagates), and
    - a shallow case split over small residual disjunctions.
 
+   Propagation runs in rounds over the facts, to a fixpoint: a
+   generation counter moves on every change a round can make, and a
+   round that ends at the generation it began at ends the propagation,
+   since every further round would repeat it. At most [max_rounds] run.
+
    Everything is sound for proving only: [true] means genuinely valid;
    [false] means "not proved here, go ask the SAT solver". A step budget
    bounds the worst case far below the cost of one bit-blasted query. *)
@@ -39,6 +44,12 @@ type fact = T.t * bool
 type state = {
   bools : (int, bool) Hashtbl.t;
   env : (int, Domain.t) Hashtbl.t;
+  settled : (int, int) Hashtbl.t;
+      (* term id -> a generation at which evaluating it changed nothing *)
+  mutable gen : int;
+      (* moves on every change a round can make: an env entry created or
+         changed, a boolean fact, a substitution, a disjunction losing a
+         branch or leaving [disjs] *)
   mutable eqs : (T.t * T.t) list;
   mutable diseqs : (T.t * T.t) list;
   mutable cmps : ([ `Ult | `Slt ] * T.t * T.t * bool) list;
@@ -57,6 +68,8 @@ let new_state () =
   {
     bools = Hashtbl.create 64;
     env = Hashtbl.create 64;
+    settled = Hashtbl.create 64;
+    gen = 0;
     eqs = [];
     diseqs = [];
     cmps = [];
@@ -68,6 +81,8 @@ let new_state () =
 let bump st =
   st.steps <- st.steps + 1;
   if st.steps > max_steps then raise Budget
+
+let changed st = st.gen <- st.gen + 1
 
 let bv_width t = match T.sort t with T.Bv w -> w | T.Bool -> 0
 
@@ -90,54 +105,69 @@ let ir_of_bvop : T.bvop -> Ir.binop = function
   | T.Bor -> Ir.Or
   | T.Bxor -> Ir.Xor
 
-(* ---- Forward abstract evaluation (memoized in [st.env]) ---- *)
+(* ---- Forward abstract evaluation ----
+
+   A term's value in [st.env] is the meet of everything learned about it.
+   [eval] re-derives it from the subterms' values and meets it in, except
+   when the term's last evaluation ran wholly at the current generation:
+   that evaluation changed nothing, and every input is still as it was,
+   so a second one would return the same value and change nothing either,
+   whether or not [Domain.meet] is idempotent ([Domain.reduce] stops after
+   a few iterations, so it need not be). *)
 
 let update st t d =
-  let cur =
-    match Hashtbl.find_opt st.env t.T.id with
-    | Some c -> c
-    | None -> Domain.top d.Domain.width
-  in
-  match Domain.meet cur d with
+  let cur = Hashtbl.find_opt st.env t.T.id in
+  let base = match cur with Some c -> c | None -> Domain.top d.Domain.width in
+  match Domain.meet base d with
   | None -> raise Contradiction
   | Some m ->
-      Hashtbl.replace st.env t.T.id m;
+      (match cur with
+      | Some c when c = m -> ()
+      | _ ->
+          Hashtbl.replace st.env t.T.id m;
+          changed st);
       m
 
 let rec eval st t : Domain.t option =
   if not (representable t) then None
-  else begin
-    bump st;
-    let w = bv_width t in
-    let sub x = match eval st x with Some d -> d | None -> Domain.top (bv_width x) in
-    let fwd =
-      match t.T.node with
-      | T.BvConst c -> Domain.singleton c
-      | T.Bnot a -> Domain.bnot (sub a)
-      | T.Bbin (op, a, b) ->
-          if representable a && representable b then
-            Domain.binop (ir_of_bvop op) w (sub a) (sub b)
-          else Domain.top w
-      | T.Extract (hi, lo, a) ->
-          if representable a then Domain.extract ~hi ~lo (sub a)
-          else Domain.top w
-      | T.Concat (a, b) ->
-          if representable a && representable b then
-            Domain.concat (sub a) (sub b)
-          else Domain.top w
-      | T.Zext (_, a) ->
-          if representable a then Domain.zext (sub a) w else Domain.top w
-      | T.Sext (_, a) ->
-          if representable a then Domain.sext (sub a) w else Domain.top w
-      | T.Ite (c, x, y) -> (
-          match tri_of st c with
-          | Domain.True -> sub x
-          | Domain.False -> sub y
-          | Domain.Unknown -> Domain.join (sub x) (sub y))
-      | _ -> Domain.top w
-    in
-    Some (update st t fwd)
-  end
+  else
+    match Hashtbl.find_opt st.settled t.T.id with
+    | Some g when g = st.gen -> Hashtbl.find_opt st.env t.T.id
+    | _ ->
+        bump st;
+        let gen = st.gen in
+        let d = update st t (forward st t) in
+        if st.gen = gen then Hashtbl.replace st.settled t.T.id gen;
+        Some d
+
+(* The value of [t] from its subterms' values. *)
+and forward st t =
+  let w = bv_width t in
+  let sub x = match eval st x with Some d -> d | None -> Domain.top (bv_width x) in
+  match t.T.node with
+  | T.BvConst c -> Domain.singleton c
+  | T.Bnot a -> Domain.bnot (sub a)
+  | T.Bbin (op, a, b) ->
+      if representable a && representable b then
+        Domain.binop (ir_of_bvop op) w (sub a) (sub b)
+      else Domain.top w
+  | T.Extract (hi, lo, a) ->
+      if representable a then Domain.extract ~hi ~lo (sub a)
+      else Domain.top w
+  | T.Concat (a, b) ->
+      if representable a && representable b then
+        Domain.concat (sub a) (sub b)
+      else Domain.top w
+  | T.Zext (_, a) ->
+      if representable a then Domain.zext (sub a) w else Domain.top w
+  | T.Sext (_, a) ->
+      if representable a then Domain.sext (sub a) w else Domain.top w
+  | T.Ite (c, x, y) -> (
+      match tri_of st c with
+      | Domain.True -> sub x
+      | Domain.False -> sub y
+      | Domain.Unknown -> Domain.join (sub x) (sub y))
+  | _ -> Domain.top w
 
 (* Three-valued truth of a boolean term under the current facts. *)
 and tri_of st t : Domain.tribool =
@@ -271,6 +301,7 @@ let rec assert_fact st ((t, v) : fact) =
   | Some b -> if b <> v then raise Contradiction
   | None -> (
       Hashtbl.replace st.bools t.T.id v;
+      changed st;
       match (t.T.node, v) with
       | T.True, false | T.False, true -> raise Contradiction
       | T.True, true | T.False, false -> ()
@@ -304,7 +335,10 @@ let collect_substs st =
         if
           (not (List.mem_assoc v st.substs))
           && not (List.exists (fun (n, _) -> n = v) (T.vars rhs))
-        then st.substs <- (v, rhs) :: st.substs
+        then begin
+          st.substs <- (v, rhs) :: st.substs;
+          changed st
+        end
       in
       match (a.T.node, b.T.node) with
       | T.Var (v, _), _ -> record v b
@@ -422,7 +456,7 @@ let unit_propagate st =
   List.iter
     (fun (orig, branches) ->
       let statuses = List.map (fun br -> (br, fact_status st br)) branches in
-      if List.exists (fun (_, s) -> s = Domain.True) statuses then ()
+      if List.exists (fun (_, s) -> s = Domain.True) statuses then changed st
       else
         let open_branches =
           List.filter_map
@@ -431,8 +465,12 @@ let unit_propagate st =
         in
         match open_branches with
         | [] -> raise Contradiction
-        | [ br ] -> assert_fact st br
-        | _ -> remaining := (orig, open_branches) :: !remaining)
+        | [ br ] ->
+            changed st;
+            assert_fact st br
+        | _ ->
+            if List.compare_lengths open_branches branches < 0 then changed st;
+            remaining := (orig, open_branches) :: !remaining)
     st.disjs;
   st.disjs <- List.rev !remaining
 
@@ -440,17 +478,22 @@ let fact_equal (t1, v1) (t2, v2) = T.equal t1 t2 && v1 = v2
 
 (* ---- Refutation driver ---- *)
 
+(* One round reads the facts and may add to them; a round that changes
+   nothing has reached the fixpoint, and the next would repeat it. *)
+let rec propagate st round =
+  let gen = st.gen in
+  collect_substs st;
+  List.iter (process_eq st) st.eqs;
+  List.iter (process_diseq st) st.diseqs;
+  List.iter (process_cmp st) st.cmps;
+  unit_propagate st;
+  if round < max_rounds && st.gen <> gen then propagate st (round + 1)
+
 let rec refute depth (facts : fact list) : bool =
   let st = new_state () in
   match
     List.iter (assert_fact st) facts;
-    for _round = 1 to max_rounds do
-      collect_substs st;
-      List.iter (process_eq st) st.eqs;
-      List.iter (process_diseq st) st.diseqs;
-      List.iter (process_cmp st) st.cmps;
-      unit_propagate st
-    done
+    propagate st 1
   with
   | () ->
       (* no direct contradiction: case-split on a small disjunction *)

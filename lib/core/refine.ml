@@ -51,6 +51,7 @@ type stats = {
   mutable unknown_cegar : int;
   mutable typing_s : float;
   mutable vcgen_s : float;
+  mutable static_s : float;
   telemetry : Solve.telemetry;
   mutable elapsed : float;
 }
@@ -64,6 +65,7 @@ let empty_stats () =
     unknown_cegar = 0;
     typing_s = 0.0;
     vcgen_s = 0.0;
+    static_s = 0.0;
     telemetry = Solve.telemetry ();
     elapsed = 0.0;
   }
@@ -85,6 +87,8 @@ let table =
         (fun s -> s.typing_s) (fun s v -> s.typing_s <- v);
       row "vcgen_s" "refine.vcgen_s" Sum_seconds
         (fun s -> s.vcgen_s) (fun s v -> s.vcgen_s <- v);
+      row "static_s" "refine.static_s" Sum_seconds
+        (fun s -> s.static_s) (fun s v -> s.static_s <- v);
     ]
     @ List.map (via (fun s -> s.telemetry)) Solve.table)
 
@@ -236,7 +240,11 @@ let check_typing ?budget ?share_memory_reads ?precise_pre (t : Ast.transform)
             Trace.add_meta sp [ ("tier", Trace.Str (tier_name !tier)) ];
             Trace.end_span sp)
         @@ fun () ->
-        if static_proved ~exists formula then begin
+        let static_t0 = Alive_trace.Clock.now () in
+        let proved = static_proved ~exists formula in
+        stats.static_s <-
+          stats.static_s +. (Alive_trace.Clock.now () -. static_t0);
+        if proved then begin
           tier := Static;
           tl.static_proved <- tl.static_proved + 1;
           (* Publish to the cache/store so replay paths (and other

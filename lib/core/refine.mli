@@ -61,6 +61,8 @@ type stats = {
   mutable typing_s : float;  (** wall seconds enumerating feasible typings *)
   mutable vcgen_s : float;
       (** wall seconds generating verification conditions *)
+  mutable static_s : float;
+      (** wall seconds in tier 0, the static prover, over every query *)
   telemetry : Alive_smt.Solve.telemetry;
   mutable elapsed : float;  (** wall seconds for the whole check *)
 }
@@ -69,10 +71,10 @@ val table : stats Alive_trace.Metrics.Table.row list
 (** The counter table of a check: every field but [elapsed] is a row —
     [typings] ([refine.typings] in the registry), [queries],
     [unknown_<reason>] ([refine.unknown.<reason>], with
-    {!Alive_smt.Solve.reason_slug}), [typing_s] and [vcgen_s] — followed by
-    {!Alive_smt.Solve.table}'s rows, read through [telemetry]. Merging,
-    printing, the JSON reports and publication are folds over it, so a new
-    count is a record field and one row. *)
+    {!Alive_smt.Solve.reason_slug}), [typing_s], [vcgen_s] and [static_s] —
+    followed by {!Alive_smt.Solve.table}'s rows, read through
+    [telemetry]. Merging, printing, the JSON reports and publication are
+    folds over it, so a new count is a record field and one row. *)
 
 val empty_stats : unit -> stats
 

@@ -689,6 +689,66 @@ let test_static_footprint () =
   check_int "queries" 5439 queries;
   check_int "discharged queries" 4102 discharged
 
+(* Tier 0's verdict on every corpus query, pinned: one line per query in
+   scan order, its store digest and whether tier 0 proved it. Stopping
+   propagation at the fixpoint must not move one; a deliberate change to
+   the prover or to the VC encoding moves the md5 and must update it. *)
+let tier0_lines ~widths entries =
+  List.concat_map
+    (fun (e : Alive_suite.Entry.t) ->
+      match
+        Refine.probe_queries ?widths:(widths e) (Alive_suite.Entry.parse e)
+      with
+      | Error m -> Alcotest.failf "%s: %s" e.name m
+      | Ok typings ->
+          List.concat_map
+            (List.map (fun (p : Refine.query_probe) ->
+                 Printf.sprintf "%s %b" p.probe_digest
+                   (p.probe_tier = Refine.Static)))
+            typings)
+    entries
+
+let check_tier0_lines lines ~queries ~proved ~md5 =
+  let static =
+    List.filter (fun l -> String.ends_with ~suffix:" true" l) lines
+  in
+  check_int "queries" queries (List.length lines);
+  check_int "statically proved" proved (List.length static);
+  Alcotest.(check string)
+    "md5 of (digest, proved) lines" md5
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let test_tier0_pinned_declared () =
+  check_tier0_lines
+    (tier0_lines
+       ~widths:(fun (e : Alive_suite.Entry.t) -> e.widths)
+       Alive_suite.Registry.all)
+    ~queries:5439 ~proved:4102 ~md5:"ebf5b9da4968a889079da9f51e4924a9"
+
+let test_tier0_pinned_wide () =
+  check_tier0_lines
+    (tier0_lines
+       ~widths:(fun _ -> Some [ 16; 32 ])
+       (List.filter
+          (fun (e : Alive_suite.Entry.t) -> e.widths = None)
+          Alive_suite.Registry.all))
+    ~queries:1210 ~proved:938 ~md5:"2e9e637ad07a24921a1cf9a528889432"
+
+(* A formula tier 0 proves only in its second propagation round, shaped
+   like the definedness query of MulDivRem:udiv-of-shl-nuw at i4:
+   refuting it asserts the premises, and the conclusion's negation is a
+   disjunction whose other branch the premise [s <u 8] closes. Unit
+   propagation asserts [y = 0] at the end of round 1, and only round 2
+   sees [y << s = 0] contradict the premise. *)
+let test_prover_second_round () =
+  let y = T.var "y" (T.Bv 8) and s = T.var "s" (T.Bv 8) in
+  let in_range = T.ult s (T.const_int ~width:8 8) in
+  check_bool "(y << s) != 0 and s <u 8 => y != 0 and s <u 8" true
+    (Prover.prove_valid
+       (T.implies
+          (T.and_ [ T.not_ (T.eq (T.shl y s) (T.zero 8)); in_range ])
+          (T.and_ [ T.not_ (T.eq y (T.zero 8)); in_range ])))
+
 let suite =
   ( "absint",
     [
@@ -724,4 +784,10 @@ let suite =
         test_static_parity_sample;
       Alcotest.test_case "static tier's exact corpus footprint" `Quick
         test_static_footprint;
+      Alcotest.test_case "tier 0's verdicts at the declared widths" `Quick
+        test_tier0_pinned_declared;
+      Alcotest.test_case "tier 0's verdicts at i16 and i32" `Quick
+        test_tier0_pinned_wide;
+      Alcotest.test_case "tier 0 proves in its second round" `Quick
+        test_prover_second_round;
     ] )
