@@ -13,7 +13,7 @@ let section title =
 (* --- JSON archiving: targets record machine-readable results, written as
    BENCH_<target>.json so CI can diff perf across PRs. --- *)
 
-module Json = Alive_engine.Json
+module Json = Alive_trace.Json
 
 let record_json name (j : Json.t) =
   let path = Printf.sprintf "BENCH_%s.json" name in

@@ -422,7 +422,7 @@ let lint_cmd =
           | Ok ts -> Lint.lint_transforms ~file:name ts)
     in
     let shown = Lint.filter ?rule ~threshold report in
-    if json then print_endline (Alive_engine.Json.to_string (Lint.to_json shown))
+    if json then print_endline (Alive_trace.Json.to_string (Lint.to_json shown))
     else Lint.print_table shown;
     if Lint.gating shown <> [] then 1 else 0
   in
@@ -745,8 +745,8 @@ let client_cmd =
                       ?conflict_limit ~text ())
             | "infer-pre" ->
                 Result.bind (text ()) (fun text ->
-                    Client.infer_pre c ?name ?timeout ?conflict_limit
-                      ~text ())
+                    Client.infer_pre c ?name ?widths ?timeout
+                      ?conflict_limit ~text ())
             | other ->
                 (* Forwarded verbatim: the daemon is the authority on the
                    operation set, and an unknown op comes back as an

@@ -4,7 +4,7 @@
 
 open Cmdliner
 module Engine = Alive_engine.Engine
-module Json = Alive_engine.Json
+module Json = Alive_trace.Json
 
 let read_input = function
   | "-" -> In_channel.input_all stdin

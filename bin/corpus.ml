@@ -2,16 +2,15 @@
    re-derive the hand-written preconditions, or check the static tier
    query by query.
 
-   [alive corpus verify] reaches each entry's verdict on one of three
+   [alive corpus verify] reaches each entry's verdict on one of two
    paths, which share the classification and the per-entry line below:
    - in-process (default): Engine.verify_corpus on a local domain pool,
      with --store DIR the persistent verdict store installed under the
-     cache, so verdicts survive across runs;
+     cache. The store is a tier of the solve path (after tier 0 and the
+     cache, before SAT), so a rerun solves only the queries whose
+     verification conditions changed;
    - --via SOCKET: a thin client of an `alive serve` daemon, which owns
-     the pool and the store;
-   - store replay: with --store and --changed-since, an entry whose
-     canonical query digests all have stored verdicts is not solved, its
-     stored outcome is replayed.
+     the pool and the store.
 
    Exit codes: 0 every entry matched its expected verdict; 1 at least one
    mismatch (a definite wrong answer); 2 no mismatches but some entries
@@ -92,16 +91,6 @@ let of_task (r : Engine.task_result) =
   in
   { verdict = Engine.verdict_name r; detail; elapsed = r.elapsed }
 
-(* An entry whose refinement queries all have stored verdicts needs no
-   solving: its stored outcome is replayed. *)
-let stored_verdict store widths (e : Entry.t) =
-  match Alive.Refine.query_digests ?widths (Entry.parse e) with
-  | exception _ -> None
-  | digests ->
-      Option.map
-        (function `Valid -> "valid" | `Invalid -> "invalid")
-        (Store.replay store digests)
-
 (* --via: one daemon connection per worker thread, entries pulled from a
    shared index; the daemon does all the solving (on its own domain pool,
    through its own verdict store) and this side only marshals and
@@ -135,33 +124,15 @@ let run_via ~socket ~jobs ~timeout ~conflict_limit ~widths ~report entries =
                 ?widths:(widths e) ?timeout ?conflict_limit ~text:e.text ()
         in
         let elapsed = Unix.gettimeofday () -. q0 in
+        (* A corpus entry is one transform ([Entry.parse]), so the daemon
+           answers with a one-element list. *)
         let verdict, detail =
           match resp with
           | Error msg -> ("error", msg)
-          | Ok (Json.List (_ :: _ as items)) ->
-              let vs =
-                List.map
-                  (fun j ->
-                    Option.value ~default:"error"
-                      (Option.bind (Json.member "verdict" j) Json.to_str))
-                  items
-              in
-              (* An entry's text can hold several transforms; a definite
-                 failure outranks an undecided one, which outranks valid,
-                 as in the local scan. *)
-              let v =
-                match
-                  List.find_opt
-                    (fun v ->
-                      v = "invalid" || v = "type-error" || v = "unsupported")
-                    vs
-                with
-                | Some v -> v
-                | None ->
-                    Option.value ~default:"valid"
-                      (List.find_opt (fun v -> v <> "valid") vs)
-              in
-              (v, v)
+          | Ok (Json.List [ j ]) -> (
+              match Option.bind (Json.member "verdict" j) Json.to_str with
+              | Some v -> (v, v)
+              | None -> ("error", "malformed verify response"))
           | Ok _ -> ("error", "malformed verify response")
         in
         results.(i) <- (e.name, verdict, elapsed);
@@ -206,12 +177,11 @@ let run_local ~jobs ~budget ~stats ~widths ~report entries =
     Engine.report_json r )
 
 (* The --json report of a --via run. *)
-let via_report ~socket ~skipped tally results wall counters =
+let via_report ~socket tally results wall counters =
   Json.Obj
     [
       ("mode", Json.String "via");
       ("socket", Json.String socket);
-      ("skipped", Json.Int skipped);
       ( "entries",
         Json.List
           (List.map
@@ -265,20 +235,18 @@ let histogram names =
 
 let verify category jobs timeout conflict_limit widths quiet stats json trace
     metrics metrics_json ledger no_cache no_aig dump_cnf dump_aig via
-    store_dir changed_since =
-  (* With --via the daemon owns the writable store; this process only needs
-     digest lookups, which a read-only replay provides even while the
-     daemon holds the write lock. *)
-  let open_store dir =
-    Result.map Option.some (Store.open_store ~readonly:(via <> None) dir)
-  in
+    store_dir =
   match select category with
   | [] -> 1
-  | _ when changed_since <> None && store_dir = None ->
-      Printf.eprintf "--changed-since requires --store DIR\n";
+  | _ when via <> None && store_dir <> None ->
+      Printf.eprintf "--store with --via: the daemon owns its store\n";
       1
   | entries -> (
-      match Option.fold ~none:(Ok None) ~some:open_store store_dir with
+      match
+        Option.fold ~none:(Ok None)
+          ~some:(fun dir -> Result.map Option.some (Store.open_store dir))
+          store_dir
+      with
       | Error e ->
           Printf.eprintf "store: %s\n" e;
           1
@@ -286,22 +254,21 @@ let verify category jobs timeout conflict_limit widths quiet stats json trace
           setup_observability ~trace ~collapsed:None
             ~metrics:(metrics || metrics_json <> None || ledger <> None);
           setup_solve_path ~no_cache ~no_aig ~dump_cnf ~dump_aig;
-          if via = None then
-            Option.iter
-              (fun s ->
-                Store.set_context
-                  ~budget:
-                    (String.concat " "
-                       ((if timeout > 0.0 then
-                           [ Printf.sprintf "timeout=%gs" timeout ]
-                         else [])
-                       @
-                       if conflict_limit > 0 then
-                         [ Printf.sprintf "conflicts=%d" conflict_limit ]
-                       else []))
-                  s;
-                Store.install_backing s)
-              store;
+          Option.iter
+            (fun s ->
+              Store.set_context
+                ~budget:
+                  (String.concat " "
+                     ((if timeout > 0.0 then
+                         [ Printf.sprintf "timeout=%gs" timeout ]
+                       else [])
+                     @
+                     if conflict_limit > 0 then
+                       [ Printf.sprintf "conflicts=%d" conflict_limit ]
+                     else []))
+                s;
+              Store.install_backing s)
+            store;
           (* --widths applies only to entries without an explicit cap: a
              capped entry's comment justifies its cap (division circuits),
              so a width sweep must not blow it open. *)
@@ -310,22 +277,6 @@ let verify category jobs timeout conflict_limit widths quiet stats json trace
           in
           let tally = { mismatches = 0; undecided = 0 } in
           let report = record ~quiet tally in
-          let skipped, entries =
-            match (changed_since, store) with
-            | Some _, Some s ->
-                List.partition_map
-                  (fun (e : Entry.t) ->
-                    match stored_verdict s (widths_of e) e with
-                    | Some v -> Either.Left (e, v)
-                    | None -> Either.Right e)
-                  entries
-            | _ -> ([], entries)
-          in
-          List.iter
-            (fun (e, v) ->
-              report e
-                { verdict = v; detail = v ^ " (store replay)"; elapsed = 0.0 })
-            skipped;
           (* Summary lines and ledger records report the registry's change
              over the run: this process's own registry, or the daemon's
              with --via. *)
@@ -345,11 +296,7 @@ let verify category jobs timeout conflict_limit widths quiet stats json trace
                   run_via ~socket ~jobs ~timeout ~conflict_limit
                     ~widths:widths_of ~report entries
                 in
-                ( results,
-                  wall,
-                  jobs,
-                  via_report ~socket ~skipped:(List.length skipped) tally
-                    results wall )
+                (results, wall, jobs, via_report ~socket tally results wall)
             | None ->
                 let results, wall, jobs, json =
                   run_local ~jobs
@@ -370,15 +317,9 @@ let verify category jobs timeout conflict_limit widths quiet stats json trace
           in
           let counters = Alive_trace.Ledger.counters_since before after in
           Printf.printf
-            "done: %d entries%s, %d mismatches, %d undecided; wall %.2fs with \
-             %d %s; %s\n"
-            (List.length results)
-            (Option.fold ~none:""
-               ~some:(fun rev ->
-                 Printf.sprintf " (since %s: %d skipped, %d re-verified)" rev
-                   (List.length skipped) (List.length entries))
-               changed_since)
-            tally.mismatches tally.undecided wall jobs
+            "done: %d entries, %d mismatches, %d undecided; wall %.2fs with %d \
+             %s; %s\n"
+            (List.length results) tally.mismatches tally.undecided wall jobs
             (match via with
             | None -> "job(s)"
             | Some socket -> "client job(s) via " ^ socket)
@@ -412,36 +353,33 @@ let verify category jobs timeout conflict_limit widths quiet stats json trace
               Json.to_file path (Alive_trace.Metrics.to_json ());
               Printf.printf "metrics written to %s\n" path)
             metrics_json;
+          let print_store =
+            Printf.printf
+              "store: %d live verdict(s) in %d segment(s), %d appended %s\n"
+          in
           Option.iter
             (fun s ->
               let st = Store.stats s in
-              if via = None then begin
-                Store.remove_backing ();
-                if st.appended > 0 || st.segments > 1 then Store.compact s
-              end;
-              let print =
-                Printf.printf
-                  "store: %d live verdict(s) in %d segment(s), %d appended \
-                   %s\n"
-              in
-              (if not quiet then
-                 match via with
-                 | None -> print st.live st.segments st.appended "this run"
-                 | Some socket ->
-                     (* The daemon owns the store this run wrote to; the
-                        handle here is a read-only copy replayed before
-                        it. *)
-                     Option.iter
-                       (fun j ->
-                         let n k =
-                           Option.value ~default:0
-                             (Option.bind (Json.member k j) Json.to_int)
-                         in
-                         print (n "live") (n "segments") (n "appended")
-                           "since the daemon started")
-                       (ask socket Client.store_stats));
+              Store.remove_backing ();
+              if st.appended > 0 || st.segments > 1 then Store.compact s;
+              if not quiet then
+                print_store st.live st.segments st.appended "this run";
               Store.close s)
             store;
+          (* With --via the store this run wrote to, if any, is the
+             daemon's. *)
+          (match via with
+          | Some socket when not quiet ->
+              Option.iter
+                (fun j ->
+                  let n k =
+                    Option.value ~default:0
+                      (Option.bind (Json.member k j) Json.to_int)
+                  in
+                  print_store (n "live") (n "segments") (n "appended")
+                    "since the daemon started")
+                (ask socket Client.store_stats)
+          | _ -> ());
           if tally.mismatches > 0 then 1
           else if tally.undecided > 0 then 2
           else 0)
@@ -469,19 +407,11 @@ let verify_cmd =
       & opt (some string) None
       & info [ "store" ] ~docv:"DIR"
           ~doc:
-            "Persistent verdict store: warm the solve path from $(docv) and \
-             write every new verdict through (opened read-only with \
-             $(b,--via), since the daemon owns its own store).")
-  in
-  let changed_since =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "changed-since" ] ~docv:"REV"
-          ~doc:
-            "Incremental mode (needs $(b,--store)): skip entries whose \
-             canonical query digests all have stored verdicts, replaying the \
-             stored outcome; $(docv) labels the baseline in the summary.")
+            "Persistent verdict store, consulted after the static tier and \
+             the verdict cache and before SAT: a query with a stored verdict \
+             is not solved, and every new verdict is written through, so a \
+             rerun solves only the queries whose verification conditions \
+             changed. Not with $(b,--via): the daemon owns its store.")
   in
   Cmd.v
     (Cmd.info "verify"
@@ -501,7 +431,7 @@ let verify_cmd =
       const verify $ category_arg $ jobs_arg $ timeout_arg $ conflict_limit_arg
       $ widths_arg $ quiet_arg $ stats_arg $ json_arg $ trace_arg $ metrics_arg
       $ metrics_json $ ledger_arg $ no_cache_arg $ no_aig_arg $ dump_cnf_arg
-      $ dump_aig_arg $ via $ store $ changed_since)
+      $ dump_aig_arg $ via $ store)
 
 (* --- infer-pre: run the Alive-Infer loop on every corpus entry that
    carries a hand-written precondition and compare the re-derived predicate

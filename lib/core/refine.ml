@@ -108,11 +108,11 @@ let checked_names (vc : Vcgen.vc) =
 
 (* The refinement queries of one typing, in scan order. Construction is
    deliberately separate from solving: the canonical digests of these
-   formulas are the persistent verdict store's keys, and incremental
-   re-verification ([query_digests]) must reproduce them byte-for-byte
-   without running the solver. The memory congruence facts accumulate as
-   reads are issued, so the construction order below is part of the
-   contract and must match what [check_typing] solves. *)
+   formulas are the persistent verdict store's keys, and [query_digests]
+   must reproduce them byte-for-byte without running the solver. The
+   memory congruence facts accumulate as reads are issued, so the
+   construction order below is part of the contract and must match what
+   [check_typing] solves. *)
 let typing_queries (vc : Vcgen.vc) =
   (* Memory constraints: α from allocas plus the Ackermann congruence facts
      for initial-memory reads. Both are definitional and must back every
@@ -247,9 +247,10 @@ let check_typing ?budget ?share_memory_reads ?precise_pre (t : Ast.transform)
         if proved then begin
           tier := Static;
           tl.static_proved <- tl.static_proved + 1;
-          (* Publish to the cache/store so replay paths (and other
-             processes sharing the backing) see the same verdict with
-             static provenance. *)
+          (* Publish to the cache/store so a later query with the same
+             digest, here or in another process sharing the backing,
+             finds the verdict, and [explain] shows its static
+             provenance. *)
           if Alive_smt.Vc_cache.enabled () then begin
             let keyed = Alive_smt.Vc_cache.canon ~exists formula in
             let cost =

@@ -193,11 +193,10 @@ val query_digests :
 (** The content digests ({!Alive_smt.Vc_cache.digest}) of every refinement
     query this transform would solve, one inner list per feasible typing in
     scan order — without invoking the solver. These are exactly the keys
-    {!run} files verdicts under in the persistent store, which is what makes
-    incremental re-verification ([alive corpus verify --changed-since]) sound: an
-    entry whose digests all have stored verdicts needs no solving. [Error]
-    where {!run} would say [Type_error] (no feasible typing included) or
-    [Unsupported_feature]; such entries are always re-verified. *)
+    {!run} files verdicts under in the persistent store; the daemon's
+    [digests] op and slow-query log report them. [Error] where {!run} would
+    say [Type_error] (no feasible typing included) or
+    [Unsupported_feature]. *)
 
 type query_probe = {
   probe_at : string;  (** instruction name, or ["memory"] for criterion 4 *)

@@ -16,6 +16,7 @@
 
 module Refine = Alive.Refine
 module Trace = Alive_trace.Trace
+module Json = Alive_trace.Json
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 

@@ -148,9 +148,9 @@ val print_table : ?oc:out_channel -> report -> unit
     non-zero counters, and the totals line carries every counter
     ({!Alive.Refine.pp_stats}). *)
 
-val stats_fields : Alive.Refine.stats -> (string * Json.t) list
+val stats_fields : Alive.Refine.stats -> (string * Alive_trace.Json.t) list
 (** [elapsed_s], then every row of {!Alive.Refine.table} under its report
     name. *)
 
-val stats_json : Alive.Refine.stats -> Json.t
-val report_json : report -> Json.t
+val stats_json : Alive.Refine.stats -> Alive_trace.Json.t
+val report_json : report -> Alive_trace.Json.t

@@ -5,7 +5,7 @@
 module D = Alive.Diagnostics
 module Entry = Alive_suite.Entry
 module Matcher = Alive_opt.Matcher
-module Json = Alive_engine.Json
+module Json = Alive_trace.Json
 
 type finding = {
   diag : D.t;

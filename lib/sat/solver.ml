@@ -483,7 +483,7 @@ exception Cap_hit
    The wall-clock deadline is sampled every 128 conflicts — cheap enough to
    be noise, and conflicts are the only place a hard instance spends
    unbounded time. *)
-let search t ~assumptions ~budget ~cap ~deadline =
+let search t ~budget ~cap ~deadline =
   let conflict_count = ref 0 in
   while true do
     match propagate t with
@@ -497,7 +497,6 @@ let search t ~assumptions ~budget ~cap ~deadline =
           && Unix.gettimeofday () > deadline
         then raise Deadline_hit;
         if decision_level t = 0 then begin
-          (* A level-0 conflict is independent of the assumptions. *)
           t.ok <- false;
           raise (Result false)
         end;
@@ -508,38 +507,23 @@ let search t ~assumptions ~budget ~cap ~deadline =
         cla_decay_activity t
     | None ->
         if !conflict_count >= budget then begin
-          cancel_until t (List.length assumptions);
+          cancel_until t 0;
           raise Exit
         end;
         if float_of_int t.learnts.Cvec.size >= t.max_learnts then reduce_db t;
-        (* Extend with the next assumption, or decide. *)
-        let dl = decision_level t in
-        if dl < List.length assumptions then begin
-          let a = List.nth assumptions dl in
-          if lit_value t a = 0 then
-            (* Already satisfied: open an empty level to keep indices aligned. *)
-            push_level t
-          else if lit_value t a = 1 then raise (Result false)
-          else begin
-            push_level t;
-            enqueue t a Cvec.dummy
-          end
-        end
-        else begin
-          let v = pick_branch_var t in
-          if v < 0 then raise (Result true);
-          t.decisions <- t.decisions + 1;
-          push_level t;
-          let sign = Bytes.get t.phase v = '\000' in
-          enqueue t (mk_lit v sign) Cvec.dummy
-        end
+        let v = pick_branch_var t in
+        if v < 0 then raise (Result true);
+        t.decisions <- t.decisions + 1;
+        push_level t;
+        let sign = Bytes.get t.phase v = '\000' in
+        enqueue t (mk_lit v sign) Cvec.dummy
   done
 
 type budget_reason = Conflicts | Deadline
 
 exception Budget_exceeded of budget_reason
 
-let solve_untraced ?(assumptions = []) ?(conflict_limit = max_int) ?deadline t =
+let solve_untraced ?(conflict_limit = max_int) ?deadline t =
   if not t.ok then false
   else begin
     cancel_until t 0;
@@ -565,7 +549,7 @@ let solve_untraced ?(assumptions = []) ?(conflict_limit = max_int) ?deadline t =
       t.max_learnts <-
         Float.max t.max_learnts
           (float_of_int t.clauses.Cvec.size *. 0.3 +. 1000.0);
-      (try search t ~assumptions ~budget ~cap:left ~deadline with
+      (try search t ~budget ~cap:left ~deadline with
       | Result r -> result := Some r
       | Exit -> ()
       | Cap_hit ->
@@ -580,7 +564,7 @@ let solve_untraced ?(assumptions = []) ?(conflict_limit = max_int) ?deadline t =
     Option.get !result
   end
 
-let solve ?assumptions ?conflict_limit ?deadline t =
+let solve ?conflict_limit ?deadline t =
   let module Trace = Alive_trace.Trace in
   let sp = Trace.begin_span "cdcl" in
   let c0 = t.conflicts and d0 = t.decisions in
@@ -593,7 +577,7 @@ let solve ?assumptions ?conflict_limit ?deadline t =
       ];
     Trace.end_span sp
   in
-  match solve_untraced ?assumptions ?conflict_limit ?deadline t with
+  match solve_untraced ?conflict_limit ?deadline t with
   | sat ->
       finish (if sat then "sat" else "unsat");
       sat

@@ -1,8 +1,8 @@
 (** A CDCL SAT solver in the MiniSat lineage: two-watched-literal propagation,
     first-UIP conflict analysis with clause learning, VSIDS decision heuristic
     with phase saving, Luby restarts, and activity-based learnt-clause
-    deletion. Supports incremental solving under assumptions, which the SMT
-    layer uses for CEGAR refinement and attribute inference. *)
+    deletion. Incremental: clauses added after a [solve] join the instance,
+    which the SMT layer's CEGAR loop uses to refine its outer context. *)
 
 type t
 
@@ -40,11 +40,10 @@ exception Budget_exceeded of budget_reason
 (** Raised by {!solve} when a budget runs out. The solver is left at
     decision level 0 and remains usable. *)
 
-val solve :
-  ?assumptions:lit list -> ?conflict_limit:int -> ?deadline:float -> t -> bool
-(** [solve s] is [true] iff the clauses (under the assumptions) are
-    satisfiable. The solver can be re-used: later [add_clause] and [solve]
-    calls see all previously added clauses. The call spends at most
+val solve : ?conflict_limit:int -> ?deadline:float -> t -> bool
+(** [solve s] is [true] iff the clauses are satisfiable. The solver can be
+    re-used: later [add_clause] and [solve] calls see all previously added
+    clauses. The call spends at most
     [conflict_limit] conflicts: each restart searches with at most the
     conflicts left, and the conflict past the limit raises
     [Budget_exceeded Conflicts]. [deadline] is an absolute

@@ -79,16 +79,17 @@ let metrics_prom t =
 
 let store_stats t = call t ~op:"store-stats" ()
 
+(* The text-taking ops' [text], [name] and [widths] arguments. *)
+let text_args ?name ?widths text =
+  [ ("text", Json.String text) ]
+  @ (match name with Some n -> [ ("name", Json.String n) ] | None -> [])
+  @
+  match widths with
+  | Some ws -> [ ("widths", Json.List (List.map (fun w -> Json.Int w) ws)) ]
+  | None -> []
+
 let explain t ?rid ?name ?widths ~text () =
-  let args =
-    [ ("text", Json.String text) ]
-    @ (match name with Some n -> [ ("name", Json.String n) ] | None -> [])
-    @
-    match widths with
-    | Some ws -> [ ("widths", Json.List (List.map (fun w -> Json.Int w) ws)) ]
-    | None -> []
-  in
-  call t ~op:"explain" ?rid ~args:(Json.Obj args) ()
+  call t ~op:"explain" ?rid ~args:(Json.Obj (text_args ?name ?widths text)) ()
 
 let explain_digest t ?rid digest =
   call t ~op:"explain" ?rid
@@ -100,11 +101,7 @@ let trace_dump t = call t ~op:"trace" ()
 let verify t ?rid ?name ?widths ?timeout ?conflict_limit ?(spans = false)
     ~text () =
   let args =
-    [ ("text", Json.String text) ]
-    @ (match name with Some n -> [ ("name", Json.String n) ] | None -> [])
-    @ (match widths with
-      | Some ws -> [ ("widths", Json.List (List.map (fun w -> Json.Int w) ws)) ]
-      | None -> [])
+    text_args ?name ?widths text
     @ (match timeout with
       | Some s -> [ ("timeout", Json.Float s) ]
       | None -> [])
@@ -123,20 +120,11 @@ let lint t ~text =
   call t ~op:"lint" ~args:(Json.Obj [ ("text", Json.String text) ]) ()
 
 let digests t ?name ?widths ~text () =
-  let args =
-    [ ("text", Json.String text) ]
-    @ (match name with Some n -> [ ("name", Json.String n) ] | None -> [])
-    @
-    match widths with
-    | Some ws -> [ ("widths", Json.List (List.map (fun w -> Json.Int w) ws)) ]
-    | None -> []
-  in
-  call t ~op:"digests" ~args:(Json.Obj args) ()
+  call t ~op:"digests" ~args:(Json.Obj (text_args ?name ?widths text)) ()
 
-let infer_pre t ?name ?timeout ?conflict_limit ~text () =
+let infer_pre t ?name ?widths ?timeout ?conflict_limit ~text () =
   let args =
-    [ ("text", Json.String text) ]
-    @ (match name with Some n -> [ ("name", Json.String n) ] | None -> [])
+    text_args ?name ?widths text
     @ (match timeout with
       | Some s -> [ ("timeout", Json.Float s) ]
       | None -> [])

@@ -90,8 +90,12 @@ val digests :
 val infer_pre :
   t ->
   ?name:string ->
+  ?widths:int list ->
   ?timeout:float ->
   ?conflict_limit:int ->
   text:string ->
   unit ->
   (Json.t, string) result
+(** Infer a precondition for each transformation in [text] from scratch,
+    typing it in the width domain [widths] (the daemon's default without
+    it). *)

@@ -4,8 +4,10 @@
    open. Keys are the canonical content digests of refinement queries
    (Vc_cache.digest) — stable across processes, machines, and hash-consing
    insertion order — so a verdict solved by one run answers the same query
-   in every later run, which is what makes `alive corpus verify --changed-since`
-   and the `alive serve` daemon incremental.
+   in every later run. Installed as the cache's backing, the store is the
+   tier of the solve path between the in-memory cache and SAT, which is
+   what makes `alive corpus verify --store` and the `alive serve` daemon
+   incremental.
 
    Durability model:
    - Writers append one checksummed line per verdict and flush; a crash can
@@ -22,8 +24,8 @@
      renames it into place (atomic on POSIX), then deletes the old segments
      — a crash between steps leaves either the old segments or old + new,
      both of which replay to the same table.
-   - A `lock` file (Unix.lockf) serializes writers; read-only opens skip it,
-     so CI consumers can inspect a store the daemon has open.
+   - A `lock` file (Unix.lockf) serializes writers; read-only opens skip it
+     (perfbench times the open-time replay with one).
 
    Each segment starts with a header line carrying the magic and the schema
    version; a store written by a future schema is refused rather than
@@ -394,31 +396,6 @@ let lookup t digest =
   r
 
 let lookup_verdict t digest = Option.map (fun e -> e.verdict) (lookup t digest)
-
-(* The walk mirrors the verifier's scan order: within a typing, a stored
-   Invalid settles the entry (the original run stopped there, so later
-   digests were never stored); a missing digest means the entry's VCs
-   changed (or were never fully decided). *)
-let replay t = function
-  | Error _ -> None
-  | Ok typings ->
-      let rec scan_typings = function
-        | [] -> Some `Valid
-        | digests :: rest -> (
-            let rec scan = function
-              | [] -> `Typing_valid
-              | d :: more -> (
-                  match lookup_verdict t d with
-                  | None -> `Missing
-                  | Some `Valid -> scan more
-                  | Some (`Invalid _) -> `Typing_invalid)
-            in
-            match scan digests with
-            | `Missing -> None
-            | `Typing_invalid -> Some `Invalid
-            | `Typing_valid -> scan_typings rest)
-      in
-      scan_typings typings
 
 let mem t digest =
   Mutex.lock t.lock;

@@ -50,14 +50,6 @@ val lookup_verdict :
 
 val mem : t -> string -> bool
 
-val replay :
-  t -> (string list list, string) result -> [ `Valid | `Invalid ] option
-(** The verdict a transform's stored query verdicts settle without
-    solving, given its {!Alive.Refine.query_digests}: [None] when it must
-    be re-verified — a digest has no stored verdict (its VCs changed, or
-    were never fully decided), or the digests are an [Error] (a type
-    error, no feasible typing, an unsupported construct). *)
-
 val publish :
   ?cost:Alive_smt.Solve.cost ->
   t ->

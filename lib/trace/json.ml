@@ -1,7 +1,7 @@
 (* A minimal JSON printer and parser — enough for stats records, trace
    files and the performance ledger, without pulling a JSON library into
-   the dependency set. (Moved here from lib/engine so the bottom-of-stack
-   tracing layer can emit JSON; Alive_engine.Json re-exports it.) *)
+   the dependency set. It sits in the bottom-of-stack tracing layer so
+   every library above can emit JSON. *)
 
 type t =
   | Null

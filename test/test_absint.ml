@@ -5,15 +5,12 @@
    - Analysis.transfer_binop against the Interp reference semantics,
      exhaustively at widths 1-5 for the PR-7 ops (mul, udiv, urem, sdiv,
      srem);
-   - Demand against the interpreter: flipping a non-demanded input bit
-     never changes a run's outcome;
    - the prover and Refine.static_report against the corpus: it must
      discharge the easy entries, never an expected-invalid one, and agree
      with the SAT path on a sample. *)
 
 module Dom = Alive_absint.Domain
 module Prover = Alive_absint.Prover
-module Demand = Alive_absint.Demand
 module Normal = Alive_absint.Normal
 module T = Alive_smt.Term
 module Refine = Alive.Refine
@@ -450,103 +447,6 @@ let test_will_not_overflow_singletons () =
       check w (Bitvec.max_signed w) (c 1) ~expect:Bitvec.overflows)
     [ 33; 63; 64 ]
 
-(* ---- Demanded bits ---- *)
-
-let def name width inst = { Ir.name; width; inst }
-
-let demand_funcs =
-  [
-    (* only the low two bits survive the trunc *)
-    {
-      Ir.fname = "trunc";
-      params = [ ("x", 4) ];
-      body = [ def "r" 2 (Ir.Conv (Ir.Trunc, Ir.Var "x")) ];
-      ret = Ir.Var "r";
-    };
-    (* add feeds an and-mask: carries never flow down, so only the low
-       two bits of both inputs are demanded *)
-    {
-      Ir.fname = "addmask";
-      params = [ ("x", 4); ("y", 4) ];
-      body =
-        [
-          def "a" 4 (Ir.Binop (Ir.Add, [], Ir.Var "x", Ir.Var "y"));
-          def "r" 4 (Ir.Binop (Ir.And, [], Ir.Var "a", Ir.Const (Bitvec.of_int ~width:4 3)));
-        ];
-      ret = Ir.Var "r";
-    };
-    (* shift by a constant moves the demanded window *)
-    {
-      Ir.fname = "shl2";
-      params = [ ("x", 4) ];
-      body = [ def "r" 4 (Ir.Binop (Ir.Shl, [], Ir.Var "x", Ir.Const (Bitvec.of_int ~width:4 2))) ];
-      ret = Ir.Var "r";
-    };
-    (* division demands everything *)
-    {
-      Ir.fname = "div";
-      params = [ ("x", 4); ("y", 4) ];
-      body = [ def "r" 4 (Ir.Binop (Ir.Udiv, [], Ir.Var "x", Ir.Var "y")) ];
-      ret = Ir.Var "r";
-    };
-  ]
-
-let test_demand_masks () =
-  let dem f name = Bitvec.to_int64 (Demand.demanded_of f name) in
-  let f = List.nth demand_funcs 0 in
-  check_int "trunc demands low 2" 3 (Int64.to_int (dem f "x"));
-  let f = List.nth demand_funcs 1 in
-  check_int "addmask demands low 2 of x" 3 (Int64.to_int (dem f "x"));
-  check_int "addmask demands low 2 of y" 3 (Int64.to_int (dem f "y"));
-  let f = List.nth demand_funcs 2 in
-  check_int "shl 2 demands low 2 bits" 3 (Int64.to_int (dem f "x"));
-  let f = List.nth demand_funcs 3 in
-  check_int "udiv demands all of x" 15 (Int64.to_int (dem f "x"));
-  check_int "udiv demands all of y" 15 (Int64.to_int (dem f "y"))
-
-(* Flipping any non-demanded bit of any input leaves the outcome
-   identical — the defining property of the analysis. *)
-let test_demand_property () =
-  List.iter
-    (fun (f : Ir.func) ->
-      let widths = List.map snd f.Ir.params in
-      let names = List.map fst f.Ir.params in
-      let masks = List.map (fun n -> Demand.demanded_of f n) names in
-      let rec enum acc = function
-        | [] -> [ List.rev acc ]
-        | w :: rest ->
-            List.concat_map
-              (fun v -> enum (Bitvec.of_int ~width:w v :: acc) rest)
-              (List.init (1 lsl w) Fun.id)
-      in
-      List.iter
-        (fun args ->
-          let base = Interp.run ~policy:Interp.Zero f args in
-          List.iteri
-            (fun i mask ->
-              let w = List.nth widths i in
-              for bit = 0 to w - 1 do
-                if not (Bitvec.bit mask bit) then begin
-                  let flipped =
-                    List.mapi
-                      (fun j a ->
-                        if j = i then
-                          Bitvec.logxor a
-                            (Bitvec.shl (Bitvec.one w) (Bitvec.of_int ~width:w bit))
-                        else a)
-                      args
-                  in
-                  if Interp.run ~policy:Interp.Zero f flipped <> base then
-                    Alcotest.failf
-                      "%s: flipping non-demanded bit %d of %s changed the \
-                       outcome"
-                      f.Ir.fname bit (List.nth names i)
-                end
-              done)
-            masks)
-        (enum [] widths))
-    demand_funcs
-
 (* ---- Normalizer ---- *)
 
 let test_normalizer () =
@@ -768,9 +668,6 @@ let suite =
         test_transfer_vs_interp;
       Alcotest.test_case "tri_will_not_overflow exact on singletons" `Quick
         test_will_not_overflow_singletons;
-      Alcotest.test_case "demanded-bits masks" `Quick test_demand_masks;
-      Alcotest.test_case "non-demanded bits cannot change outcomes" `Quick
-        test_demand_property;
       Alcotest.test_case "normalizer decides linear identities" `Quick
         test_normalizer;
       Alcotest.test_case "prover unit formulas" `Quick test_prover_units;

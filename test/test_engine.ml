@@ -7,7 +7,7 @@ module T = Alive_smt.Term
 module Solve = Alive_smt.Solve
 module Refine = Alive.Refine
 module Engine = Alive_engine.Engine
-module Json = Alive_engine.Json
+module Json = Alive_trace.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

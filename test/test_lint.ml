@@ -401,7 +401,7 @@ let golden_tests =
         in
         check_string "golden"
           expected
-          (Alive_engine.Json.to_string (Lint.to_json report)));
+          (Alive_trace.Json.to_string (Lint.to_json report)));
   ]
 
 (* ---- Rewrite cycles: the corpus's cyclic SCCs, pinned ---- *)

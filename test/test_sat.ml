@@ -138,26 +138,6 @@ let unit_tests =
         let vars = fresh_vars s 12 in
         xor_chain s vars true;
         check_bool "sat" true (S.solve s));
-    Alcotest.test_case "assumptions: sat then unsat" `Quick (fun () ->
-        let s = S.create () in
-        let a = S.new_var s and b = S.new_var s in
-        S.add_clause s [ S.mk_lit a false; S.mk_lit b true ];
-        check_bool "sat under a" true
-          (S.solve ~assumptions:[ S.mk_lit a true ] s);
-        check_bool "b forced" true (S.value s (S.mk_lit b true));
-        check_bool "unsat under a,~b" false
-          (S.solve ~assumptions:[ S.mk_lit a true; S.mk_lit b false ] s);
-        check_bool "still sat without assumptions" true (S.solve s));
-    Alcotest.test_case "assumptions do not pollute state" `Quick (fun () ->
-        let s = S.create () in
-        let a = S.new_var s and b = S.new_var s in
-        S.add_clause s [ S.mk_lit a true; S.mk_lit b true ];
-        check_bool "unsat under ~a,~b" false
-          (S.solve ~assumptions:[ S.mk_lit a false; S.mk_lit b false ] s);
-        check_bool "sat again" true (S.solve s);
-        S.add_clause s [ S.mk_lit a false ];
-        check_bool "sat with a false" true (S.solve s);
-        check_bool "b must hold" true (S.value s (S.mk_lit b true)));
     Alcotest.test_case "incremental clause addition" `Quick (fun () ->
         let s = S.create () in
         let vs = Array.of_list (fresh_vars s 4) in
@@ -216,43 +196,4 @@ let random_3sat_test =
        ~print gen (fun (nvars, clauses) ->
          Bool.equal (solve_clauses nvars clauses) (brute_force nvars clauses)))
 
-let random_assumption_test =
-  (* Solving with unit-clause assumptions must agree with adding those units
-     as clauses to a fresh solver. *)
-  let gen =
-    let open QCheck2.Gen in
-    let* nvars = int_range 3 8 in
-    let* nclauses = int_range 1 (nvars * 4) in
-    let gen_clause =
-      list_repeat 3
-        (let* v = int_range 0 (nvars - 1) in
-         let* sign = bool in
-         return (v, sign))
-    in
-    let* clauses = list_repeat nclauses gen_clause in
-    let* a0 = int_range 0 (nvars - 1) in
-    let* s0 = bool in
-    let* a1 = int_range 0 (nvars - 1) in
-    let* s1 = bool in
-    return (nvars, clauses, (a0, s0), (a1, s1))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200
-       ~name:"assumptions equivalent to added units" gen
-       (fun (nvars, clauses, (a0, s0), (a1, s1)) ->
-         let s = S.create () in
-         let vars = Array.of_list (fresh_vars s nvars) in
-         List.iter
-           (fun clause ->
-             S.add_clause s
-               (List.map (fun (x, sign) -> S.mk_lit vars.(x) sign) clause))
-           clauses;
-         let with_assumptions =
-           S.solve ~assumptions:[ S.mk_lit vars.(a0) s0; S.mk_lit vars.(a1) s1 ] s
-         in
-         let reference =
-           brute_force nvars ([ [ (a0, s0) ] ] @ [ [ (a1, s1) ] ] @ clauses)
-         in
-         Bool.equal with_assumptions reference))
-
-let suite = ("sat", unit_tests @ [ random_3sat_test; random_assumption_test ])
+let suite = ("sat", unit_tests @ [ random_3sat_test ])

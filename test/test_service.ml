@@ -1002,8 +1002,7 @@ let ledger_tests =
 
    [add %a, 1] has no typing at width 1, which [run] reports as a type
    error. Every other reader of the same walk must say so too: the
-   digests, the explain probe, and so the store replay, which re-verifies
-   an entry whose digests are an error instead of replaying it as valid. *)
+   digests, the explain probe and the daemon's ops. *)
 
 let no_typing_tests =
   [
@@ -1014,17 +1013,12 @@ let no_typing_tests =
         let widths = [ 1 ] in
         check_string "run" "type-error"
           (Alive.Refine.verdict_name (Alive.Refine.run ~widths tr).verdict);
-        let digests = Alive.Refine.query_digests ~widths tr in
-        check_bool "query_digests" true (Result.is_error digests);
+        check_bool "query_digests" true
+          (Result.is_error (Alive.Refine.query_digests ~widths tr));
         check_bool "probe_queries" true
           (Result.is_error (Alive.Refine.probe_queries ~widths tr));
         check_bool "static_report" true
           (Result.is_error (Alive.Refine.static_report ~widths tr));
-        with_temp_dir (fun dir ->
-            let store = open_rw dir in
-            check_bool "the store replay re-verifies it" true
-              (Store.replay store digests = None);
-            Store.close store);
         with_temp_dir (fun dir ->
             let d = one_worker_daemon dir in
             let c, _, _ = d in
@@ -1074,9 +1068,124 @@ let no_typing_tests =
             check_bool "and differ from the default domain's" true
               (digests (Some [ 8 ]) <> digests None);
             stop_daemon d));
+    Alcotest.test_case "client infer-pre takes a width domain" `Quick
+      (fun () ->
+        let text = "Name: nt\n%r = add %a, 1\n=>\n%r = add 1, %a\n" in
+        with_temp_dir (fun dir ->
+            let d = one_worker_daemon dir in
+            let c, _, _ = d in
+            let row widths =
+              match Client.infer_pre c ?widths ~text () with
+              | Ok (Json.List [ row ]) -> row
+              | Ok _ -> Alcotest.fail "infer-pre: response shape"
+              | Error e -> Alcotest.failf "infer-pre: %s" e
+            in
+            let at_i1 = row (Some [ 1 ]) in
+            check_bool "no precondition at i1" true
+              (Json.member "pre" at_i1 = Some Json.Null);
+            check_bool "because no typing is feasible" true
+              (Astring.String.is_infix ~affix:"no feasible typing"
+                 (get (jstr at_i1 "note")));
+            check_string "the default domain needs none" "true"
+              (get (jstr (row None) "pre"));
+            stop_daemon d));
+  ]
+
+(* --- The store tier across runs ---
+
+   A stored verdict is reused one way: installed as the verdict cache's
+   backing, the store answers a query after tier 0 and the cache and
+   before SAT. A rerun in a new process (here: the same one, its cache
+   emptied) takes every query the first run solved from the store. *)
+
+let rerun_tests =
+  [
+    Alcotest.test_case "a store-backed rerun solves nothing" `Quick (fun () ->
+        let module Engine = Alive_engine.Engine in
+        let module Entry = Alive_suite.Entry in
+        let task name widths prepare =
+          { Engine.task_name = name; widths; prepare }
+        in
+        let corpus =
+          List.filter_map
+            (fun (e : Entry.t) ->
+              if e.file = "LoadStoreAlloca" then
+                Some (task e.name e.widths (fun () -> Entry.parse e))
+              else None)
+            Alive_suite.Registry.all
+        in
+        let run tasks =
+          let r = Engine.verify_corpus ~jobs:1 tasks in
+          let results =
+            List.map
+              (fun (t : Engine.task_result) ->
+                match t.outcome with
+                | Ok res -> (t.name, res)
+                | Error e -> Alcotest.failf "%s crashed: %s" t.name e.message)
+              r.results
+          in
+          (results, r.total.telemetry)
+        in
+        let checks (res : Alive.Refine.result) = res.stats.telemetry.checks in
+        with_temp_dir (fun dir ->
+            let store = open_rw dir in
+            Alive_smt.Vc_cache.clear ();
+            Store.install_backing store;
+            Fun.protect
+              ~finally:(fun () ->
+                Store.remove_backing ();
+                Store.close store;
+                Alive_smt.Vc_cache.clear ())
+            @@ fun () ->
+            check_int "LoadStoreAlloca entries" 12 (List.length corpus);
+            let first, t1 = run corpus in
+            check_int "the first run's checks" 23 t1.checks;
+            Alive_smt.Vc_cache.clear ();
+            let second, t2 = run corpus in
+            check_int "the rerun's checks" 0 t2.checks;
+            check_int "the rerun's conflicts" 0 t2.conflicts;
+            check_int "the rerun's store hits" t1.checks t2.store_hits;
+            let shown (r : Alive.Refine.result) =
+              Format.asprintf "%a" Alive.Refine.pp_verdict r.verdict
+            in
+            List.iter2
+              (fun (name, a) (_, b) -> check_string name (shown a) (shown b))
+              first second;
+            let invalid =
+              List.filter_map
+                (fun (name, (r : Alive.Refine.result)) ->
+                  match r.verdict with
+                  | Alive.Refine.Invalid cex -> Some (name, cex)
+                  | _ -> None)
+                second
+            in
+            check_int "both invalid entries are still invalid" 2
+              (List.length invalid);
+            List.iter
+              (fun (name, (cex : Alive.Counterexample.t)) ->
+                check_bool (name ^ " has a counterexample") true
+                  (Model.bindings cex.model <> []))
+              invalid;
+            (* An entry the store has never seen reaches SAT; nothing else
+               does. *)
+            Alive_smt.Vc_cache.clear ();
+            let fresh =
+              task "fresh" None (fun () ->
+                  Alive.Parser.parse_transform
+                    "Name: fresh\n%t1 = or %a, %b\n%t2 = and %a, %b\n%r = \
+                     sub %t1, %t2\n=>\n%r = xor %a, %b\n")
+            in
+            let third, t3 = run (corpus @ [ fresh ]) in
+            List.iter
+              (fun (name, res) ->
+                if name = "fresh" then
+                  check_bool "the fresh entry is solved" true (checks res > 0)
+                else check_int (name ^ " solves nothing") 0 (checks res))
+              third;
+            check_int "the store answers the rest" t1.checks t3.store_hits));
   ]
 
 let suite =
   ( "service",
     protocol_tests @ store_tests @ determinism_tests @ daemon_tests
-    @ telemetry_tests @ ledger_tests @ no_typing_tests )
+    @ telemetry_tests @ ledger_tests @ no_typing_tests @ rerun_tests )
